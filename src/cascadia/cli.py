@@ -29,8 +29,8 @@ from .cumulant import inelastic_saturation, sigma_xx_cumulant, solve_ce2
 from .doppler import DopplerParams, doppler_profile
 from .ensemble import run_ensemble
 from .errors import NonConvergence, NoPhysicalRoot, NumericalInstability
-from .io import (write_csv, write_cumulant_pair_csv, write_ensemble_csv,
-                 write_json, write_sie_csv)
+from .io import (MEANFIELD_PROFILE_COLS, meanfield_profile_rows, write_csv,
+                 write_cumulant_pair_csv, write_json, write_sie_csv)
 from .meanfield import field_observables, solve_steady_state
 from .params import ModelParams, build_chain
 
@@ -262,13 +262,8 @@ def _eval_cell(task: dict) -> dict:
                 out["status"] = "unresolved"
                 return out
             obs = field_observables(sol, params, chain)
-            beta = params.beta
-            for i in range(params.n_emitters):
-                m, a = sol.sigma_minus[i], sol.alpha[i]
-                out["profile"].append(
-                    prefix + [i + 1, 4.0 * beta * (i + 1), m.real, m.imag,
-                              sol.sigma_z[i], a.real, a.imag,
-                              8.0 * abs(a) ** 2])
+            out["profile"] = [prefix + row
+                              for row in meanfield_profile_rows(params, sol)]
             out["scalar"] = prefix + [obs.s_out_right, obs.s_out_left,
                                       float(np.mean(sol.sigma_z)), nan]
     except (NonConvergence, NoPhysicalRoot):
@@ -281,9 +276,21 @@ def _eval_cell(task: dict) -> dict:
 _PROFILE_COLS = {
     "DOPPLER": ["D", "s", "s_over_s0"],
     "CE2-UWM": ["site", "D_i", "sigma_z", "s_ie_over_s0", "nn_sigxx_cumulant"],
-    "meanfield": ["site", "D_i", "re_sigma_minus", "im_sigma_minus",
-                  "sigma_z", "re_alpha", "im_alpha", "s_i"],
+    "meanfield": list(MEANFIELD_PROFILE_COLS),
 }
+
+
+def _map_cells(tasks: List[dict], jobs: int) -> List[dict]:
+    """Evaluate grid cells, across `jobs` processes when jobs > 1, and
+    return the results in task-index order."""
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_eval_cell, tasks))
+    else:
+        results = [_eval_cell(t) for t in tasks]
+    results.sort(key=lambda r: r["index"])
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -304,13 +311,7 @@ def cmd_sweep(args) -> int:
         tasks.append({"index": idx, "model": spec.model, "coords": coords,
                       "fixed": fixed})
 
-    jobs = min(spec.jobs, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_cell, tasks))
-    else:
-        results = [_eval_cell(t) for t in tasks]
-    results.sort(key=lambda r: r["index"])
+    results = _map_cells(tasks, spec.jobs)
 
     kind = spec.model if spec.model in _PROFILE_COLS else "meanfield"
     prof_header = names + _PROFILE_COLS[kind]
@@ -440,12 +441,7 @@ def _fig4(args, manifest: dict) -> List[str]:
                                  ("s_tilde", float(st))],
                       "fixed": dict(_FIXED_DEFAULTS, N=n, beta=beta,
                                     s0=float(st * d_tot), _doppler=False)})
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_cell, tasks))
-    else:
-        results = [_eval_cell(t) for t in tasks]
-    results.sort(key=lambda r: r["index"])
+    results = _map_cells(tasks, jobs)
     # scalar rows carry the 2-coordinate prefix: outputs sit at [2], [3]
     heat_rows = [(r["coords"][0][1], r["coords"][1][1],
                   r["scalar"][2], r["scalar"][3])

@@ -20,9 +20,11 @@ these equations symbolically from the generator and checks every term.
 
 Because site i's singles and the pairs (l, i), l < i never couple to sites
 downstream of i, the system is a cascade of effectively linear blocks; both
-a whole-system integration ("simultaneous", default — vectorized over full
-n×n moment matrices) and a literal block-by-block sweep ("blocks") are
-implemented and agree to solver precision.
+a whole-system solve ("simultaneous", default — vectorized over full n×n
+moment matrices, integration interleaved with Newton–Krylov until the
+steady-state tolerance is met) and a literal block-by-block integration
+sweep ("blocks") are implemented and agree to solver precision.  Either
+strategy ends in the shared round-off finish `steady.newton_finish`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionCap, NonConvergence
+from .errors import DimensionCap, NonConvergence, NumericalInstability
 from .params import ModelParams
-from .steady import SolverOptions, integrate_to_steady
+from .steady import (SolverOptions, _pick_method, integrate_to_steady,
+                     newton_finish, small_move)
 
 __all__ = ["CumulantSolution", "solve_ce2", "sigma_xx_cumulant",
            "inelastic_saturation", "CE2_MAX_SITES"]
@@ -272,7 +275,7 @@ def _warm_start(params: ModelParams, n: int) -> np.ndarray:
         mf = solve_steady_state("UWM", pn)
         if mf.converged:
             return _factorized_state(mf.sigma_minus, mf.sigma_z)
-    except Exception:
+    except (NonConvergence, NumericalInstability):
         pass
     return _ground_state(n)
 
@@ -285,23 +288,6 @@ def _physical(y: np.ndarray, n: int, slack: float = 1e-6) -> bool:
         if np.max(np.abs(A)) > 1.0 + slack:
             return False
     return True
-
-
-def _newton_finish(rhs, y, n, f_tol):
-    """Matrix-free Newton–Krylov root solve; accepted only if it lands on
-    a physical moment set (|z|≤1, |m|≤½, all pair moments bounded by 1)."""
-    from scipy.optimize import newton_krylov
-
-    def fun(v):
-        return rhs(0.0, v)
-
-    try:
-        sol = newton_krylov(fun, y, f_tol=f_tol, maxiter=60, method="lgmres")
-    except Exception:
-        return y, False
-    if not np.all(np.isfinite(sol)) or not _physical(sol, n):
-        return y, False
-    return sol, True
 
 
 def _block_indices(n: int, k: int):
@@ -371,7 +357,7 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    y, residual = _ce2_polish(rhs, y, residual)
+    y, residual = newton_finish(lambda v: rhs(0.0, v), y, small_move(y))
     m, z, MM, MP, MZ, ZZ = _unpack(y, n)
     # report the moments the equations actually used: project the stored
     # redundancy (mirror halves, placeholder diagonals) the same way the
@@ -389,7 +375,8 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
 def _solve_simultaneous(rhs, params: ModelParams, n: int,
                         opts: SolverOptions):
     """Whole-system steady state: damp the transient by time integration
-    (loose tolerances), then finish with Newton–Krylov on the same RHS.
+    (loose tolerances) until Newton–Krylov on the same RHS reaches the
+    steady-state tolerance.
 
     The warm start is the factorized mean-field profile, so the integration
     only has to build up the pair cumulants; on the rare branch where
@@ -400,17 +387,15 @@ def _solve_simultaneous(rhs, params: ModelParams, n: int,
     target = opts.steady_state_residual
     y = _warm_start(params, n)
     residual = float(np.max(np.abs(rhs(0.0, y))))
-    method = "LSODA" if y.size <= 1200 else "DOP853"
+    method = _pick_method(y.size)
     t_spent, chunk = 0.0, 25.0
     while residual > target:
         if residual < 1e-2:
-            ynew, ok = _newton_finish(rhs, y, n, f_tol=0.5 * target)
-            if ok:
-                rnew = float(np.max(np.abs(rhs(0.0, ynew))))
-                if rnew < residual:
-                    y, residual = ynew, rnew
-                if residual <= target:
-                    break
+            y, residual = newton_finish(lambda v: rhs(0.0, v), y,
+                                        lambda v: _physical(v, n),
+                                        f_tol=0.5 * target)
+            if residual <= target:
+                break
         if t_spent >= opts.t_max:
             raise NonConvergence(
                 f"CE2 residual {residual:.2e} at t_max={opts.t_max}")
@@ -422,21 +407,6 @@ def _solve_simultaneous(rhs, params: ModelParams, n: int,
         t_spent += chunk
         chunk = min(2.0 * chunk, 400.0)
         residual = float(np.max(np.abs(rhs(0.0, y))))
-    return y, residual
-
-
-def _ce2_polish(rhs, y, residual):
-    # cheap Newton refinement for small systems (oracle-grade accuracy)
-    if y.size > 4000 or residual == 0.0:
-        return y, residual
-    from scipy.optimize import root as _scipy_root
-    sol = _scipy_root(lambda v: rhs(0.0, v), y, method="hybr", tol=1e-13)
-    if not np.all(np.isfinite(sol.x)):
-        return y, residual
-    moved = np.max(np.abs(sol.x - y)) / (1.0 + np.max(np.abs(y)))
-    rnew = float(np.max(np.abs(rhs(0.0, sol.x))))
-    if moved < 1e-5 and rnew < residual:
-        return sol.x, rnew
     return y, residual
 
 

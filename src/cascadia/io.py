@@ -21,7 +21,8 @@ from .ensemble import EnsembleReport
 from .meanfield import MeanFieldSolution
 from .params import ModelParams
 
-__all__ = ["fmt17", "write_csv", "write_json", "write_meanfield_csv",
+__all__ = ["fmt17", "write_csv", "write_json", "MEANFIELD_PROFILE_COLS",
+           "meanfield_profile_rows", "write_meanfield_csv",
            "write_cumulant_pair_csv", "write_sie_csv", "write_ensemble_csv",
            "write_doppler_csv"]
 
@@ -71,21 +72,30 @@ def _sidecar(path: Path) -> Path:
         else Path(str(path) + ".json")
 
 
-def write_meanfield_csv(path, params: ModelParams,
-                        solution: MeanFieldSolution) -> Path:
-    """Profile columns site,D_i,re_sigma_minus,im_sigma_minus,sigma_z,
-    re_alpha,im_alpha,s_i plus a JSON sidecar (params, residual, converged)."""
-    path = Path(path)
+MEANFIELD_PROFILE_COLS = ("site", "D_i", "re_sigma_minus", "im_sigma_minus",
+                          "sigma_z", "re_alpha", "im_alpha", "s_i")
+
+
+def meanfield_profile_rows(params: ModelParams,
+                           solution: MeanFieldSolution) -> list:
+    """One row per site in the `MEANFIELD_PROFILE_COLS` layout."""
     beta = params.beta
     rows = []
     for i in range(params.n_emitters):
         a = solution.alpha[i]
         m = solution.sigma_minus[i]
-        rows.append((i + 1, 4.0 * beta * (i + 1), m.real, m.imag,
-                     solution.sigma_z[i], a.real, a.imag,
-                     8.0 * abs(a) ** 2))
-    write_csv(path, ["site", "D_i", "re_sigma_minus", "im_sigma_minus",
-                     "sigma_z", "re_alpha", "im_alpha", "s_i"], rows)
+        rows.append([i + 1, 4.0 * beta * (i + 1), m.real, m.imag,
+                     solution.sigma_z[i], a.real, a.imag, 8.0 * abs(a) ** 2])
+    return rows
+
+
+def write_meanfield_csv(path, params: ModelParams,
+                        solution: MeanFieldSolution) -> Path:
+    """`MEANFIELD_PROFILE_COLS` profile plus a JSON sidecar (params,
+    residual, converged)."""
+    path = Path(path)
+    write_csv(path, MEANFIELD_PROFILE_COLS,
+              meanfield_profile_rows(params, solution))
     write_json(_sidecar(path), {
         "params": {f.name: getattr(params, f.name) for f in fields(params)},
         "model": solution.model_tag,

@@ -20,16 +20,16 @@ backward phases factorize as u_j ū_i with u_j = e^{4πi z_j} (positions in λ).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import root as _scipy_root
 from scipy.signal import lfilter
 
 from .errors import NonConvergence
 from .params import EmitterChain, ModelParams, averaged_phase_factor
-from .steady import RampSpec, SolverOptions, integrate_ramp, integrate_to_steady
+from .steady import (RampSpec, SolverOptions, integrate_ramp,
+                     integrate_to_steady, newton_finish, small_move)
 
 __all__ = [
     "MODEL_TAGS", "MeanFieldSolution", "FieldObservables",
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 MODEL_TAGS = ("BWM", "EAM", "DM", "UWM")
-
-_POLISH_MAX_SITES = 700  # dense root polish beyond this costs more than it buys
 
 
 @dataclass(frozen=True)
@@ -146,21 +144,23 @@ def _make_rhs(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     return rhs
 
 
-def _polish(rhs0, y, residual):
-    """Newton-ish refinement of an already-converged state.
+def _settle(rhs, y0: np.ndarray, omega: float, opts: SolverOptions):
+    """Ramp (when `opts.ramp` is set), integrate to the basin at drive
+    `omega`, then sharpen with the shared Newton finish under the branch
+    guard.  Returns (y, residual, converged)."""
+    ramp = opts.ramp
+    if ramp is not None:
+        y0 = integrate_ramp(lambda t, y: rhs(y, math.sqrt(ramp.s0_at(t) / 2.0)),
+                            y0, ramp.t_ramp, opts)
 
-    Accepted only if it stays on the same branch (tiny move) and actually
-    reduces the residual — multistable models must not be allowed to hop.
-    """
-    sol = _scipy_root(rhs0, y, method="hybr", tol=1e-13)
-    ynew = sol.x
-    if not np.all(np.isfinite(ynew)):
-        return y, residual
-    moved = np.max(np.abs(ynew - y)) / (1.0 + np.max(np.abs(y)))
-    rnew = float(np.max(np.abs(rhs0(ynew))))
-    if moved < 1e-5 and rnew < residual:
-        return ynew, rnew
-    return y, residual
+    def rhs0(y):
+        return rhs(y, omega)
+
+    res = integrate_to_steady(lambda t, y: rhs0(y), y0, opts)
+    if not res.converged:
+        return res.y, res.residual, False
+    y, residual = newton_finish(rhs0, res.y, small_move(res.y))
+    return y, residual, True
 
 
 def solve_steady_state(model_tag: str, params: ModelParams,
@@ -168,19 +168,37 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                        opts: Optional[SolverOptions] = None,
                        initial: Optional[MeanFieldSolution] = None,
                        ) -> MeanFieldSolution:
-    """Integrate the mean-field equations to steady state.
+    """Mean-field steady state: integrate to the basin, then Newton-finish.
 
     Starts from the ground state (⟨σ⁻⟩ = 0, ⟨σᶻ⟩ = −1) unless `initial`
     (warm start for branch continuation) is given.  `opts.ramp` ramps the
     drive s₀ linearly over t_ramp before holding it at ramp.s0_end; the
     returned solution then corresponds to drive ramp.s0_end, not params.rabi.
-    Non-convergence at t_max returns a flagged partial result.
+    Resonant UWM has a unique steady state and returns the cascade fixed
+    point in closed form.  Non-convergence at t_max returns a flagged
+    partial result.
     """
     opts = opts or SolverOptions()
     n = params.n_emitters
+    omega_end = params.rabi
+    if opts.ramp is not None:
+        omega_end = math.sqrt(opts.ramp.s0_end / 2.0)
 
     if model_tag == "DM":
-        return _solve_dicke(params, opts, initial)
+        # one collective site with b = 2β(N−1), broadcast to N sites
+        b = 2.0 * params.beta * (n - 1)
+        if initial is not None:
+            y0 = np.array([initial.sigma_minus[0].real,
+                           initial.sigma_minus[0].imag, initial.sigma_z[0]])
+        else:
+            y0 = np.array([0.0, 0.0, -1.0])
+        y, residual, converged = _settle(_collective_rhs(b, params.detuning),
+                                         y0, omega_end, opts)
+        m = np.full(n, y[0] + 1j * y[1])
+        return MeanFieldSolution(
+            sigma_minus=m, sigma_z=np.full(n, y[2]),
+            alpha=np.full(n, 0.5 * omega_end - 0.5j * b * m[0]),
+            converged=converged, residual=residual, model_tag="DM")
 
     plan = _DrivePlan(model_tag, params, chain)
     det = None
@@ -190,33 +208,18 @@ def solve_steady_state(model_tag: str, params: ModelParams,
         det = np.full(n, params.detuning)
     rhs = _make_rhs(plan, det)
 
-    omega_end = params.rabi
-    if initial is not None:
-        y0 = _pack(np.asarray(initial.sigma_minus, dtype=complex),
-                   np.asarray(initial.sigma_z, dtype=float))
+    if model_tag == "UWM" and det is None:
+        fp = uwm_cascade_fixed_point(2.0 * omega_end ** 2, params.beta, n)
+        y = _pack(fp.sigma_minus, fp.sigma_z)
+        residual = float(np.max(np.abs(rhs(y, omega_end))))
+        converged = True
     else:
-        y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
-
-    if opts.ramp is not None:
-        ramp = opts.ramp
-        omega_end = math.sqrt(ramp.s0_end / 2.0)
-
-        def rhs_t(t, y):
-            return rhs(y, math.sqrt(ramp.s0_at(t) / 2.0))
-
-        y0 = integrate_ramp(rhs_t, y0, ramp.t_ramp, opts)
-
-    def rhs0(y, _w=omega_end):
-        return rhs(y, _w)
-
-    res = integrate_to_steady(lambda t, y: rhs0(y), y0, opts)
-    y, residual, converged = res.y, res.residual, res.converged
-
-    if converged:
-        if model_tag == "UWM" and det is None:
-            y, residual = _uwm_cascade_polish(params, omega_end, y, residual, rhs0)
-        elif n <= _POLISH_MAX_SITES:
-            y, residual = _polish(rhs0, y, residual)
+        if initial is not None:
+            y0 = _pack(np.asarray(initial.sigma_minus, dtype=complex),
+                       np.asarray(initial.sigma_z, dtype=float))
+        else:
+            y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
+        y, residual, converged = _settle(rhs, y0, omega_end, opts)
 
     m, z = _unpack(y, n)
     alpha = plan.alpha(m, omega_end)
@@ -225,21 +228,23 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                              model_tag=model_tag)
 
 
-def _uwm_cascade_polish(params, omega, y, residual, rhs0):
-    # The cascaded fixed point is unique and available in closed form per
-    # site; swap it in when the integrator has landed on it (always, for
-    # UWM on resonance) to reach 1e−12-level residuals at any N.
-    n = params.n_emitters
-    fp = uwm_cascade_fixed_point(2.0 * omega ** 2, params.beta, n)
-    ynew = _pack(fp.sigma_minus, fp.sigma_z)
-    moved = np.max(np.abs(ynew - y)) / (1.0 + np.max(np.abs(y)))
-    rnew = float(np.max(np.abs(rhs0(ynew))))
-    if moved < 1e-4 and rnew < residual:
-        return ynew, rnew
-    return y, residual
-
-
 # --- collective (permutation-symmetric) reduction ---------------------------
+
+
+def _collective_rhs(b: float, detuning: float = 0.0):
+    """One-site RHS with α = Ω/2 − i(b/2)⟨σ⁻⟩ on the packed (Re, Im, z)."""
+
+    def rhs(y, omega):
+        m = y[0] + 1j * y[1]
+        z = y[2]
+        a = 0.5 * omega - 0.5j * b * m
+        dm = 1j * a * z - 0.5 * m
+        if detuning != 0.0:
+            dm += 1j * detuning * m
+        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
+        return np.array([dm.real, dm.imag, dz])
+
+    return rhs
 
 
 def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = None,
@@ -253,75 +258,20 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
     (branch continuation in the bistable window).  Returns (⟨σ⁻⟩, ⟨σᶻ⟩).
     """
     opts = opts or SolverOptions()
-    b = feedback
-
-    def rhs(y, omega):
-        m = y[0] + 1j * y[1]
-        z = y[2]
-        a = 0.5 * omega - 0.5j * b * m
-        dm = 1j * a * z - 0.5 * m
-        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
-        return np.array([dm.real, dm.imag, dz])
-
+    rhs = _collective_rhs(feedback)
     y0 = np.array([0.0, 0.0, -1.0])
-    omega_end = math.sqrt(s0 / 2.0)
+    ramp = None
     if s0_start is not None:
-        ramp = RampSpec(s0_start=s0_start, s0_end=s0, t_ramp=t_ramp)
         # start on the branch belonging to s0_start
-        y0 = integrate_to_steady(
-            lambda t, y: rhs(y, math.sqrt(ramp.s0_start / 2.0)), y0, opts).y
-        y0 = integrate_ramp(lambda t, y: rhs(y, math.sqrt(ramp.s0_at(t) / 2.0)),
-                            y0, ramp.t_ramp, opts)
-
-    res = integrate_to_steady(lambda t, y: rhs(y, omega_end), y0, opts)
-    y, residual = res.y, res.residual
-    if not res.converged:
+        w0 = math.sqrt(s0_start / 2.0)
+        y0 = integrate_to_steady(lambda t, y: rhs(y, w0), y0, opts).y
+        ramp = RampSpec(s0_start=s0_start, s0_end=s0, t_ramp=t_ramp)
+    y, residual, converged = _settle(rhs, y0, math.sqrt(s0 / 2.0),
+                                     replace(opts, ramp=ramp))
+    if not converged:
         raise NonConvergence(
             f"collective steady state not reached (residual {residual:.2e})")
-    y, residual = _polish(lambda v: rhs(v, omega_end), y, residual)
     return y[0] + 1j * y[1], y[2]
-
-
-def _solve_dicke(params: ModelParams, opts: SolverOptions,
-                 initial: Optional[MeanFieldSolution]) -> MeanFieldSolution:
-    """DM: one collective site with b = 2β(N−1), broadcast to N sites."""
-    n = params.n_emitters
-    b = 2.0 * params.beta * (n - 1)
-
-    def rhs(y, omega):
-        m = y[0] + 1j * y[1]
-        z = y[2]
-        a = 0.5 * omega - 0.5j * b * m
-        dm = 1j * a * z - 0.5 * m
-        if params.detuning != 0.0:
-            dm += 1j * params.detuning * m
-        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
-        return np.array([dm.real, dm.imag, dz])
-
-    omega_end = params.rabi
-    if initial is not None:
-        y0 = np.array([initial.sigma_minus[0].real, initial.sigma_minus[0].imag,
-                       initial.sigma_z[0]])
-    else:
-        y0 = np.array([0.0, 0.0, -1.0])
-
-    if opts.ramp is not None:
-        ramp = opts.ramp
-        omega_end = math.sqrt(ramp.s0_end / 2.0)
-        y0 = integrate_ramp(lambda t, y: rhs(y, math.sqrt(ramp.s0_at(t) / 2.0)),
-                            y0, ramp.t_ramp, opts)
-
-    res = integrate_to_steady(lambda t, y: rhs(y, omega_end), y0, opts)
-    y, residual = res.y, res.residual
-    if res.converged:
-        y, residual = _polish(lambda v: rhs(v, omega_end), y, residual)
-
-    m = np.full(n, y[0] + 1j * y[1])
-    z = np.full(n, y[2])
-    alpha = np.full(n, 0.5 * omega_end - 0.5j * b * m[0])
-    return MeanFieldSolution(sigma_minus=m, sigma_z=z, alpha=alpha,
-                             converged=res.converged, residual=residual,
-                             model_tag="DM")
 
 
 # --- output fields ----------------------------------------------------------
@@ -407,8 +357,9 @@ def uwm_cascade_fixed_point(s0: float, beta: float, n: int) -> CascadeFixedPoint
 
     Each emitter sits in the single-site resonance-fluorescence steady state
     of its local drive; the drive update follows from inserting ⟨σ⁻_i⟩ into
-    the forward sum.  Agrees with time-integrated UWM steady states to
-    solver precision and is used to polish them.
+    the forward sum.  This is the unique resonant UWM steady state, which
+    `solve_steady_state` returns directly; the test suite checks it against
+    the integrated equations of motion.
     """
     a = np.empty(n)
     s = np.empty(n)

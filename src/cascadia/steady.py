@@ -1,10 +1,14 @@
-"""Shared time-integration scaffolding for steady-state searches.
+"""Shared steady-state engine: integrate to the basin, then one Newton finish.
 
-All solvers in this package reach steady state by integrating from a
-physical initial condition rather than by root finding: the nonlinear
-fixed-point equations are multistable in parts of parameter space, and
-time integration from the ground state (plus drive ramps for branch
-continuation) selects physical branches the way an experiment would.
+Solvers reach the basin of a steady state by integrating from a physical
+initial condition: the nonlinear fixed-point equations are multistable in
+parts of parameter space, and time integration from the ground state (plus
+drive ramps for branch continuation) selects physical branches the way an
+experiment would.  Root finding only finishes the job: `newton_finish`
+runs a matrix-free Newton–Krylov iteration (Knoll & Keyes, J. Comput.
+Phys. 193, 357 (2004)) from the integrated state and keeps its result only
+if the caller's acceptance test holds and the residual went down, so a
+finish can sharpen a state but never move it to another branch.
 
 State vectors are packed real (complex moments split into Re/Im by the
 caller) so that stiff solvers can be used interchangeably.
@@ -16,12 +20,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import optimize
 from scipy.integrate import solve_ivp
 
 from .errors import NumericalInstability
 
 __all__ = ["RampSpec", "SolverOptions", "SteadyResult", "integrate_to_steady",
-           "integrate_ramp"]
+           "integrate_ramp", "newton_finish", "small_move"]
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,6 @@ class SolverOptions:
     steady_state_residual: float = 1e-9
     t_max: float = 1e4
     ramp: Optional[RampSpec] = None
-    method: str = "auto"  # auto | LSODA | DOP853 | RK45 | BDF | Radau
 
     def __post_init__(self):
         if min(self.abs_tol, self.rel_tol, self.steady_state_residual) <= 0:
@@ -72,9 +78,7 @@ class SteadyResult:
     converged: bool
 
 
-def _pick_method(opts: SolverOptions, ndof: int) -> str:
-    if opts.method != "auto":
-        return opts.method
+def _pick_method(ndof: int) -> str:
     # LSODA auto-detects stiffness but factors dense Jacobians; past ~1200
     # real dof the factorization dominates and the explicit RK wins.
     return "LSODA" if ndof <= 1200 else "DOP853"
@@ -88,7 +92,7 @@ def _check_finite(y: np.ndarray):
 def integrate_ramp(rhs_t: Callable, y0: np.ndarray, t_ramp: float,
                    opts: SolverOptions) -> np.ndarray:
     """Integrate a time-dependent RHS over [0, t_ramp] (no residual check)."""
-    method = _pick_method(opts, y0.size)
+    method = _pick_method(y0.size)
     sol = solve_ivp(rhs_t, (0.0, t_ramp), y0, method=method,
                     rtol=opts.rel_tol, atol=opts.abs_tol, dense_output=False)
     if not sol.success:
@@ -110,7 +114,7 @@ def integrate_to_steady(rhs: Callable, y0: np.ndarray,
     """
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y)
-    method = _pick_method(opts, y.size)
+    method = _pick_method(y.size)
     t, chunk = 0.0, 25.0
     residual = float(np.max(np.abs(rhs(t, y)))) if y.size else 0.0
     if residual < opts.steady_state_residual:
@@ -131,3 +135,51 @@ def integrate_to_steady(rhs: Callable, y0: np.ndarray,
         chunk = min(chunk * 2.0, 400.0)
 
     return SteadyResult(y=y, t=t, residual=residual, converged=False)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
+
+
+def small_move(y: np.ndarray) -> Callable:
+    """Acceptance test for a finish from `y`: the new state may move by
+    less than 1e-5 relative to the state's scale.  Multistable models
+    (DM, BWM) must not hop branches while being sharpened."""
+    scale = 1.0 + _max_abs(y)
+
+    def accept(ynew: np.ndarray) -> bool:
+        return _max_abs(ynew - y) / scale < 1e-5
+
+    return accept
+
+
+def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,
+                  f_tol: Optional[float] = None):
+    """Matrix-free Newton–Krylov (lgmres) root of `fun` started at `y`.
+
+    Returns (state, max|fun(state)|).  The Newton result replaces `y` only
+    if it is finite, passes `accept` and lowers the residual; an iteration
+    budget running out keeps the last iterate under the same test.
+
+    With `f_tol` unset the finish is one Newton step towards round-off:
+    from an integrated state a single step already lands on the rounding
+    floor, and each step costs ~30 RHS evaluations.  A given `f_tol` is a
+    max-norm stopping tolerance, with up to 60 steps to get there from a
+    loose basin.  A state already within 4·eps (or `f_tol`) is returned as
+    is.
+    """
+    y = np.asarray(y, dtype=float)
+    residual = _max_abs(fun(y))
+    if residual <= (4.0 * _EPS if f_tol is None else f_tol):
+        return y, residual
+    budget = {"iter": 1} if f_tol is None else {"f_tol": f_tol, "maxiter": 60}
+    try:
+        ynew = optimize.newton_krylov(fun, y, method="lgmres", **budget)
+    except optimize.NoConvergence as exc:
+        ynew = np.asarray(exc.args[0], dtype=float)
+    if not np.all(np.isfinite(ynew)) or not accept(ynew):
+        return y, residual
+    rnew = _max_abs(fun(ynew))
+    if rnew < residual:
+        return ynew, rnew
+    return y, residual

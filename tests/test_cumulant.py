@@ -182,3 +182,25 @@ def test_nearest_neighbor_correlations_flip_sign():
     pre = np.max(np.abs(c[d_over < 0.8]))
     post = np.max(np.abs(c[d_over >= 0.8]))
     assert pre < 0.4 * post
+
+
+# --- warm start ------------------------------------------------------------------
+
+
+def test_warm_start_falls_back_only_on_solver_failures(monkeypatch):
+    from cascadia import cumulant, meanfield
+
+    p = _params(0.1, 2.0, 4)
+
+    def stalls(*args, **kwargs):
+        raise NonConvergence("stalled")
+
+    monkeypatch.setattr(meanfield, "solve_steady_state", stalls)
+    assert np.array_equal(cumulant._warm_start(p, 4), cumulant._ground_state(4))
+
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error, not a solver failure")
+
+    monkeypatch.setattr(meanfield, "solve_steady_state", broken)
+    with pytest.raises(TypeError):
+        cumulant._warm_start(p, 4)

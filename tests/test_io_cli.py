@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadia import (DopplerParams, ModelParams, doppler_profile, run_ensemble,
-                      solve_ce2, solve_steady_state)
+from cascadia import (DopplerParams, ModelParams, build_chain, doppler_profile,
+                      run_ensemble, solve_ce2, solve_steady_state)
 from cascadia.cli import main
 from cascadia.io import (fmt17, write_cumulant_pair_csv, write_doppler_csv,
                          write_ensemble_csv, write_meanfield_csv)
@@ -117,6 +118,25 @@ def test_sweep_writes_profile_scalars_manifest(tmp_path):
     assert len(man["outputs"]) == 2
 
 
+def test_sweep_profile_matches_meanfield_writer(tmp_path):
+    # one BWM cell: the sweep's profile rows are the writer's rows behind
+    # the axis column, in the same 17-digit text
+    rc = main(["sweep", "--model", "BWM", "--axis", "eta=lin:0.05..0.05:1",
+               "--N", "12", "--beta", "0.05", "--s0", "2.0", "--seed", "4",
+               "--out", str(tmp_path / "cell")])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "cell_profile.csv")
+
+    p = ModelParams.from_beta(beta=0.05, s0=2.0, n_emitters=12, eta=0.05,
+                              seed=4)
+    chain = build_chain(p, stream=0)
+    sol = solve_steady_state("BWM", p, chain)
+    wheader, wrows = _read_csv(write_meanfield_csv(tmp_path / "mf.csv", p, sol))
+    assert header == ["eta"] + wheader
+    assert [r[1:] for r in rows] == wrows
+    assert all(float(r[0]) == 0.05 for r in rows)
+
+
 def test_sweep_is_deterministic(tmp_path):
     args = ["sweep", "--model", "BWM", "--axis", "eta=log:0.01..0.1:2",
             "--N", "15", "--beta", "0.05", "--s0", "2.0"]
@@ -206,10 +226,13 @@ def test_figure_registry_smoke(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli"
+    # the child imports the same cascadia as this process (a checkout's
+    # src/ via the pytest pythonpath, or an installed copy)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     r = subprocess.run(
         [sys.executable, "-m", "cascadia.cli", "sweep", "--model", "DM",
          "--axis", "s0=lin:1..2:2", "--N", "8", "--beta", "0.1",
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "cli_profile.csv").exists()

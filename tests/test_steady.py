@@ -1,0 +1,128 @@
+"""The shared steady-state engine: Newton finish, round-off residuals, the
+closed-form UWM path and branch selection in the Dicke window."""
+
+import numpy as np
+import pytest
+
+from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
+                      dicke_bistability_window, dicke_steady_states,
+                      effective_drive, solve_steady_state,
+                      uwm_cascade_fixed_point)
+from cascadia.steady import integrate_to_steady, newton_finish, small_move
+
+
+def _unpack(y, n):
+    return y[:n] + 1j * y[n:2 * n], y[2 * n:]
+
+
+def _rhs(model, params, chain):
+    """Mean-field RHS on the packed (Re m, Im m, z) state, rebuilt from the
+    public effective drive rather than the solver's own closure."""
+    n = params.n_emitters
+
+    def rhs(y):
+        m, z = _unpack(y, n)
+        a = effective_drive(model, params, chain, m)
+        dm = 1j * a * z - 0.5 * m
+        dz = -4.0 * np.imag(np.conj(a) * m) - (1.0 + z)
+        return np.concatenate((dm.real, dm.imag, dz))
+
+    return rhs
+
+
+def _residual(model, params, chain, sol):
+    y = np.concatenate((sol.sigma_minus.real, sol.sigma_minus.imag,
+                        sol.sigma_z))
+    return float(np.max(np.abs(_rhs(model, params, chain)(y))))
+
+
+# --- the finish itself ------------------------------------------------------------
+
+
+def test_newton_finish_accepts_and_rejects():
+    def fun(v):
+        return v ** 2 - 2.0
+
+    y0 = np.array([1.41421356, -1.41421356])
+    y, r = newton_finish(fun, y0, lambda v: True)
+    assert np.max(np.abs(y - np.array([2 ** 0.5, -2 ** 0.5]))) < 1e-15
+    assert r == float(np.max(np.abs(fun(y))))
+    # a refused result leaves the state and its residual untouched
+    y, r = newton_finish(fun, y0, lambda v: False)
+    assert np.array_equal(y, y0)
+    assert r == float(np.max(np.abs(fun(y0))))
+    # the branch guard refuses a root further away than its tolerance
+    far = np.array([1.0, -1.0])
+    y, _ = newton_finish(fun, far, small_move(far))
+    assert np.array_equal(y, far)
+
+
+def test_newton_finish_skips_states_at_round_off():
+    calls = []
+
+    def fun(v):
+        calls.append(1)
+        return v - 1.0
+
+    y, r = newton_finish(fun, np.array([1.0]), lambda v: True)
+    assert r == 0.0 and len(calls) == 1
+
+
+# --- mean-field residuals at round-off, on both sides of the old cliff -------------
+
+
+@pytest.mark.parametrize("model,n", [("BWM", 2000), ("EAM", 2000),
+                                     ("BWM", 700), ("BWM", 701)])
+def test_meanfield_reaches_round_off(model, n):
+    p = ModelParams.from_beta(beta=0.005, s0=17.8, n_emitters=n, eta=0.05,
+                              seed=3)
+    chain = build_chain(p) if model == "BWM" else None
+    sol = solve_steady_state(model, p, chain)
+    assert sol.converged
+    assert _residual(model, p, chain, sol) <= 1e-12
+
+
+# --- resonant UWM: the closed form against the integration it replaces ------------
+
+
+@pytest.mark.parametrize("n", [1, 100, 2000])
+def test_uwm_fixed_point_matches_integration(n):
+    p = ModelParams.from_beta(beta=0.005, s0=17.8, n_emitters=n)
+    rhs = _rhs("UWM", p, None)
+    y0 = np.concatenate((np.zeros(2 * n), -np.ones(n)))
+    res = integrate_to_steady(lambda t, y: rhs(y), y0, SolverOptions())
+    assert res.converged
+    y, _ = newton_finish(rhs, res.y, small_move(res.y))
+    m, z = _unpack(y, n)
+    fp = uwm_cascade_fixed_point(17.8, 0.005, n)
+    assert np.max(np.abs(m - fp.sigma_minus)) < 1e-10
+    assert np.max(np.abs(z - fp.sigma_z)) < 1e-10
+
+    sol = solve_steady_state("UWM", p)
+    assert np.array_equal(sol.sigma_minus, fp.sigma_minus)
+    assert np.array_equal(sol.sigma_z, fp.sigma_z)
+    assert sol.residual == pytest.approx(_residual("UWM", p, None, sol),
+                                         rel=0, abs=1e-15)
+
+
+# --- Dicke bistability: both ramp branches survive the finish ----------------------
+
+
+@pytest.mark.parametrize("d_eff", [20.0, 30.0, 40.0])
+def test_dicke_ramps_keep_their_branches(d_eff):
+    n = 201
+    beta = d_eff / (4.0 * (n - 1))
+    w = dicke_bistability_window(d_eff)
+    s0 = 0.5 * (w.s_minus + w.s_plus)
+    s_hi = 2.0 * w.s_plus
+    p = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n)
+    up = solve_steady_state("DM", p, opts=SolverOptions(
+        ramp=RampSpec(0.0, s0, 400.0)))
+    hi = solve_steady_state(
+        "DM", ModelParams.from_beta(beta=beta, s0=s_hi, n_emitters=n))
+    down = solve_steady_state("DM", p, initial=hi, opts=SolverOptions(
+        ramp=RampSpec(s_hi, s0, 400.0)))
+    roots = dicke_steady_states(d_eff, s0).roots
+    assert roots.size == 3
+    assert abs(up.sigma_z[0] - roots[0]) < 1e-10
+    assert abs(down.sigma_z[0] - roots[-1]) < 1e-10
