@@ -1,8 +1,14 @@
-"""Dense density-matrix oracle for small chains (N ≤ 6).
+"""Density-matrix oracle for small chains (N ≤ 6).
 
-Builds each model's Lindblad generator explicitly and integrates dρ/dt to
-steady state.  Used as ground truth by the test suite; nothing here scales
-past a handful of emitters and nothing here is approximate.
+Builds each model's Lindblad generator explicitly and solves Lρ = 0 with
+tr ρ = 1 directly: one sparse LU factorization of the 4ᴺ×4ᴺ Liouvillian
+superoperator (the standard steady-state method, as in QuTiP; Johansson,
+Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)).  Where the kernel
+of L is degenerate (β = ½ leaves no loss, and dark states give several
+steady states) the state is instead integrated from |g…g⟩, which picks the
+one that the ground state relaxes to.  Used as ground truth by the test
+suite; nothing here scales past a handful of emitters and nothing here is
+approximate.
 
 All four models share the driven-qubit part and differ in the guided
 channels.  In the spiral gauge the right-going channel has unit weights
@@ -24,9 +30,12 @@ with ≺ the site order for the right channel and its reverse for the left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import DimensionCap, NonConvergence
 from .params import EmitterChain, ModelParams, averaged_phase_factor
@@ -36,6 +45,11 @@ __all__ = ["DensityState", "exact_steady_state", "exact_observables",
            "flux_report", "build_generator"]
 
 _MAX_N = 6
+# Smallest |U_ii| / largest |U_ii| of the LU factor below which the kernel
+# of L is taken as degenerate.  Scanned over all four models at N = 1-4,
+# β = 0.005-0.5, s₀ = 0-100, η ∈ {0, 0.1, 1} with the kernel dimension from
+# an SVD: unique kernels have ratios ≥ 2.7e-8, degenerate ones ≤ 8e-16.
+_PIVOT_RATIO_MIN = 1e-11
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,24 @@ class _Generator:
                 out += Sj @ rho @ self.sp[j]
             out -= 0.5 * (G @ rho + rho @ G)
         return out
+
+    def superoperator(self) -> sparse.csr_matrix:
+        """L as a sparse matrix on row-major vec(ρ): vec(AρB) = (A ⊗ Bᵀ)·vec(ρ)."""
+        eye = sparse.identity(self.H.shape[0], dtype=complex, format="csr")
+
+        def left(A):   # A ρ
+            return sparse.kron(sparse.csr_matrix(A), eye)
+
+        def right(B):  # ρ B
+            return sparse.kron(eye, sparse.csr_matrix(B.T))
+
+        L = -1j * (left(self.H) - right(self.H))
+        for S, G in self.channels:
+            L = L - 0.5 * (left(G) + right(G))
+            for Sj, spj in zip(S, self.sp):
+                L = L + sparse.kron(sparse.csr_matrix(Sj),
+                                    sparse.csr_matrix(spj.T))
+        return L.tocsr()
 
 
 def build_generator(model_tag: str, params: ModelParams,
@@ -155,17 +187,34 @@ def build_generator(model_tag: str, params: ModelParams,
     return _Generator(H, kernels, sm)
 
 
-def exact_steady_state(model_tag: str, params: ModelParams,
-                       chain: Optional[EmitterChain] = None,
-                       opts: Optional[SolverOptions] = None) -> DensityState:
-    """Integrate the master equation from |g…g⟩ to steady state.
+def _direct_steady_state(gen: _Generator) -> Optional[np.ndarray]:
+    """Solve Lρ = 0 with tr ρ = 1 by one sparse LU, or None when the kernel
+    of L is degenerate (exactly singular factor or a pivot ratio below
+    _PIVOT_RATIO_MIN), where no single null vector is the answer."""
+    dim = gen.H.shape[0]
+    L = gen.superoperator()
+    # tr(Lρ) = 0 for every ρ, so the rows of L are linearly dependent; the
+    # trace functional replaces row 0, the equation for ρ₀₀
+    diag = np.arange(dim) * (dim + 1)
+    trace = sparse.csr_matrix((np.ones(dim), (np.zeros(dim, int), diag)),
+                              shape=(1, dim * dim))
+    try:
+        lu = splu(sparse.vstack([trace, L[1:]], format="csc"))
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        if "singular" not in str(err):
+            raise
+        return None
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() < _PIVOT_RATIO_MIN * pivots.max():
+        return None
+    e0 = np.zeros(dim * dim, dtype=complex)
+    e0[0] = 1.0
+    return lu.solve(e0).reshape(dim, dim)
 
-    Convergence requires the Frobenius norm of dρ/dt below 1e−10 (the
-    element-wise integration threshold is tighter still).
-    """
-    n = params.n_emitters
-    gen = build_generator(model_tag, params, chain)
-    dim = 2 ** n
+
+def _integrated_steady_state(gen: _Generator, opts: Optional[SolverOptions]):
+    """Integrate dρ/dt from |g…g⟩; returns (ρ, integrated time)."""
+    dim = gen.H.shape[0]
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[dim - 1, dim - 1] = 1.0  # |g…g⟩: ground is the last basis state
 
@@ -179,11 +228,35 @@ def exact_steady_state(model_tag: str, params: ModelParams,
     y0 = np.concatenate((rho0.real.ravel(), rho0.imag.ravel()))
     res = integrate_to_steady(rhs, y0, opts)
     rho = (res.y[:dim * dim] + 1j * res.y[dim * dim:]).reshape(dim, dim)
+    return rho, res.t
+
+
+def exact_steady_state(model_tag: str, params: ModelParams,
+                       chain: Optional[EmitterChain] = None,
+                       opts: Optional[SolverOptions] = None) -> DensityState:
+    """Steady state of the master equation by a direct sparse solve.
+
+    Where the steady state is unique it is the one solution of Lρ = 0 with
+    tr ρ = 1, found by a single LU factorization.  Where the kernel is
+    degenerate (e.g. β = ½ with collective decay, which has dark states)
+    the master equation is integrated from |g…g⟩ instead, and the state the
+    ground state relaxes to is returned.  `opts` only governs that
+    fallback integration.  Either way the Frobenius norm of dρ/dt must end
+    below 1e−10, else NonConvergence.
+    """
+    gen = build_generator(model_tag, params, chain)
+    rho = _direct_steady_state(gen)
+    how = "a direct solve"
+    if rho is None:
+        rho, t = _integrated_steady_state(gen, opts)
+        how = f"integration to t = {t}"
     frob = float(np.linalg.norm(gen.apply(rho)))
     if frob > 1e-10:
         raise NonConvergence(
-            f"exact steady state: ‖dρ/dt‖_F = {frob:.2e} > 1e-10 at t = {res.t}")
-    rho = 0.5 * (rho + rho.conj().T)  # strip integrator's Hermiticity dust
+            f"exact {model_tag} steady state at N = {params.n_emitters}, "
+            f"β = {params.beta:g}, s₀ = {params.derive().s0:g}: "
+            f"‖dρ/dt‖_F = {frob:.2e} > 1e-10 after {how}")
+    rho = 0.5 * (rho + rho.conj().T)  # strip the solver's Hermiticity dust
     return DensityState(rho=rho, model_tag=model_tag)
 
 
@@ -204,6 +277,17 @@ def _left_weights(model_tag: str, params: ModelParams,
     return u * np.conj(u[0])  # e^{2ik₀(z_j − z_1)}
 
 
+@lru_cache(maxsize=_MAX_N)
+def _pauli_stack(n: int) -> np.ndarray:
+    """σ⁻_i, σ⁺_i, σᶻ_i for i = 1…n, stacked in that order as a read-only
+    (3n, 2ⁿ, 2ⁿ) array."""
+    sm = np.array(_site_ops(n))
+    sp = sm.conj().transpose(0, 2, 1)
+    ops = np.concatenate((sm, sp, 2.0 * (sp @ sm) - np.eye(2 ** n)))
+    ops.flags.writeable = False
+    return ops
+
+
 def exact_observables(state: DensityState, params: ModelParams,
                       chain: Optional[EmitterChain] = None) -> dict:
     """All single/pair moments plus output saturations.
@@ -213,33 +297,20 @@ def exact_observables(state: DensityState, params: ModelParams,
     (e.g. ('+','-') diagonal is ⟨σ⁺σ⁻⟩ = (1+⟨σᶻ⟩)/2).
     s_ie is the inelastic right-output saturation 8β²(⟨J⁺J⁻⟩ − |⟨J⁻⟩|²).
     """
-    rho = state.rho
     n = params.n_emitters
-    sm = _site_ops(n)
-    sp = [s.conj().T for s in sm]
-    sz = [2.0 * (sp[i] @ sm[i]) - np.eye(2 ** n) for i in range(n)]
-    ops = {"-": sm, "+": sp, "z": sz}
-
-    def ev(op):
-        return complex(np.trace(op @ rho))
-
-    sigma_minus = np.array([ev(sm[i]) for i in range(n)])
-    sigma_z = np.array([ev(sz[i]).real for i in range(n)])
-
-    pairs = {}
-    for a in "-+z":
-        for b in "-+z":
-            M = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    M[i, j] = ev(ops[a][i] @ ops[b][j])
-            pairs[(a, b)] = M
+    ops = _pauli_stack(n)
+    X = ops @ state.rho                           # X_a = O_a ρ
+    singles = np.einsum("akk->a", X)              # tr(O_a ρ)
+    P = np.einsum("akl,blk->ab", ops, X).reshape(3, n, 3, n)  # tr(O_a O_b ρ)
+    pairs = {(a, b): P[ia, :, ib, :]
+             for ia, a in enumerate("-+z") for ib, b in enumerate("-+z")}
+    sigma_minus = singles[:n]
+    sigma_z = singles[2 * n:].real
 
     g = params.gamma_1d / 2.0
     beta = params.beta
-    J = np.sum(sm, axis=0)
-    Jev = ev(J)
-    JpJm = ev(J.conj().T @ J).real
+    Jev = np.sum(sigma_minus)
+    JpJm = float(np.sum(pairs[("+", "-")]).real)
     a_right = 0.5 * params.rabi - 1j * g * Jev
     s_ie = 8.0 * beta ** 2 * (JpJm - abs(Jev) ** 2)
 

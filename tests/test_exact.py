@@ -153,3 +153,141 @@ def test_total_flux_is_conserved(tag, n, eta):
     for key in ("right_coherent", "right_inelastic", "left_total",
                 "loss_gamma", "loss_backward"):
         assert rep[key] >= -1e-12
+
+
+# --- direct Liouvillian solve against time integration --------------------------
+
+
+def _integrated(tag, p, chain):
+    """Steady state by integrating dρ/dt from |g…g⟩ to max|dρ/dt| < 1e-12:
+    the reference for the direct solve, and exactly what the
+    degenerate-kernel fallback must return."""
+    from cascadia.steady import SolverOptions, integrate_to_steady
+    gen = build_generator(tag, p, chain)
+    dim = 2 ** p.n_emitters
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[dim - 1, dim - 1] = 1.0
+
+    def rhs(t, y):
+        rho = (y[:dim * dim] + 1j * y[dim * dim:]).reshape(dim, dim)
+        drho = gen.apply(rho)
+        return np.concatenate((drho.real.ravel(), drho.imag.ravel()))
+
+    opts = SolverOptions(steady_state_residual=1e-12, rel_tol=1e-10,
+                         abs_tol=1e-12)
+    y0 = np.concatenate((rho0.real.ravel(), rho0.imag.ravel()))
+    res = integrate_to_steady(rhs, y0, opts)
+    rho = (res.y[:dim * dim] + 1j * res.y[dim * dim:]).reshape(dim, dim)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.fixture
+def no_integration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integration reached on a unique kernel")
+    monkeypatch.setattr("cascadia.exact.integrate_to_steady", fail)
+
+
+@pytest.fixture
+def count_integrations(monkeypatch):
+    import cascadia.exact as ex
+    integrate, calls = ex.integrate_to_steady, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(ex, "integrate_to_steady", counted)
+    return calls
+
+
+def _residual(tag, p, chain, rho):
+    return float(np.linalg.norm(build_generator(tag, p, chain).apply(rho)))
+
+
+@pytest.mark.parametrize("tag", ["UWM", "DM", "EAM", "BWM"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("beta,s0,eta", [(0.1, 1.0, 0.1), (0.05, 0.7, 0.01),
+                                         (0.2, 2.0, 1.0)])
+def test_direct_solve_matches_integration(tag, n, beta, s0, eta,
+                                          no_integration):
+    p = _params(beta, s0, n, eta=eta, seed=7)
+    chain = build_chain(p) if tag == "BWM" else None
+    rho = exact_steady_state(tag, p, chain).rho
+    assert np.max(np.abs(rho - _integrated(tag, p, chain))) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", ["DM", "EAM", "BWM"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_degenerate_kernel_falls_back_to_integration(tag, n,
+                                                     count_integrations):
+    # β = ½ leaves no loss; collective (η = 0) decay then has dark states
+    p = _params(0.5, 2.0, n, eta=0.0, seed=7)
+    chain = build_chain(p) if tag == "BWM" else None
+    state = exact_steady_state(tag, p, chain)
+    assert len(count_integrations) == 1
+    assert np.array_equal(state.rho, _integrated(tag, p, chain))
+    assert abs(np.trace(state.rho) - 1.0) < 1e-12
+    rep = flux_report(state, p, chain)
+    assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
+
+
+def test_near_degenerate_unique_kernel_goes_direct(no_integration):
+    # the smallest LU pivot ratio seen on a unique kernel (~3e-8)
+    p = _params(0.5, 0.0, 4, eta=0.1, seed=7)
+    chain = build_chain(p)
+    rho = exact_steady_state("BWM", p, chain).rho
+    assert _residual("BWM", p, chain, rho) <= 1e-13
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+def test_stiff_cascade_at_n5_is_solved(no_integration):
+    # stiff for time integration: it stalls here (NonConvergence at t_max
+    # after ~80 s)
+    p = _params(0.2, 5.0, 5)
+    state = exact_steady_state("UWM", p)
+    rho = state.rho
+    assert _residual("UWM", p, None, rho) <= 1e-12
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > 0.0
+    rep = flux_report(state, p)
+    assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
+
+
+def test_fallback_nonconvergence_names_the_cell():
+    from cascadia.errors import NonConvergence
+    from cascadia.steady import SolverOptions
+    p = _params(0.5, 2.0, 2)
+    with pytest.raises(NonConvergence, match=r"DM .*N = 2, β = 0\.5, s₀ = 2"):
+        exact_steady_state("DM", p, opts=SolverOptions(t_max=0.5))
+
+
+def test_only_a_singular_factor_is_caught(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not enough memory")
+    monkeypatch.setattr("cascadia.exact.splu", broken)
+    with pytest.raises(RuntimeError, match="not enough memory"):
+        exact_steady_state("UWM", _params(0.2, 1.0, 2))
+
+
+def test_observables_equal_operator_traces():
+    from cascadia.exact import DensityState, _site_ops
+    n = 3
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho).real
+    p = _params(0.2, 2.0, n)
+    obs = exact_observables(DensityState(rho=rho, model_tag="DM"), p)
+    sm = _site_ops(n)
+    sp = [s.conj().T for s in sm]
+    ops = {"-": sm, "+": sp, "z": [2.0 * (sp[i] @ sm[i]) - np.eye(8)
+                                   for i in range(n)]}
+    for i in range(n):
+        assert obs["sigma_minus"][i] == pytest.approx(np.trace(sm[i] @ rho),
+                                                      abs=1e-14)
+        assert obs["sigma_z"][i] == pytest.approx(
+            np.trace(ops["z"][i] @ rho).real, abs=1e-14)
+    for (a, b), M in obs["pairs"].items():
+        ref = [[np.trace(ops[a][i] @ ops[b][j] @ rho) for j in range(n)]
+               for i in range(n)]
+        assert np.max(np.abs(M - np.array(ref))) < 1e-14
