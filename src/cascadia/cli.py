@@ -27,7 +27,7 @@ import numpy as np
 from .analytic import mean_polarization
 from .cumulant import inelastic_saturation, sigma_xx_cumulant, solve_ce2
 from .doppler import DopplerParams, doppler_profile
-from .ensemble import run_ensemble
+from .ensemble import env_jobs, run_ensemble
 from .errors import NonConvergence, NoPhysicalRoot, NumericalInstability
 from .io import (MEANFIELD_PROFILE_COLS, meanfield_profile_rows, write_csv,
                  write_cumulant_pair_csv, write_json, write_sie_csv)
@@ -192,10 +192,10 @@ def _spec_from_args(args) -> SweepSpec:
 def _resolve_jobs(jobs: int) -> int:
     if jobs and jobs > 0:
         return jobs
-    env = os.environ.get("CASCADIA_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return max(1, env_jobs(os.cpu_count() or 1))
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 # --- grid-cell evaluation ----------------------------------------------------

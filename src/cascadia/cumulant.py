@@ -21,24 +21,26 @@ these equations symbolically from the generator and checks every term.
 Because site i's singles and the pairs (l, i), l < i never couple to sites
 downstream of i, the system is a cascade of effectively linear blocks; both
 a whole-system solve ("simultaneous", default — vectorized over full n×n
-moment matrices, integration interleaved with Newton–Krylov until the
-steady-state tolerance is met) and a literal block-by-block integration
-sweep ("blocks") are implemented and agree to solver precision.  Either
-strategy ends in the shared round-off finish `steady.newton_finish`.
+moment matrices) and a literal block-by-block integration sweep ("blocks")
+agree to solver precision.  Both run on the shared engine: the
+simultaneous solve integrates from the closed-form mean-field cascade into
+Newton's basin (`steady.integrate_to_steady`) and converges there with
+`steady.newton_finish`, and both end in its round-off finish.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionCap, NonConvergence, NumericalInstability
+from .errors import DimensionCap, NonConvergence
+from .meanfield import uwm_cascade_fixed_point
 from .params import ModelParams
-from .steady import (SolverOptions, _pick_method, integrate_to_steady,
-                     newton_finish, small_move)
+from .steady import (SolverOptions, integrate_to_steady, newton_finish,
+                     small_move)
 
 __all__ = ["CumulantSolution", "solve_ce2", "sigma_xx_cumulant",
            "inelastic_saturation", "CE2_MAX_SITES"]
@@ -137,6 +139,20 @@ def _pack(m, z, MM, MP, MZ, ZZ) -> np.ndarray:
                            ZZ.ravel()))
 
 
+def _project(MM, MP, MZ, ZZ):
+    """Project the redundant pair storage onto the tracked moments: zero
+    the placeholder diagonals and symmetrize the mirror halves of MM/MP/ZZ.
+    Newton dust collects in these stationary directions; left in, it would
+    feed back into the equations and bias the root.  Returns new arrays,
+    except MZ (already fresh from `_unpack`), which is zeroed in place."""
+    MM = 0.5 * (MM + MM.T)
+    MP = 0.5 * (MP + np.conj(MP).T)
+    ZZ = 0.5 * (ZZ + ZZ.T)
+    for A in (MM, MP, MZ, ZZ):
+        np.fill_diagonal(A, 0.0)
+    return MM, MP, MZ, ZZ
+
+
 def build_rhs(params: ModelParams, n: int):
     """Vectorized CE2 time derivative on the packed real state.
 
@@ -151,18 +167,7 @@ def build_rhs(params: ModelParams, n: int):
 
     def rhs(t, y):
         m, z, MM, MP, MZ, ZZ = _unpack(y, n)
-        # the packed storage is redundant: diagonals are placeholders and the
-        # mirror halves of MM/MP/ZZ duplicate the upper triangles.  Both are
-        # stationary under the (exactly symmetric, zero-diagonal) derivatives
-        # below, so Newton dust accumulates there; project it out on read or
-        # it feeds back into the tracked equations and biases the root.
-        MM = 0.5 * (MM + MM.T)
-        MP = 0.5 * (MP + np.conj(MP).T)
-        ZZ = 0.5 * (ZZ + ZZ.T)  # also un-aliases ZZ from y
-        np.fill_diagonal(MM, 0.0)
-        np.fill_diagonal(MP, 0.0)
-        np.fill_diagonal(MZ, 0.0)
-        np.fill_diagonal(ZZ, 0.0)
+        MM, MP, MZ, ZZ = _project(MM, MP, MZ, ZZ)
         p = np.conj(m)
         PM = np.conj(MP)
         PZ = np.conj(MZ)
@@ -261,23 +266,11 @@ def _factorized_state(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _warm_start(params: ModelParams, n: int) -> np.ndarray:
-    """Factorized mean-field steady state — a good CE2 initial guess
-    whenever correlations are a correction (falls back to the ground
-    state if the mean-field solve stalls)."""
-    from .meanfield import solve_steady_state
-    try:
-        if n == params.n_emitters:
-            pn = params
-        else:
-            pn = ModelParams.from_beta(beta=params.beta,
-                                       s0=2.0 * params.rabi ** 2,
-                                       n_emitters=n, seed=params.seed)
-        mf = solve_steady_state("UWM", pn)
-        if mf.converged:
-            return _factorized_state(mf.sigma_minus, mf.sigma_z)
-    except (NonConvergence, NumericalInstability):
-        pass
-    return _ground_state(n)
+    """Factorized mean-field steady state of the n-site prefix: the resonant
+    UWM cascade fixed point in closed form, so the integration only has to
+    build up the pair cumulants."""
+    fp = uwm_cascade_fixed_point(2.0 * params.rabi ** 2, params.beta, n)
+    return _factorized_state(fp.sigma_minus, fp.sigma_z)
 
 
 def _physical(y: np.ndarray, n: int, slack: float = 1e-6) -> bool:
@@ -288,6 +281,10 @@ def _physical(y: np.ndarray, n: int, slack: float = 1e-6) -> bool:
         if np.max(np.abs(A)) > 1.0 + slack:
             return False
     return True
+
+
+def _cell(params: ModelParams, n: int) -> str:
+    return f"n = {n}, β = {params.beta:g}, s₀ = {2.0 * params.rabi ** 2:g}"
 
 
 def _block_indices(n: int, k: int):
@@ -350,8 +347,9 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
             res = integrate_to_steady(rhs_block, y[idx], opts)
             if not res.converged:
                 raise NonConvergence(
-                    f"CE2 block for site {k + 1} stalled at residual "
-                    f"{res.residual:.2e}", site=k + 1)
+                    f"CE2 block for site {k + 1} stalled at {_cell(params, n)}: "
+                    f"residual {res.residual:.2e} after integration to "
+                    f"t = {res.t:g}", site=k + 1)
             y[idx] = res.y
         residual = float(np.max(np.abs(rhs(0.0, y))))
     else:
@@ -359,14 +357,7 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
 
     y, residual = newton_finish(lambda v: rhs(0.0, v), y, small_move(y))
     m, z, MM, MP, MZ, ZZ = _unpack(y, n)
-    # report the moments the equations actually used: project the stored
-    # redundancy (mirror halves, placeholder diagonals) the same way the
-    # RHS does, discarding any null-direction dust from the Newton steps
-    MM = 0.5 * (MM + MM.T)
-    MP = 0.5 * (MP + np.conj(MP).T)
-    ZZ = 0.5 * (ZZ + ZZ.T)
-    for A in (MM, MP, MZ, ZZ):
-        np.fill_diagonal(A, 0.0)
+    MM, MP, MZ, ZZ = _project(MM, MP, MZ, ZZ)
     s0 = 2.0 * params.rabi ** 2
     return CumulantSolution(sigma_minus=m, sigma_z=z, mm=MM, mp=MP, mz=MZ,
                             zz=ZZ, residual=residual, beta=params.beta, s0=s0)
@@ -374,40 +365,31 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
 
 def _solve_simultaneous(rhs, params: ModelParams, n: int,
                         opts: SolverOptions):
-    """Whole-system steady state: damp the transient by time integration
-    (loose tolerances) until Newton–Krylov on the same RHS reaches the
-    steady-state tolerance.
-
-    The warm start is the factorized mean-field profile, so the integration
-    only has to build up the pair cumulants; on the rare branch where
-    Newton is rejected (unphysical root) integration simply continues.
-    """
-    from scipy.integrate import solve_ivp
-
+    """Whole-system steady state on the shared engine: integrate from the
+    factorized mean-field warm start at loose tolerances (rel 1e-5, abs
+    1e-8) into Newton's basin (residual 1e-2), then Newton–Krylov (physical
+    roots only) to half the steady-state tolerance.  A Newton miss
+    integrates on at the same tolerances down to the tolerance itself;
+    running out of time raises NonConvergence naming the cell."""
     target = opts.steady_state_residual
-    y = _warm_start(params, n)
-    residual = float(np.max(np.abs(rhs(0.0, y))))
-    method = _pick_method(y.size)
-    t_spent, chunk = 0.0, 25.0
-    while residual > target:
-        if residual < 1e-2:
-            y, residual = newton_finish(lambda v: rhs(0.0, v), y,
-                                        lambda v: _physical(v, n),
-                                        f_tol=0.5 * target)
-            if residual <= target:
-                break
-        if t_spent >= opts.t_max:
-            raise NonConvergence(
-                f"CE2 residual {residual:.2e} at t_max={opts.t_max}")
-        sol = solve_ivp(rhs, (0.0, chunk), y, method=method,
-                        rtol=1e-5, atol=1e-8, dense_output=False)
-        if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-            raise NonConvergence("CE2 transient integration failed")
-        y = sol.y[:, -1]
-        t_spent += chunk
-        chunk = min(2.0 * chunk, 400.0)
-        residual = float(np.max(np.abs(rhs(0.0, y))))
-    return y, residual
+    loose = replace(opts, rel_tol=1e-5, abs_tol=1e-8,
+                    steady_state_residual=1e-2)
+    res = integrate_to_steady(rhs, _warm_start(params, n), loose)
+    t = res.t
+    if res.converged:
+        y, residual = newton_finish(lambda v: rhs(0.0, v), res.y,
+                                    lambda v: _physical(v, n),
+                                    f_tol=0.5 * target)
+        if residual <= target:
+            return y, residual
+        res = integrate_to_steady(rhs, y, replace(loose,
+                                                  steady_state_residual=target))
+        t += res.t
+        if res.converged:
+            return res.y, res.residual
+    raise NonConvergence(f"CE2 steady state not reached at {_cell(params, n)}: "
+                         f"residual {res.residual:.2e} after integration to "
+                         f"t = {t:g}")
 
 
 # --- derived observables ----------------------------------------------------

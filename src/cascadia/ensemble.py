@@ -53,6 +53,16 @@ class EnsembleReport:
             raise ValueError("variance must be non-negative")
 
 
+def env_jobs(default: int) -> int:
+    """Worker count from the CASCADIA_JOBS environment variable, or
+    `default` when it is unset or empty."""
+    env = os.environ.get("CASCADIA_JOBS") or str(default)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CASCADIA_JOBS={env!r} is not an integer") from None
+
+
 def _one_realization(params: ModelParams, mu: int, opts: Optional[SolverOptions]):
     chain = build_chain(params, stream=mu)
     sol = solve_steady_state("BWM", params, chain, opts)
@@ -75,7 +85,7 @@ def run_ensemble(params: ModelParams, M: int = 20,
     if M < 1:
         raise ValueError("M must be >= 1")
     if jobs is None:
-        jobs = int(os.environ.get("CASCADIA_JOBS", "1"))
+        jobs = env_jobs(1)
     jobs = max(1, min(jobs, M))
 
     avg = solve_steady_state("EAM", params, None, opts)

@@ -38,7 +38,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionCap, NonConvergence
-from .params import EmitterChain, ModelParams, averaged_phase_factor
+from .params import (EmitterChain, ModelParams, attenuation_kernel,
+                     left_output_weights, spiral_phases)
 from .steady import SolverOptions, integrate_to_steady
 
 __all__ = ["DensityState", "exact_steady_state", "exact_observables",
@@ -165,13 +166,12 @@ def build_generator(model_tag: str, params: ModelParams,
     elif model_tag == "BWM":
         if chain is None:
             raise ValueError("BWM requires a chain realization")
-        v = np.exp(-4j * np.pi * np.mod(chain.positions, 0.5))  # e^{−2ik₀z}
+        v = np.conj(spiral_phases(chain))  # e^{−2ik₀z}
         H = H + cascade_h([(i, 1.0) for i in range(n)])
         H = H + cascade_h([(i, v[i]) for i in range(n - 1, -1, -1)])
         kernels = [g * ones, g * np.outer(v, np.conj(v)), gl * loc]
     elif model_tag == "EAM":
-        hop = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        K = np.exp(-2.0 * (params.eta * np.pi) ** 2 * hop)
+        K = attenuation_kernel(params.eta, n)
         H = H + cascade_h([(i, 1.0) for i in range(n)])
         # left cascade with ensemble-averaged pair weights (real kernel)
         Hl = np.zeros_like(H)
@@ -263,20 +263,6 @@ def exact_steady_state(model_tag: str, params: ModelParams,
 # --- observables ------------------------------------------------------------
 
 
-def _left_weights(model_tag: str, params: ModelParams,
-                  chain: Optional[EmitterChain], n: int):
-    """Weights w_j of the left-output operator Σ_j w_j σ⁻_j at the chain head."""
-    if model_tag == "UWM":
-        return None
-    if model_tag == "DM":
-        return np.ones(n)
-    if model_tag == "EAM":
-        r = averaged_phase_factor(params.eta, 1) if params.eta > 0 else 1.0
-        return r ** np.arange(n)
-    u = np.exp(4j * np.pi * np.mod(chain.positions, 0.5))
-    return u * np.conj(u[0])  # e^{2ik₀(z_j − z_1)}
-
-
 @lru_cache(maxsize=_MAX_N)
 def _pauli_stack(n: int) -> np.ndarray:
     """σ⁻_i, σ⁺_i, σᶻ_i for i = 1…n, stacked in that order as a read-only
@@ -314,10 +300,9 @@ def exact_observables(state: DensityState, params: ModelParams,
     a_right = 0.5 * params.rabi - 1j * g * Jev
     s_ie = 8.0 * beta ** 2 * (JpJm - abs(Jev) ** 2)
 
-    w = _left_weights(state.model_tag, params, chain, n)
-    if w is None:
-        a_left = 0.0 + 0.0j
-    else:
+    w = left_output_weights(state.model_tag, params, chain)
+    a_left = 0.0 + 0.0j
+    if w is not None:
         a_left = -1j * g * sum(w[j] * sigma_minus[j] for j in range(n))
 
     return {
@@ -378,17 +363,16 @@ def flux_report(state: DensityState, params: ModelParams,
         left_inelastic = g * (JpJm - abs(Jev) ** 2)
         left_total = left_coherent + left_inelastic
     elif tag == "BWM":
-        u = np.exp(4j * np.pi * np.mod(chain.positions, 0.5))
+        u = spiral_phases(chain)
         JL = np.sum(u * m)  # phase weights; global phase drops in |·|
         JLpJLm = float(np.real(np.conj(u)[:, None] * u[None, :] * pm).sum())
         left_coherent = g * abs(JL) ** 2
         left_inelastic = g * (JLpJLm - abs(JL) ** 2)
         left_total = left_coherent + left_inelastic
     else:  # EAM: full-rank averaged kernel
-        hop = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        K = np.exp(-2.0 * (params.eta * np.pi) ** 2 * hop)
+        K = attenuation_kernel(params.eta, n)
         left_total = g * float(np.real(np.sum(K * pm)))
-        w = _left_weights("EAM", params, chain, n)
+        w = left_output_weights("EAM", params, chain)
         left_coherent = g * abs(np.sum(w * m)) ** 2
         left_inelastic = left_total - left_coherent
 

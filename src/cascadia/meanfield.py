@@ -27,7 +27,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NonConvergence
-from .params import EmitterChain, ModelParams, averaged_phase_factor
+from .params import (EmitterChain, ModelParams, averaged_phase_factor,
+                     left_output_weights, spiral_phases)
 from .steady import (RampSpec, SolverOptions, integrate_ramp,
                      integrate_to_steady, newton_finish, small_move)
 
@@ -80,10 +81,9 @@ class _DrivePlan:
                 raise ValueError("BWM requires a chain realization")
             if len(chain) != self.n:
                 raise ValueError("chain length does not match n_emitters")
-            # 2k₀z mod 2π via z mod λ/2: keeps Bragg phases exactly 1
-            self.u = np.exp(4j * np.pi * np.mod(chain.positions, 0.5))
+            self.u = spiral_phases(chain)
         elif model_tag == "EAM":
-            self.r = averaged_phase_factor(params.eta, 1) if params.eta > 0 else 1.0
+            self.r = averaged_phase_factor(params.eta, 1)
 
     def alpha(self, m: np.ndarray, omega: float) -> np.ndarray:
         base = 0.5 * omega
@@ -297,21 +297,8 @@ def field_observables(solution: MeanFieldSolution, params: ModelParams,
     s_profile = 8.0 * np.abs(solution.alpha) ** 2
 
     a_right = 0.5 * params.rabi - 1j * g * np.sum(m)
-    tag = solution.model_tag
-    if tag == "UWM":
-        a_left = 0.0 + 0.0j
-    elif tag == "DM":
-        a_left = -1j * g * np.sum(m)
-    elif tag == "EAM":
-        r = averaged_phase_factor(params.eta, 1) if params.eta > 0 else 1.0
-        w = r ** np.arange(len(m))
-        a_left = -1j * g * np.sum(w * m)
-    else:  # BWM
-        if chain is None:
-            raise ValueError("BWM field observables require the chain")
-        u = np.exp(4j * np.pi * np.mod(chain.positions, 0.5))
-        w = u * np.conj(u[0])
-        a_left = -1j * g * np.sum(w * m)
+    w = left_output_weights(solution.model_tag, params, chain)
+    a_left = 0.0 + 0.0j if w is None else -1j * g * np.sum(w * m)
 
     return FieldObservables(
         alpha_profile=solution.alpha,

@@ -189,3 +189,35 @@ def averaged_phase_factor(eta: float, hop: int) -> float:
     if hop < 1:
         raise ValueError("hop must be >= 1")
     return float(np.exp(-2.0 * (eta * np.pi) ** 2 * hop))
+
+
+def spiral_phases(chain: EmitterChain) -> np.ndarray:
+    """u_j = e^{2ik₀z_j}, the spiral-gauge phase of site j's backward
+    (left-going) emission; BWM backward pair weights are u_j ū_i."""
+    # 2k₀z mod 2π via z mod λ/2: keeps Bragg phases exactly 1
+    return np.exp(4j * np.pi * np.mod(chain.positions, 0.5))
+
+
+def attenuation_kernel(eta: float, n: int) -> np.ndarray:
+    """EAM backward pair weights e^{−2(ηπ)²|i−j|} on n sites (a real,
+    positive Kac kernel), the ensemble average of u_j ū_i."""
+    hop = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.exp(-2.0 * (eta * np.pi) ** 2 * hop)
+
+
+def left_output_weights(model_tag: str, params: ModelParams,
+                        chain: EmitterChain | None) -> np.ndarray | None:
+    """Weights w_j of the left-output operator Σ_j w_j σ⁻_j at the chain
+    head: e^{2ik₀(z_j−z_1)} (BWM), e^{−2(ηπ)²(j−1)} (EAM), 1 (DM); None
+    for the UWM, which has no left-going channel."""
+    if model_tag == "UWM":
+        return None
+    if model_tag == "DM":
+        return np.ones(params.n_emitters)
+    if model_tag == "EAM":
+        return (averaged_phase_factor(params.eta, 1)
+                ** np.arange(params.n_emitters))
+    if chain is None:  # BWM
+        raise ValueError("BWM output weights require the chain")
+    u = spiral_phases(chain)
+    return u * np.conj(u[0])

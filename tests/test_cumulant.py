@@ -184,23 +184,28 @@ def test_nearest_neighbor_correlations_flip_sign():
     assert pre < 0.4 * post
 
 
-# --- warm start ------------------------------------------------------------------
+# --- chain prefixes and failures ---------------------------------------------------
 
 
-def test_warm_start_falls_back_only_on_solver_failures(monkeypatch):
-    from cascadia import cumulant, meanfield
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_chain_prefix_equals_shorter_chain(k):
+    # downstream sites never feed back upstream, so solving the first k
+    # sites of a longer chain is solving a k-emitter chain, and both equal
+    # the leading block of the full solution
+    p = _params(0.1, 5.0, 6)
+    prefix = solve_ce2(p, n=k)
+    short = solve_ce2(_params(0.1, 5.0, k))
+    full = solve_ce2(p)
+    for name in ("sigma_minus", "sigma_z", "mm", "mp", "mz", "zz"):
+        a, b = getattr(prefix, name), getattr(short, name)
+        head = getattr(full, name)[(slice(k),) * a.ndim]
+        assert a.shape == b.shape == head.shape
+        assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(a - head)) <= 1e-12
 
-    p = _params(0.1, 2.0, 4)
 
-    def stalls(*args, **kwargs):
-        raise NonConvergence("stalled")
-
-    monkeypatch.setattr(meanfield, "solve_steady_state", stalls)
-    assert np.array_equal(cumulant._warm_start(p, 4), cumulant._ground_state(4))
-
-    def broken(*args, **kwargs):
-        raise TypeError("a programming error, not a solver failure")
-
-    monkeypatch.setattr(meanfield, "solve_steady_state", broken)
-    with pytest.raises(TypeError):
-        cumulant._warm_start(p, 4)
+def test_nonconvergence_names_the_cell():
+    with pytest.raises(NonConvergence,
+                       match=r"n = 3, β = 0\.1, s₀ = 5: residual \S+ after "
+                             r"integration to t = 0\.001"):
+        solve_ce2(_params(0.1, 5.0, 3), opts=SolverOptions(t_max=1e-3))

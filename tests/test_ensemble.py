@@ -70,3 +70,9 @@ def test_validation():
                        mean_diff=np.zeros(2), variance=np.array([-1.0, 0.0]),
                        per_realization_outputs=np.zeros((1, 2)), excluded=0,
                        sigma_z_avg=np.zeros(2))
+
+
+def test_worker_count_from_environment_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("CASCADIA_JOBS", "abc")
+    with pytest.raises(ValueError, match="CASCADIA_JOBS"):
+        run_ensemble(_params(0.02, 3.0, 10, eta=0.05), M=2)

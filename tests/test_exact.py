@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cascadia import (ModelParams, build_chain, build_generator,
-                      exact_observables, exact_steady_state, flux_report,
-                      solve_steady_state)
+                      exact_observables, exact_steady_state, field_observables,
+                      flux_report, solve_steady_state)
 from cascadia.errors import DimensionCap
 
 
@@ -291,3 +291,17 @@ def test_observables_equal_operator_traces():
         ref = [[np.trace(ops[a][i] @ ops[b][j] @ rho) for j in range(n)]
                for i in range(n)]
         assert np.max(np.abs(M - np.array(ref))) < 1e-14
+
+
+def test_bwm_outputs_need_the_chain():
+    # the left-output phases come from the positions: without a chain the
+    # exact and mean-field observables refuse alike
+    p = _params(0.1, 1.0, 3, eta=0.1)
+    chain = build_chain(p)
+    state = exact_steady_state("BWM", p, chain)
+    with pytest.raises(ValueError, match="require the chain"):
+        exact_observables(state, p)
+    with pytest.raises(ValueError, match="require the chain"):
+        flux_report(state, p)
+    with pytest.raises(ValueError, match="require the chain"):
+        field_observables(solve_steady_state("BWM", p, chain), p)

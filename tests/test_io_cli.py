@@ -206,6 +206,14 @@ def test_unknown_model_is_an_argparse_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_bad_jobs_environment_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CASCADIA_JOBS", "abc")
+    rc = main(["sweep", "--model", "UWM", "--axis", "s0=lin:1..2:2",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "CASCADIA_JOBS" in capsys.readouterr().err
+
+
 def test_bad_spec_file_key_exit_2(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"model": "UWM", "axes": ["s0=lin:1..2:2"],
