@@ -19,28 +19,31 @@ closure only ever sees distinct-site triples.  The test suite re-derives
 these equations symbolically from the generator and checks every term.
 
 Because site i's singles and the pairs (l, i), l < i never couple to sites
-downstream of i, the system is a cascade of effectively linear blocks; both
-a whole-system solve ("simultaneous", default — vectorized over full n×n
-moment matrices) and a literal block-by-block integration sweep ("blocks")
-agree to solver precision.  Both run on the shared engine: the
-simultaneous solve integrates from the closed-form mean-field cascade into
-Newton's basin (`steady.integrate_to_steady`) and converges there with
-`steady.newton_finish`, and both end in its round-off finish.
+downstream of i, the system is a cascade of blocks.  Each block is affine
+in its own moments once upstream is fixed, with a nonsingular matrix
+(smallest singular value ≥ 0.188 over n ≤ 5, β ≤ ½, s₀ ≤ 80), so the
+steady state is unique and nothing is time-integrated.  A whole-system
+Newton–Krylov solve (`steady.newton_finish`) from the closed-form
+mean-field cascade ("simultaneous", default — vectorized over n×n moment
+matrices) and a sweep of one Newton solve per site block ("blocks")
+agree to solver precision; both end in the shared round-off finish.  The
+packed state stores each tracked moment once: 3n + 9·C(n,2) reals
+(`_layout`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionCap, NonConvergence
 from .meanfield import uwm_cascade_fixed_point
 from .params import ModelParams
-from .steady import (SolverOptions, integrate_to_steady, newton_finish,
-                     small_move)
+from .steady import SolverOptions, newton_finish, small_move
 
 __all__ = ["CumulantSolution", "solve_ce2", "sigma_xx_cumulant",
            "inelastic_saturation", "CE2_MAX_SITES"]
@@ -106,51 +109,54 @@ def _excl_cumsum(X: np.ndarray) -> np.ndarray:
     return C
 
 
-def _layout(n: int):
-    n2 = n * n
-    off = {"m_re": 0, "m_im": n, "z": 2 * n,
-           "MM_re": 3 * n, "MM_im": 3 * n + n2,
-           "MP_re": 3 * n + 2 * n2, "MP_im": 3 * n + 3 * n2,
-           "MZ_re": 3 * n + 4 * n2, "MZ_im": 3 * n + 5 * n2,
-           "ZZ": 3 * n + 6 * n2}
-    return off, 3 * n + 7 * n2
+class _Layout(NamedTuple):
+    size: int         # packed reals
+    up: np.ndarray    # flat n×n index of each pair i < j, row-major
+    low: np.ndarray   # flat index of its mirror (j, i)
+    off: np.ndarray   # flat index of each i ≠ j, row-major
+
+
+@lru_cache(maxsize=8)
+def _layout(n: int) -> _Layout:
+    """Packed layout, each tracked moment stored once: Re then Im of the
+    complex moments (⟨σ⁻⟩, MM and MP on i < j, MZ on i ≠ j), then the real
+    ones (⟨σᶻ⟩, ZZ on i < j)."""
+    up = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    low = (up % n) * n + up // n
+    for a in (up, low, off):  # shared by every caller through the cache
+        a.setflags(write=False)
+    size = 2 * (n + 2 * up.size + off.size) + n + up.size
+    return _Layout(size, up, low, off)
 
 
 def _unpack(y: np.ndarray, n: int):
-    off, _ = _layout(n)
-    n2 = n * n
-    m = y[off["m_re"]:off["m_re"] + n] + 1j * y[off["m_im"]:off["m_im"] + n]
-    z = y[off["z"]:off["z"] + n]
-    MM = (y[off["MM_re"]:off["MM_re"] + n2]
-          + 1j * y[off["MM_im"]:off["MM_im"] + n2]).reshape(n, n)
-    MP = (y[off["MP_re"]:off["MP_re"] + n2]
-          + 1j * y[off["MP_im"]:off["MP_im"] + n2]).reshape(n, n)
-    MZ = (y[off["MZ_re"]:off["MZ_re"] + n2]
-          + 1j * y[off["MZ_im"]:off["MZ_im"] + n2]).reshape(n, n)
-    ZZ = y[off["ZZ"]:off["ZZ"] + n2].reshape(n, n)
-    return m, z, MM, MP, MZ, ZZ
+    """Full n×n pair matrices from the packed state: mirror halves rebuilt
+    by symmetry (MM, ZZ) or conjugation (MP), diagonals zero."""
+    lay = _layout(n)
+    p = lay.up.size
+    nc = n + 4 * p
+    m, mm, mp, mz = np.split(y[:nc] + 1j * y[nc:2 * nc], [n, n + p, n + 2 * p])
+    z, zz = y[2 * nc:2 * nc + n], y[2 * nc + n:]
+
+    def full(vals, idx, mirror=None):
+        A = np.zeros(n * n, dtype=vals.dtype)
+        A[idx] = vals
+        if mirror is not None:
+            A[lay.low] = mirror
+        return A.reshape(n, n)
+
+    return (m, z, full(mm, lay.up, mm), full(mp, lay.up, np.conj(mp)),
+            full(mz, lay.off), full(zz, lay.up, zz))
 
 
 def _pack(m, z, MM, MP, MZ, ZZ) -> np.ndarray:
-    return np.concatenate((m.real, m.imag, z,
-                           MM.real.ravel(), MM.imag.ravel(),
-                           MP.real.ravel(), MP.imag.ravel(),
-                           MZ.real.ravel(), MZ.imag.ravel(),
-                           ZZ.ravel()))
-
-
-def _project(MM, MP, MZ, ZZ):
-    """Project the redundant pair storage onto the tracked moments: zero
-    the placeholder diagonals and symmetrize the mirror halves of MM/MP/ZZ.
-    Newton dust collects in these stationary directions; left in, it would
-    feed back into the equations and bias the root.  Returns new arrays,
-    except MZ (already fresh from `_unpack`), which is zeroed in place."""
-    MM = 0.5 * (MM + MM.T)
-    MP = 0.5 * (MP + np.conj(MP).T)
-    ZZ = 0.5 * (ZZ + ZZ.T)
-    for A in (MM, MP, MZ, ZZ):
-        np.fill_diagonal(A, 0.0)
-    return MM, MP, MZ, ZZ
+    """Gather the tracked moments (upper triangles of MM/MP/ZZ, off-diagonal
+    MZ) into the packed real state."""
+    lay = _layout(len(m))
+    c = np.concatenate((m, MM.ravel()[lay.up], MP.ravel()[lay.up],
+                        MZ.ravel()[lay.off]))
+    return np.concatenate((c.real, c.imag, z, ZZ.ravel()[lay.up]))
 
 
 def build_rhs(params: ModelParams, n: int):
@@ -163,11 +169,9 @@ def build_rhs(params: ModelParams, n: int):
     g = params.gamma_1d / 2.0
     iu = np.triu(np.ones((n, n)), k=1)  # ci: 1 where i < j
     il = iu.T                            # cj: 1 where j < i
-    offdiag = iu + il
 
     def rhs(t, y):
         m, z, MM, MP, MZ, ZZ = _unpack(y, n)
-        MM, MP, MZ, ZZ = _project(MM, MP, MZ, ZZ)
         p = np.conj(m)
         PM = np.conj(MP)
         PZ = np.conj(MZ)
@@ -230,15 +234,6 @@ def build_rhs(params: ModelParams, n: int):
         dZZ = (-2.0 * om * (MZ.imag + MZt.imag) - (z_c + z_r + 2.0 * ZZ)
                - 4.0 * g * (Sum1.real + Sum1p.real) + 4.0 * g * MP.real)
 
-        # mirror the upper triangle into the full redundant storage
-        dMM = iu * dMM
-        dMM = dMM + dMM.T
-        dMP = iu * dMP
-        dMP = dMP + np.conj(dMP).T
-        dZZ = iu * dZZ
-        dZZ = dZZ + dZZ.T
-        dMZ = offdiag * dMZ
-
         return _pack(dm, dz, dMM, dMP, dMZ, dZZ)
 
     return rhs
@@ -258,17 +253,15 @@ def _factorized_state(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Product state with the given singles (pair cumulants all zero)."""
     MM = np.outer(m, m)
     MP = np.outer(m, np.conj(m))
-    MZ = np.outer(m, z).astype(complex)
+    MZ = np.outer(m, z)
     ZZ = np.outer(z, z)
-    for A in (MM, MP, MZ, ZZ):
-        np.fill_diagonal(A, 0.0)
     return _pack(m, z, MM, MP, MZ, ZZ)
 
 
 def _warm_start(params: ModelParams, n: int) -> np.ndarray:
     """Factorized mean-field steady state of the n-site prefix: the resonant
-    UWM cascade fixed point in closed form, so the integration only has to
-    build up the pair cumulants."""
+    UWM cascade fixed point in closed form, so Newton only has to build up
+    the pair cumulants."""
     fp = uwm_cascade_fixed_point(2.0 * params.rabi ** 2, params.beta, n)
     return _factorized_state(fp.sigma_minus, fp.sigma_z)
 
@@ -288,15 +281,15 @@ def _cell(params: ModelParams, n: int) -> str:
 
 
 def _block_indices(n: int, k: int):
-    """Packed indices owned by site k: its singles and all pairs (l, k), l<k
-    (both redundant storage locations of each pair)."""
-    off, _ = _layout(n)
-    idx = [off["m_re"] + k, off["m_im"] + k, off["z"] + k]
-    for l in range(k):
-        for name in ("MM_re", "MM_im", "MP_re", "MP_im", "MZ_re", "MZ_im", "ZZ"):
-            idx.append(off[name] + l * n + k)
-            idx.append(off[name] + k * n + l)
-    return np.array(idx, dtype=int)
+    """Packed indices owned by site k: its singles and the pairs (l, k),
+    l < k (MZ in both orders, (l, k) and (k, l))."""
+    p = math.comb(n, 2)
+    nc = n + 4 * p
+    l = np.arange(k)
+    tri = l * n - l * (l + 1) // 2 + k - l - 1      # slot of (l, k) in i < j
+    mz = np.concatenate((l * (n - 1) + k - 1, k * (n - 1) + l))  # in i ≠ j
+    cplx = np.concatenate(([k], n + tri, n + p + tri, n + 2 * p + mz))
+    return np.concatenate((cplx, nc + cplx, [2 * nc + k], 2 * nc + n + tri))
 
 
 def solve_ce2(params: ModelParams, n: Optional[int] = None,
@@ -305,13 +298,17 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
     """CE2 steady state of the cascaded chain.
 
     `n` defaults to params.n_emitters (pass a smaller value to solve a
-    chain prefix).  Strategies: "simultaneous" integrates the full packed
-    moment system at once (fast, vectorized); "blocks" sweeps left to
-    right, freezing upstream sites and integrating each site's block —
-    the cascade makes the two exactly equivalent at steady state, and a
-    failed block raises NonConvergence carrying its site index.
-    Detuned chains are not supported here (the sweeps that need CE2 are
-    all on resonance).
+    chain prefix).  The CE2 steady state is unique, so nothing is
+    time-integrated: of `opts` only `steady_state_residual` is read, the
+    max-norm residual every Newton solve must reach.  Strategies:
+    "simultaneous" Newton-solves the whole packed moment system from the
+    mean-field warm start (fast, vectorized); "blocks" sweeps left to
+    right, freezing upstream sites and solving each site's block, which is
+    affine in its own moments, from the ground state.  The cascade makes
+    the two exactly equivalent at steady state.  A miss raises
+    NonConvergence naming the cell; a failed block also carries its site
+    index.  Both end in the shared round-off finish.  Detuned chains are
+    not supported here (the sweeps that need CE2 are all on resonance).
     """
     n = params.n_emitters if n is None else int(n)
     if n > CE2_MAX_SITES:
@@ -321,75 +318,57 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
     if params.detuning != 0.0:
         raise ValueError("CE2 solver supports resonant drive only")
 
-    # bookkeeping contract: independent real dof must match the complex
+    # bookkeeping contract: the packed state holds exactly the complex
     # moment count Σ_{k≤2} 3^k·C(n,k) (conjugation halves pairs, σᶻ is real —
     # the two reductions cancel in the count)
-    expect = 3 * math.comb(n, 1) + 9 * math.comb(n, 2)
-    dof = 3 * n + 9 * (n * (n - 1)) // 2
-    assert dof == expect
+    assert _layout(n).size == 3 * math.comb(n, 1) + 9 * math.comb(n, 2)
 
     opts = opts or SolverOptions()
     rhs = build_rhs(params, n)
 
     if strategy == "simultaneous":
-        y, residual = _solve_simultaneous(rhs, params, n, opts)
+        y = _solve_simultaneous(rhs, params, n, opts)
     elif strategy == "blocks":
+        target = opts.steady_state_residual
         y = _ground_state(n)
         for k in range(n):
             idx = _block_indices(n, k)
-            base = y.copy()
 
-            def rhs_block(t, yb):
-                full = base
-                full[idx] = yb
-                return rhs(t, full)[idx]
+            def block(yb):
+                y[idx] = yb
+                return rhs(0.0, y)[idx]
 
-            res = integrate_to_steady(rhs_block, y[idx], opts)
-            if not res.converged:
+            y[idx], residual = newton_finish(block, y[idx], lambda v: True,
+                                             f_tol=0.5 * target)
+            if residual > target:
                 raise NonConvergence(
-                    f"CE2 block for site {k + 1} stalled at {_cell(params, n)}: "
-                    f"residual {res.residual:.2e} after integration to "
-                    f"t = {res.t:g}", site=k + 1)
-            y[idx] = res.y
-        residual = float(np.max(np.abs(rhs(0.0, y))))
+                    f"CE2 block for site {k + 1} not solved at "
+                    f"{_cell(params, n)}: residual {residual:.2e}", site=k + 1)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     y, residual = newton_finish(lambda v: rhs(0.0, v), y, small_move(y))
     m, z, MM, MP, MZ, ZZ = _unpack(y, n)
-    MM, MP, MZ, ZZ = _project(MM, MP, MZ, ZZ)
     s0 = 2.0 * params.rabi ** 2
     return CumulantSolution(sigma_minus=m, sigma_z=z, mm=MM, mp=MP, mz=MZ,
                             zz=ZZ, residual=residual, beta=params.beta, s0=s0)
 
 
 def _solve_simultaneous(rhs, params: ModelParams, n: int,
-                        opts: SolverOptions):
-    """Whole-system steady state on the shared engine: integrate from the
-    factorized mean-field warm start at loose tolerances (rel 1e-5, abs
-    1e-8) into Newton's basin (residual 1e-2), then Newton–Krylov (physical
-    roots only) to half the steady-state tolerance.  A Newton miss
-    integrates on at the same tolerances down to the tolerance itself;
-    running out of time raises NonConvergence naming the cell."""
+                        opts: SolverOptions) -> np.ndarray:
+    """Whole-system steady state: one Newton–Krylov solve (physical roots
+    only) from the factorized mean-field warm start to half the
+    steady-state tolerance.  The steady state is unique, so there is no
+    basin to integrate into first; a miss raises NonConvergence naming the
+    cell and the residual."""
     target = opts.steady_state_residual
-    loose = replace(opts, rel_tol=1e-5, abs_tol=1e-8,
-                    steady_state_residual=1e-2)
-    res = integrate_to_steady(rhs, _warm_start(params, n), loose)
-    t = res.t
-    if res.converged:
-        y, residual = newton_finish(lambda v: rhs(0.0, v), res.y,
-                                    lambda v: _physical(v, n),
-                                    f_tol=0.5 * target)
-        if residual <= target:
-            return y, residual
-        res = integrate_to_steady(rhs, y, replace(loose,
-                                                  steady_state_residual=target))
-        t += res.t
-        if res.converged:
-            return res.y, res.residual
-    raise NonConvergence(f"CE2 steady state not reached at {_cell(params, n)}: "
-                         f"residual {res.residual:.2e} after integration to "
-                         f"t = {t:g}")
+    y, residual = newton_finish(lambda v: rhs(0.0, v), _warm_start(params, n),
+                                lambda v: _physical(v, n), f_tol=0.5 * target)
+    if residual > target:
+        raise NonConvergence(f"CE2 steady state not reached at {_cell(params, n)}: "
+                             f"residual {residual:.2e} after Newton from the "
+                             f"mean-field warm start")
+    return y
 
 
 # --- derived observables ----------------------------------------------------

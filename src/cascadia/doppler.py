@@ -18,8 +18,7 @@ detuning variable.  Finite-n quadrature is kept as a diagnostic
 (`gauss_hermite_cross_section`), but is NOT used for the profile: the
 integrand's poles at Δ = ±i√(1+s)/2 lie far inside the thermal width for
 ξ_Δ ≳ 3, where node counts in the 10⁵ range would be needed for 10⁻⁸
-accuracy.  The closed form is exact at any ξ_Δ, so the profile is
-independent of n_nodes by construction.
+accuracy.  The closed form is exact at any ξ_Δ.
 
 σ₀ = 3λ²/2π, the mode area and the line density are absorbed into the
 dimensionless optical-depth coordinate D, so no absolute units appear
@@ -55,7 +54,6 @@ class DopplerParams:
     xi_delta: float
     s0: float
     d_max: float
-    n_nodes: int = 64
     grid: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
@@ -63,8 +61,6 @@ class DopplerParams:
             raise ValueError("xi_delta must be >= 0")
         if self.s0 < 0 or self.d_max <= 0:
             raise ValueError("need s0 >= 0 and d_max > 0")
-        if self.n_nodes < 8 or self.n_nodes % 2:
-            raise ValueError("n_nodes must be even and >= 8")
         g = (np.linspace(0.0, self.d_max, 401) if self.grid is None
              else np.asarray(self.grid, dtype=float))
         if g.ndim != 1 or g[0] != 0.0 or np.any(np.diff(g) <= 0):

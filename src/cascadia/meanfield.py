@@ -255,7 +255,8 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
     `feedback` is b: 2β(N−1) for the N-emitter permutation-symmetric model,
     or D/2 in the thermodynamic parametrization by total optical depth.
     With s0_start given, the drive ramps s0_start → s0 over t_ramp first
-    (branch continuation in the bistable window).  Returns (⟨σ⁻⟩, ⟨σᶻ⟩).
+    (branch continuation in the bistable window).  Returns (⟨σ⁻⟩, ⟨σᶻ⟩);
+    a miss raises NonConvergence naming b, s₀ and s0_start.
     """
     opts = opts or SolverOptions()
     rhs = _collective_rhs(feedback)
@@ -269,8 +270,10 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
     y, residual, converged = _settle(rhs, y0, math.sqrt(s0 / 2.0),
                                      replace(opts, ramp=ramp))
     if not converged:
+        start = "none" if s0_start is None else f"{s0_start:g}"
         raise NonConvergence(
-            f"collective steady state not reached (residual {residual:.2e})")
+            f"collective steady state not reached at b = {feedback:g}, "
+            f"s₀ = {s0:g}, s0_start = {start}: residual {residual:.2e}")
     return y[0] + 1j * y[1], y[2]
 
 

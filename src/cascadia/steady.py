@@ -1,14 +1,17 @@
 """Shared steady-state engine: integrate to the basin, then one Newton finish.
 
-Solvers reach the basin of a steady state by integrating from a physical
-initial condition: the nonlinear fixed-point equations are multistable in
-parts of parameter space, and time integration from the ground state (plus
-drive ramps for branch continuation) selects physical branches the way an
-experiment would.  Root finding only finishes the job: `newton_finish`
-runs a matrix-free Newton–Krylov iteration (Knoll & Keyes, J. Comput.
-Phys. 193, 357 (2004)) from the integrated state and keeps its result only
-if the caller's acceptance test holds and the residual went down, so a
-finish can sharpen a state but never move it to another branch.
+Where a steady state need not be unique, solvers reach its basin by
+integrating from a physical initial condition: the mean-field fixed-point
+equations are multistable in parts of parameter space, and time
+integration from the ground state (plus drive ramps for branch
+continuation) selects physical branches the way an experiment would.  The
+exact oracle integrates only as the fallback for degenerate kernels.
+Root finding finishes the job: `newton_finish` runs a matrix-free
+Newton–Krylov iteration (Knoll & Keyes, J. Comput. Phys. 193, 357 (2004))
+and keeps its result only if the caller's acceptance test holds and the
+residual went down, so a finish can sharpen a state but never move it to
+another branch.  CE2, whose steady state is unique, uses `newton_finish`
+alone and never integrates.
 
 State vectors are packed real (complex moments split into Re/Im by the
 caller) so that stiff solvers can be used interchangeably.
@@ -52,7 +55,13 @@ class RampSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Integrator contract shared by the mean-field/cumulant/exact solvers."""
+    """Tolerances shared by the mean-field, cumulant and exact solvers.
+
+    Integration (mean-field, the collective system, the exact fallback)
+    reads all fields.  CE2 does not integrate and reads only
+    `steady_state_residual`, the max-norm residual its Newton solves must
+    reach.
+    """
 
     # rel_tol must sit well below steady_state_residual: the integrator's
     # local error rattles the state off the fixed point at ~rel_tol×rates,

@@ -6,7 +6,8 @@ import pytest
 from cascadia import (ModelParams, SolverOptions, effective_drive,
                       exact_observables, exact_steady_state,
                       inelastic_saturation, sigma_xx_cumulant, solve_ce2)
-from cascadia.cumulant import _pack, _unpack, build_rhs
+from cascadia.cumulant import (CumulantSolution, _block_indices, _pack,
+                               _unpack, build_rhs)
 from cascadia.errors import DimensionCap, NonConvergence
 
 from _moment_oracle import (MomentTable, closed_moment_derivatives,
@@ -104,8 +105,39 @@ def test_two_sites_are_exact(beta, s0):
     assert sigma_xx_cumulant(sol, 0, 1) == pytest.approx(want_xx, abs=1e-8)
 
 
-def test_block_sweep_equals_simultaneous():
-    p = _params(0.05, 4.0, 6)
+def test_blocks_are_affine_and_blind_downstream():
+    # the structure both strategies rest on: with upstream fixed, site k's
+    # rows are affine in site k's own moments and never read a downstream
+    # entry — so each block has one solution and the steady state is unique
+    n = 6
+    p = _params(0.2, 3.5, n)
+    rng = np.random.default_rng(11)
+    y = _pack(*random_moment_state(n, rng))
+    sol = CumulantSolution(*_unpack(y, n), residual=0.0, beta=0.2, s0=3.5)
+    assert y.size == 3 * n + 9 * (n * (n - 1)) // 2 == sol.dof
+
+    blocks = [_block_indices(n, k) for k in range(n)]
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(y.size))
+
+    rhs = build_rhs(p, n)
+    for k, idx in enumerate(blocks):
+        rows = rhs(0.0, y)[idx]
+        for _ in range(3):
+            d = np.zeros_like(y)
+            d[idx] = rng.normal(size=idx.size)
+            second = (rhs(0.0, y + d)[idx] - 2.0 * rows
+                      + rhs(0.0, y - d)[idx])
+            assert np.max(np.abs(second)) <= 1e-12
+        down = np.concatenate(blocks[k + 1:] + [np.array([], dtype=int)])
+        moved = y.copy()
+        moved[down] += rng.normal(size=down.size)
+        assert np.array_equal(rhs(0.0, moved)[idx], rows)
+
+
+@pytest.mark.parametrize("beta,s0,n", [(0.05, 4.0, 6), (0.25, 20.0, 8),
+                                       (0.1, 0.0, 3)])
+def test_block_sweep_equals_simultaneous(beta, s0, n):
+    p = _params(beta, s0, n)
     a = solve_ce2(p, strategy="simultaneous")
     b = solve_ce2(p, strategy="blocks")
     assert np.max(np.abs(a.sigma_minus - b.sigma_minus)) < 1e-8
@@ -157,7 +189,7 @@ def test_size_and_input_guards():
 
 
 def test_block_failure_reports_site():
-    opts = SolverOptions(t_max=1e-3, steady_state_residual=1e-13)
+    opts = SolverOptions(steady_state_residual=1e-300)
     with pytest.raises(NonConvergence) as exc:
         solve_ce2(_params(0.1, 5.0, 3), opts=opts, strategy="blocks")
     assert exc.value.site == 1
@@ -206,6 +238,6 @@ def test_chain_prefix_equals_shorter_chain(k):
 
 def test_nonconvergence_names_the_cell():
     with pytest.raises(NonConvergence,
-                       match=r"n = 3, β = 0\.1, s₀ = 5: residual \S+ after "
-                             r"integration to t = 0\.001"):
-        solve_ce2(_params(0.1, 5.0, 3), opts=SolverOptions(t_max=1e-3))
+                       match=r"n = 3, β = 0\.1, s₀ = 5: residual \S+"):
+        solve_ce2(_params(0.1, 5.0, 3),
+                  opts=SolverOptions(steady_state_residual=1e-300))

@@ -17,10 +17,6 @@ def test_params_validation():
         DopplerParams(xi_delta=1.0, s0=-1.0, d_max=10.0)
     with pytest.raises(ValueError):
         DopplerParams(xi_delta=1.0, s0=1.0, d_max=0.0)
-    with pytest.raises(ValueError):
-        DopplerParams(xi_delta=1.0, s0=1.0, d_max=10.0, n_nodes=7)
-    with pytest.raises(ValueError):
-        DopplerParams(xi_delta=1.0, s0=1.0, d_max=10.0, n_nodes=4)
     with pytest.raises(ValueError):  # grid must start at exactly 0
         DopplerParams(xi_delta=1.0, s0=1.0, d_max=10.0,
                       grid=np.array([1.0, 2.0]))
@@ -90,14 +86,6 @@ def test_cold_profile_matches_lambert_solution():
     ref = uwm_saturation(20.0, prof[:, 0])
     rel = np.abs(prof[:, 1] - ref) / ref
     assert rel.max() < 1e-8
-
-
-def test_profile_is_node_count_independent():
-    a = doppler_profile(DopplerParams(xi_delta=5.0, s0=30.0, d_max=300.0,
-                                      n_nodes=64))
-    b = doppler_profile(DopplerParams(xi_delta=5.0, s0=30.0, d_max=300.0,
-                                      n_nodes=128))
-    assert np.array_equal(a, b)
 
 
 def test_profile_monotone_decreasing():

@@ -10,6 +10,7 @@ from cascadia import (ModelParams, SolverOptions, build_chain, dicke_cubic,
                       field_observables, solve_collective, solve_steady_state,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
+from cascadia.errors import NonConvergence
 from cascadia.meanfield import MeanFieldSolution
 
 
@@ -110,6 +111,16 @@ def test_collective_hysteresis_branches():
     assert z_dn == pytest.approx(roots[-1], abs=1e-8)
     assert abs(dicke_cubic(z_up, 20.0, 36.5)) < 1e-8
     assert abs(dicke_cubic(z_dn, 20.0, 36.5)) < 1e-8
+
+
+def test_collective_failure_names_the_cell():
+    opts = SolverOptions(t_max=1e-3)
+    with pytest.raises(NonConvergence, match=r"b = 10, s₀ = 36\.5, "
+                                             r"s0_start = none: residual \S+"):
+        solve_collective(10.0, 36.5, opts=opts)
+    with pytest.raises(NonConvergence, match=r"b = 10, s₀ = 36\.5, "
+                                             r"s0_start = 1: residual \S+"):
+        solve_collective(10.0, 36.5, s0_start=1.0, opts=opts)
 
 
 # --- model-limit equivalences -------------------------------------------------
