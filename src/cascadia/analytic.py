@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NoPhysicalRoot
 
@@ -105,25 +104,15 @@ def uwm_inversion(s):
 
 
 def mean_polarization(s0: float, D: float) -> float:
-    """Chain-averaged inversion j_z = (1/D)∫₀ᴰ dD′ ⟨σᶻ(s(D′))⟩.
+    """Chain-averaged inversion j_z = (1/D)∫₀ᴰ dD′ ⟨σᶻ(s(D′))⟩, in closed form.
 
-    Adaptive quadrature with the integration split at the knee
-    D′ = s₀ + ln s₀ − 1 (where s crosses 1) — the integrand bends there
-    on a scale of O(1) in D′, which adaptive panels otherwise resolve
-    slowly at large D.  Absolute tolerance 1e−9.
+    Along ds/dD = −s/(1+s) the integrand −dD′/(1+s) equals ds/s, so
+    j_z = ln(s(D)/s₀)/D; with ln s = ln s₀ + s₀ − D − s from the Lambert-W
+    profile this is j_z = (s₀ − s(D))/D − 1, which never takes log 0.
     """
     if D <= 0.0:
         raise ValueError("D must be > 0")
-    if s0 == 0.0:
-        return -1.0
-    knee = s0 + math.log(s0) - 1.0
-    points = [knee] if 0.0 < knee < D else None
-
-    def f(dp):
-        return -1.0 / (1.0 + uwm_saturation(s0, dp))
-
-    val, _ = quad(f, 0.0, D, epsabs=1e-9, epsrel=1e-11, limit=200, points=points)
-    return val / D
+    return (s0 - uwm_saturation(s0, D)) / D - 1.0
 
 
 def thermodynamic_saturation(s_tilde: float, D: float):

@@ -29,8 +29,8 @@ from scipy.signal import lfilter
 from .errors import NonConvergence
 from .params import (EmitterChain, ModelParams, averaged_phase_factor,
                      left_output_weights, spiral_phases)
-from .steady import (RampSpec, SolverOptions, integrate_ramp,
-                     integrate_to_steady, newton_finish, small_move)
+from .steady import (RampSpec, SolverOptions, integrate_ramp, newton_finish,
+                     pseudo_transient, small_move)
 
 __all__ = [
     "MODEL_TAGS", "MeanFieldSolution", "FieldObservables",
@@ -118,7 +118,7 @@ def effective_drive(model_tag: str, params: ModelParams,
     return _DrivePlan(model_tag, params, chain).alpha(m, params.rabi)
 
 
-# --- time-domain solve ------------------------------------------------------
+# --- steady-state solve -----------------------------------------------------
 
 
 def _pack(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -145,9 +145,11 @@ def _make_rhs(plan: _DrivePlan, detunings: Optional[np.ndarray]):
 
 
 def _settle(rhs, y0: np.ndarray, omega: float, opts: SolverOptions):
-    """Ramp (when `opts.ramp` is set), integrate to the basin at drive
-    `omega`, then sharpen with the shared Newton finish under the branch
-    guard.  Returns (y, residual, converged)."""
+    """Integrate the drive ramp (when `opts.ramp` is set), continue
+    pseudo-transiently into the steady state at drive `omega`, then sharpen
+    with the shared Newton finish under the branch guard.  Returns
+    (y, residual, converged); an exhausted step budget comes back as
+    converged=False with the last state."""
     ramp = opts.ramp
     if ramp is not None:
         y0 = integrate_ramp(lambda t, y: rhs(y, math.sqrt(ramp.s0_at(t) / 2.0)),
@@ -156,7 +158,7 @@ def _settle(rhs, y0: np.ndarray, omega: float, opts: SolverOptions):
     def rhs0(y):
         return rhs(y, omega)
 
-    res = integrate_to_steady(lambda t, y: rhs0(y), y0, opts)
+    res = pseudo_transient(rhs0, y0, opts)
     if not res.converged:
         return res.y, res.residual, False
     y, residual = newton_finish(rhs0, res.y, small_move(res.y))
@@ -168,15 +170,19 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                        opts: Optional[SolverOptions] = None,
                        initial: Optional[MeanFieldSolution] = None,
                        ) -> MeanFieldSolution:
-    """Mean-field steady state: integrate to the basin, then Newton-finish.
+    """Mean-field steady state by pseudo-transient continuation, then a
+    Newton finish.
 
     Starts from the ground state (⟨σ⁻⟩ = 0, ⟨σᶻ⟩ = −1) unless `initial`
-    (warm start for branch continuation) is given.  `opts.ramp` ramps the
-    drive s₀ linearly over t_ramp before holding it at ramp.s0_end; the
-    returned solution then corresponds to drive ramp.s0_end, not params.rabi.
-    Resonant UWM has a unique steady state and returns the cascade fixed
-    point in closed form.  Non-convergence at t_max returns a flagged
-    partial result.
+    (warm start for branch continuation) is given, and follows the
+    relaxation from there into its basin (`steady.pseudo_transient`), so a
+    multistable model lands on the branch the dynamics selects.
+    `opts.ramp` integrates the drive s₀ linearly over t_ramp first; the
+    returned solution then corresponds to drive ramp.s0_end, not
+    params.rabi.  Resonant UWM has a unique steady state and returns the
+    cascade fixed point in closed form.  A continuation that runs out of
+    steps returns a flagged (converged=False) partial result; `opts.t_max`
+    plays no part.
     """
     opts = opts or SolverOptions()
     n = params.n_emitters
@@ -254,26 +260,35 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
 
     `feedback` is b: 2β(N−1) for the N-emitter permutation-symmetric model,
     or D/2 in the thermodynamic parametrization by total optical depth.
-    With s0_start given, the drive ramps s0_start → s0 over t_ramp first
-    (branch continuation in the bistable window).  Returns (⟨σ⁻⟩, ⟨σᶻ⟩);
-    a miss raises NonConvergence naming b, s₀ and s0_start.
+    With s0_start given, the system first settles at s0_start from the
+    ground state, then the drive ramps s0_start → s0 over t_ramp (branch
+    continuation in the bistable window).  Both settles are
+    pseudo-transient continuations.  Returns (⟨σ⁻⟩, ⟨σᶻ⟩); a miss in
+    either raises NonConvergence naming b, s₀, s0_start and the stage.
     """
     opts = opts or SolverOptions()
     rhs = _collective_rhs(feedback)
+    start = "none" if s0_start is None else f"{s0_start:g}"
+
+    def miss(stage, residual):
+        return NonConvergence(
+            f"collective {stage} not reached at b = {feedback:g}, "
+            f"s₀ = {s0:g}, s0_start = {start}: residual {residual:.2e}")
+
     y0 = np.array([0.0, 0.0, -1.0])
     ramp = None
     if s0_start is not None:
         # start on the branch belonging to s0_start
         w0 = math.sqrt(s0_start / 2.0)
-        y0 = integrate_to_steady(lambda t, y: rhs(y, w0), y0, opts).y
+        res = pseudo_transient(lambda y: rhs(y, w0), y0, opts)
+        if not res.converged:
+            raise miss("s0_start settle", res.residual)
+        y0 = res.y
         ramp = RampSpec(s0_start=s0_start, s0_end=s0, t_ramp=t_ramp)
     y, residual, converged = _settle(rhs, y0, math.sqrt(s0 / 2.0),
                                      replace(opts, ramp=ramp))
     if not converged:
-        start = "none" if s0_start is None else f"{s0_start:g}"
-        raise NonConvergence(
-            f"collective steady state not reached at b = {feedback:g}, "
-            f"s₀ = {s0:g}, s0_start = {start}: residual {residual:.2e}")
+        raise miss("steady state", residual)
     return y[0] + 1j * y[1], y[2]
 
 

@@ -1,17 +1,22 @@
-"""Shared steady-state engine: integrate to the basin, then one Newton finish.
+"""Shared steady-state engine: continue pseudo-transiently into the basin,
+then one Newton finish.
 
-Where a steady state need not be unique, solvers reach its basin by
-integrating from a physical initial condition: the mean-field fixed-point
-equations are multistable in parts of parameter space, and time
-integration from the ground state (plus drive ramps for branch
-continuation) selects physical branches the way an experiment would.  The
-exact oracle integrates only as the fallback for degenerate kernels.
-Root finding finishes the job: `newton_finish` runs a matrix-free
+Where a steady state need not be unique, the solver must pick the branch
+an experiment would reach from a physical initial condition: the
+mean-field fixed-point equations are multistable in parts of parameter
+space.  `pseudo_transient` does this without time integration.  It takes
+backward-Euler steps (y − y_k)/δ = f(y), each solved by matrix-free
+Newton–Krylov; small steps follow the trajectory from the ground state
+(or the end of a drive ramp) into its basin, and as δ grows the step turns
+into Newton on f (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508 (1998)).
+Drive ramps for branch continuation are integrated in time
+(`integrate_ramp`), and so is the exact oracle's fallback for degenerate
+kernels (`integrate_to_steady`).  `newton_finish` runs a matrix-free
 Newton–Krylov iteration (Knoll & Keyes, J. Comput. Phys. 193, 357 (2004))
 and keeps its result only if the caller's acceptance test holds and the
 residual went down, so a finish can sharpen a state but never move it to
 another branch.  CE2, whose steady state is unique, uses `newton_finish`
-alone and never integrates.
+alone.
 
 State vectors are packed real (complex moments split into Re/Im by the
 caller) so that stiff solvers can be used interchangeably.
@@ -29,9 +34,15 @@ from scipy.integrate import solve_ivp
 from .errors import NumericalInstability
 
 __all__ = ["RampSpec", "SolverOptions", "SteadyResult", "integrate_to_steady",
-           "integrate_ramp", "newton_finish", "small_move"]
+           "integrate_ramp", "newton_finish", "pseudo_transient", "small_move"]
 
 _EPS = float(np.finfo(float).eps)
+# steps (accepted or retried) before `pseudo_transient` gives up
+_PTC_STEPS = 200
+# tolerance floor of the pseudo-transient inner solves, where the loop
+# stops.  Below it the rounding noise of a long chain's RHS (~1e-14 at
+# N = 8000) makes inner solves miss; the Newton finish takes the last step.
+_PTC_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -57,10 +68,13 @@ class RampSpec:
 class SolverOptions:
     """Tolerances shared by the mean-field, cumulant and exact solvers.
 
-    Integration (mean-field, the collective system, the exact fallback)
-    reads all fields.  CE2 does not integrate and reads only
-    `steady_state_residual`, the max-norm residual its Newton solves must
-    reach.
+    `steady_state_residual` is the max-norm residual every steady state
+    must reach: the pseudo-transient loop of mean-field and the collective
+    system, CE2's Newton solves and the exact oracle's integration
+    fallback.  `abs_tol`/`rel_tol` govern the time integrations, i.e. the
+    drive ramps (`ramp`, mean-field only) and the exact fallback.  `t_max`
+    bounds only the exact fallback's integration; pseudo-transient
+    continuation is bounded by its step budget instead.
     """
 
     # rel_tol must sit well below steady_state_residual: the integrator's
@@ -82,9 +96,9 @@ class SolverOptions:
 @dataclass
 class SteadyResult:
     y: np.ndarray
-    t: float
-    residual: float
-    converged: bool
+    t: float          # time integrated, or pseudo-time Σδ of the ΨTC steps
+    residual: float   # max-norm of the RHS at y
+    converged: bool   # residual < steady_state_residual
 
 
 def _pick_method(ndof: int) -> str:
@@ -114,6 +128,9 @@ def integrate_ramp(rhs_t: Callable, y0: np.ndarray, t_ramp: float,
 def integrate_to_steady(rhs: Callable, y0: np.ndarray,
                         opts: SolverOptions) -> SteadyResult:
     """Integrate dy/dt = rhs(t, y) until max|rhs| < steady_state_residual.
+
+    The exact oracle's fallback for degenerate kernels; mean-field steady
+    states use `pseudo_transient` instead.
 
     Time is consumed in growing chunks (25 → 400 Γ_tot⁻¹) with a residual
     check between chunks; this keeps dense output off and avoids paying for
@@ -150,6 +167,60 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
+def pseudo_transient(fun: Callable, y0: np.ndarray,
+                     opts: SolverOptions) -> SteadyResult:
+    """Steady state of dy/dt = fun(y) by pseudo-transient continuation.
+
+    Each step solves (y − y_k)/δ = fun(y) by Newton–Krylov (lgmres, at most
+    8 iterations, tolerance 1e-4 of the current residual but at least
+    `_PTC_FLOOR`).  δ starts at 1 and grows with every step whose inner
+    solve succeeds: ×2 if the residual rose, ×r_k/r_{k+1} clipped to
+    [2, 16] if it fell.  Growing on inner success rather than on a falling
+    residual carries the iteration through the transient rise past a fold
+    of the fixed-point curve.  A missed inner solve (iteration budget out,
+    or a non-finite state) quarters δ and retries from the same state.
+
+    The loop stops once the residual is below `opts.steady_state_residual`
+    and a step fails to halve it, or at the inner solves' floor
+    `_PTC_FLOOR`, from where one Newton step reaches round-off.  After
+    `_PTC_STEPS` steps it returns the last state flagged converged=False
+    rather than raising, so sweep drivers can record unresolved cells.
+    `t` of the result is the pseudo-time Σδ of the accepted steps.
+    """
+    y = np.asarray(y0, dtype=float).copy()
+    _check_finite(y)
+    residual = _max_abs(fun(y))
+    t, delta = 0.0, 1.0
+    for _ in range(_PTC_STEPS):
+        f_tol = max(1e-4 * residual, _PTC_FLOOR)
+        if residual <= f_tol:  # at the floor: nothing left to solve
+            break
+        yk, rk, dk = y, residual, delta
+
+        def step(v):
+            return (v - yk) / dk - fun(v)
+
+        try:
+            ynew = optimize.newton_krylov(step, yk, method="lgmres",
+                                          f_tol=f_tol, maxiter=8)
+        except optimize.NoConvergence:
+            delta /= 4.0
+            continue
+        rnew = _max_abs(fun(ynew)) if np.all(np.isfinite(ynew)) else np.inf
+        if not np.isfinite(rnew):
+            delta /= 4.0
+            continue
+        y, residual, t = ynew, rnew, t + dk
+        if residual < opts.steady_state_residual and residual > 0.5 * rk:
+            break
+        if residual >= rk:
+            delta *= 2.0
+        elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
+            delta *= min(max(rk / residual, 2.0), 16.0)
+    return SteadyResult(y=y, t=t, residual=residual,
+                        converged=residual < opts.steady_state_residual)
+
+
 def small_move(y: np.ndarray) -> Callable:
     """Acceptance test for a finish from `y`: the new state may move by
     less than 1e-5 relative to the state's scale.  Multistable models
@@ -171,11 +242,11 @@ def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,
     budget running out keeps the last iterate under the same test.
 
     With `f_tol` unset the finish is one Newton step towards round-off:
-    from an integrated state a single step already lands on the rounding
-    floor, and each step costs ~30 RHS evaluations.  A given `f_tol` is a
-    max-norm stopping tolerance, with up to 60 steps to get there from a
-    loose basin.  A state already within 4·eps (or `f_tol`) is returned as
-    is.
+    from a continued or integrated state a single step already lands on
+    the rounding floor, and each step costs ~30 RHS evaluations.  A given
+    `f_tol` is a max-norm stopping tolerance, with up to 60 steps to get
+    there from a loose basin.  A state already within 4·eps (or `f_tol`)
+    is returned as is.
     """
     y = np.asarray(y, dtype=float)
     residual = _max_abs(fun(y))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import lambertw
 
 from cascadia import (dicke_bistability_window, dicke_cubic,
                       dicke_steady_states, lambert_w0, mean_polarization,
@@ -79,6 +81,31 @@ def test_mean_polarization_limits():
     assert mean_polarization(1e6, 10.0) == pytest.approx(0.0, abs=1e-4)
     vals = [mean_polarization(st * 40.0, 40.0) for st in (0.1, 0.5, 1.0, 2.0, 4.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _mean_polarization_by_quadrature(s0, D):
+    """j_z by adaptive quadrature of ⟨σᶻ(s(D′))⟩, split at the knee where s
+    crosses 1, with s from scipy's Lambert W (finite for s₀ ≲ 700)."""
+    knee = s0 + math.log(s0) - 1.0
+    points = [knee] if 0.0 < knee < D else None
+
+    def sigma_z(dp):
+        return -1.0 / (1.0 + lambertw(s0 * math.exp(s0 - dp)).real)
+
+    val, _ = quad(sigma_z, 0.0, D, epsabs=1e-9, epsrel=1e-11, limit=200,
+                  points=points)
+    return val / D
+
+
+def test_mean_polarization_matches_quadrature():
+    # the `cascadia fig fig5` grid: three depths × 160 normalized drives
+    worst = 0.0
+    for d_tot in (10.0, 40.0, 160.0):
+        for st in np.linspace(0.05, 4.0, 160):
+            s0 = float(st * d_tot)
+            worst = max(worst, abs(mean_polarization(s0, d_tot)
+                                   - _mean_polarization_by_quadrature(s0, d_tot)))
+    assert worst <= 1e-12
 
 
 def test_thermodynamic_saturation_values():

@@ -1,6 +1,7 @@
 """Mean-field steady states across the four propagation models."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cascadia import (ModelParams, SolverOptions, build_chain, dicke_cubic,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
 from cascadia.meanfield import MeanFieldSolution
+from cascadia.steady import SteadyResult, pseudo_transient
 
 
 def _params(beta, s0, n, **kw):
@@ -113,14 +115,39 @@ def test_collective_hysteresis_branches():
     assert abs(dicke_cubic(z_dn, 20.0, 36.5)) < 1e-8
 
 
-def test_collective_failure_names_the_cell():
-    opts = SolverOptions(t_max=1e-3)
+def test_collective_failure_names_the_cell(monkeypatch):
+    def missed(fun, y0, opts):
+        y = np.asarray(y0, dtype=float)
+        return SteadyResult(y=y, t=0.0, residual=float(np.max(np.abs(fun(y)))),
+                            converged=False)
+
+    monkeypatch.setattr("cascadia.meanfield.pseudo_transient", missed)
     with pytest.raises(NonConvergence, match=r"b = 10, s₀ = 36\.5, "
                                              r"s0_start = none: residual \S+"):
-        solve_collective(10.0, 36.5, opts=opts)
+        solve_collective(10.0, 36.5)
     with pytest.raises(NonConvergence, match=r"b = 10, s₀ = 36\.5, "
                                              r"s0_start = 1: residual \S+"):
-        solve_collective(10.0, 36.5, s0_start=1.0, opts=opts)
+        solve_collective(10.0, 36.5, s0_start=1.0)
+
+
+def test_collective_start_settle_must_converge(monkeypatch):
+    # only the settle at s0_start misses; the ramp and final settle would
+    # succeed, so the miss must not be ramped over
+    calls = []
+
+    def first_misses(fun, y0, opts):
+        res = pseudo_transient(fun, y0, opts)
+        calls.append(res.converged)
+        if len(calls) == 1:
+            res = replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr("cascadia.meanfield.pseudo_transient", first_misses)
+    with pytest.raises(NonConvergence, match=r"s0_start settle not reached at "
+                                             r"b = 10, s₀ = 36\.5, s0_start = 1: "
+                                             r"residual \S+"):
+        solve_collective(10.0, 36.5, s0_start=1.0)
+    assert calls == [True]
 
 
 # --- model-limit equivalences -------------------------------------------------

@@ -1,4 +1,5 @@
-"""The shared steady-state engine: Newton finish, round-off residuals, the
+"""The shared steady-state engine: pseudo-transient continuation against the
+integration it replaced, Newton finish, round-off residuals, the
 closed-form UWM path and branch selection in the Dicke window."""
 
 import numpy as np
@@ -8,7 +9,9 @@ from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       dicke_bistability_window, dicke_steady_states,
                       effective_drive, solve_steady_state,
                       uwm_cascade_fixed_point)
-from cascadia.steady import integrate_to_steady, newton_finish, small_move
+from cascadia.meanfield import _collective_rhs
+from cascadia.steady import (integrate_to_steady, newton_finish,
+                             pseudo_transient, small_move)
 
 
 def _unpack(y, n):
@@ -34,6 +37,75 @@ def _residual(model, params, chain, sol):
     y = np.concatenate((sol.sigma_minus.real, sol.sigma_minus.imag,
                         sol.sigma_z))
     return float(np.max(np.abs(_rhs(model, params, chain)(y))))
+
+
+# --- pseudo-transient continuation against the integrated path ------------------
+
+
+def _integrated_settle(rhs, y0):
+    """The path pseudo-transient continuation replaced: integrate to the
+    basin, then the Newton finish under the branch guard."""
+    res = integrate_to_steady(lambda t, y: rhs(y), y0, SolverOptions())
+    assert res.converged
+    y, _ = newton_finish(rhs, res.y, small_move(res.y))
+    return y
+
+
+_BRAGG_FOLD = [("BWM", 1000, s0, 0.0) for s0 in (36.0, 37.0, 38.0, 40.0)]
+_LONG_CHAINS = [(m, 2000, s0, 0.05) for m in ("BWM", "EAM") for s0 in (1.8, 75.0)]
+
+
+@pytest.mark.parametrize("model,n,s0,eta", _BRAGG_FOLD + _LONG_CHAINS)
+def test_continuation_matches_integration(model, n, s0, eta):
+    # the Bragg cells sit just past the collective fold s₊ ≈ 37.6, where a
+    # residual-monotone step control stalls
+    p = ModelParams.from_beta(beta=0.005, s0=s0, n_emitters=n, eta=eta,
+                              seed=3)
+    chain = build_chain(p) if model == "BWM" else None
+    sol = solve_steady_state(model, p, chain)
+    assert sol.converged
+    y = _integrated_settle(_rhs(model, p, chain),
+                           np.concatenate((np.zeros(2 * n), -np.ones(n))))
+    m, z = _unpack(y, n)
+    assert np.max(np.abs(sol.sigma_minus - m)) <= 1e-10
+    assert np.max(np.abs(sol.sigma_z - z)) <= 1e-10
+
+
+def test_continuation_survives_an_exact_zero_residual():
+    # rounding snaps the last step onto the root: max|f| is exactly 0.0, as
+    # on some cells of the 3-dof collective system
+    res = pseudo_transient(lambda y: np.round(1.0 - y, 14), np.zeros(1),
+                           SolverOptions())
+    assert res.converged and res.residual == 0.0
+    assert abs(res.y[0] - 1.0) < 1e-14
+
+
+def test_collective_continuation_matches_integration():
+    # DM at N = 200, a cell where the collective residual can land on 0.0
+    p = ModelParams.from_beta(beta=0.005, s0=56.0, n_emitters=200)
+    rhs = _collective_rhs(2.0 * p.beta * (p.n_emitters - 1))
+    sol = solve_steady_state("DM", p)
+    assert sol.converged
+    y = _integrated_settle(lambda y: rhs(y, p.rabi), np.array([0.0, 0.0, -1.0]))
+    assert abs(sol.sigma_minus[0] - (y[0] + 1j * y[1])) <= 1e-10
+    assert abs(sol.sigma_z[0] - y[2]) <= 1e-10
+
+
+def test_exhausted_step_budget_is_reported(monkeypatch):
+    monkeypatch.setattr("cascadia.steady._PTC_STEPS", 2)
+    p = ModelParams.from_beta(beta=0.005, s0=38.0, n_emitters=1000, eta=0.0,
+                              seed=3)
+    chain = build_chain(p)
+    opts = SolverOptions()
+    res = pseudo_transient(_rhs("BWM", p, chain),
+                           np.concatenate((np.zeros(2000), -np.ones(1000))),
+                           opts)
+    assert not res.converged and res.residual >= opts.steady_state_residual
+    sol = solve_steady_state("BWM", p, chain, opts)
+    assert not sol.converged
+    assert sol.residual == pytest.approx(_residual("BWM", p, chain, sol),
+                                         rel=1e-12)
+    assert sol.residual >= opts.steady_state_residual
 
 
 # --- the finish itself ------------------------------------------------------------
