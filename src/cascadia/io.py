@@ -80,13 +80,14 @@ def meanfield_profile_rows(params: ModelParams,
                            solution: MeanFieldSolution) -> list:
     """One row per site in the `MEANFIELD_PROFILE_COLS` layout."""
     beta = params.beta
-    rows = []
-    for i in range(params.n_emitters):
-        a = solution.alpha[i]
-        m = solution.sigma_minus[i]
-        rows.append([i + 1, 4.0 * beta * (i + 1), m.real, m.imag,
-                     solution.sigma_z[i], a.real, a.imag, 8.0 * abs(a) ** 2])
-    return rows
+    m, a = solution.sigma_minus, solution.alpha
+    # plain floats, not numpy scalars: sweep workers pickle these rows, and
+    # numpy scalars pickle several times slower.  s_i keeps the scalar
+    # formula, whose last bit a vectorised np.abs does not always match.
+    s = [float(8.0 * abs(x) ** 2) for x in a]
+    cols = zip(m.real.tolist(), m.imag.tolist(), solution.sigma_z.tolist(),
+               a.real.tolist(), a.imag.tolist(), s)
+    return [[i + 1, 4.0 * beta * (i + 1), *c] for i, c in enumerate(cols)]
 
 
 def write_meanfield_csv(path, params: ModelParams,

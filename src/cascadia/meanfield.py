@@ -15,6 +15,9 @@ with all model structure in the effective drive α_i:
 All drive sums are evaluated in O(N): forward sums are exclusive cumulative
 sums, the EAM backward kernel is a first-order linear recurrence, and BWM
 backward phases factorize as u_j ū_i with u_j = e^{4πi z_j} (positions in λ).
+The same recurrences, with the prefix and suffix sums as unknowns, make the
+exact Jacobian solve of every Newton step one banded linear solve
+(`_make_solve`), also O(N).
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.signal import lfilter
 
 from .errors import NonConvergence
 from .params import (EmitterChain, ModelParams, averaged_phase_factor,
                      left_output_weights, spiral_phases)
-from .steady import (RampSpec, SolverOptions, integrate_ramp, newton_finish,
+from .steady import (RampSpec, SolverOptions, integrate_ramp, newton_step,
                      pseudo_transient, small_move)
 
 __all__ = [
@@ -144,10 +148,113 @@ def _make_rhs(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     return rhs
 
 
-def _settle(rhs, y0: np.ndarray, omega: float, opts: SolverOptions):
+def _site_maps(m, z, a, detunings, delta, r):
+    """Closed-form solve of each site's backward-Euler block.
+
+    The block (I/δ − J) x = r of site i, with its drive perturbation dα_i
+    held as a parameter, is 3×3 real in (Re dm_i, Im dm_i, dz_i).  Writing
+    a real-linear map of a complex number as x ↦ P x + Q x̄, eliminating
+    dz_i leaves M dm_i = K dα_i + c with M = (κ + 2|α|²/ε, −2α²/ε),
+    K = (iz + 2αm̄/ε, −2αm/ε), c = r_m + iα r_z/ε, κ = 1/δ + ½ − iΔ and
+    ε = 1/δ + 1.  Returns (tp, tq, q, dz): dm_i = tp dα_i + tq dᾱ_i + q_i,
+    and dz(dα, dm) recovers the population part.
+    """
+    n = m.size
+    inv = 1.0 / delta
+    eps = inv + 1.0
+    kap = inv + 0.5 if detunings is None else inv + 0.5 - 1j * detunings
+    mp, mq = kap + 2.0 * np.abs(a) ** 2 / eps, -2.0 * a * a / eps
+    norm = np.abs(mp) ** 2 - np.abs(mq) ** 2  # ≥ Re(κ)² > 0
+    ip, iq = np.conj(mp) / norm, -mq / norm    # M⁻¹
+    kp, kq = 1j * z + 2.0 * a * np.conj(m) / eps, -2.0 * a * m / eps
+    tp = ip * kp + iq * np.conj(kq)
+    tq = ip * kq + iq * np.conj(kp)
+    r_m, r_z = r[:n] + 1j * r[n:2 * n], r[2 * n:]
+    c = r_m + 1j * a * r_z / eps
+    q = ip * c + iq * np.conj(c)
+
+    def dz(da, dm):
+        return (r_z - 4.0 * np.imag(np.conj(da) * m)
+                - 4.0 * np.imag(np.conj(a) * dm)) / eps
+
+    return tp, tq, q, dz
+
+
+def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
+    """Exact solve of (I/δ − J(y)) x = r for the chain RHS, in O(N).
+
+    The drive is α_i = Ω/2 − i g (F_i + w_i B_i) with the forward prefix
+    sum F_{i+1} = F_i + m_i, F_0 = 0, and a backward suffix sum
+    B_{i−1} = c (B_i + v_i m_i), B_{N−1} = 0: c = 1, v = u, w = ū (BWM),
+    c = r, v = w = 1 (EAM), c = 0 (UWM, or EAM at r = 0).  With each site
+    block solved in closed form (`_site_maps`), dm_i is a real-linear map
+    of (dF_i, dB_i), and the recurrences become a 4N real system in the
+    unknowns (dF_i, dB_i), stored site by site.  Each recurrence row spans
+    six columns; placing the rows of F_{i+1} and B_{i−1} next to site i's
+    unknowns gives bandwidth 3 on either side, and one banded LU (with
+    partial pivoting) solves it.
+    """
+    n, g = plan.n, plan.g
+    if plan.tag == "BWM":
+        c, v, w = 1.0, plan.u, np.conj(plan.u)
+    elif plan.tag == "EAM":
+        c, v, w = plan.r, 1.0, 1.0
+    else:
+        c, v, w = 0.0, 0.0, 0.0
+    cv = np.broadcast_to(c * v, (n,))[1:]
+    gw = -1j * g * np.broadcast_to(w, (n,))
+    col = 4 * np.arange(n)           # Re dF_i; dB_i sits at col + 2
+    rows_f = np.maximum(col - 2, 0)  # the equation for F_i
+    rows_b = col + 4                 # the equation for B_i
+    rows_b[-1] = 4 * n - 2
+
+    def block(rows, cols):
+        # band-storage positions of the real 2×2 block at rows/cols (+0, +1)
+        return [(3 + rows + dr - cols - dc, cols + dc)
+                for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+    def put(ab, where, p, q):
+        # the real 2×2 block of x ↦ p x + q x̄
+        for pos, e in zip(where, ((p + q).real, (q - p).imag,
+                                  (p + q).imag, (p - q).real)):
+            ab[pos] = e
+
+    band = np.zeros((7, 4 * n))  # the identity part, copied per solve
+    put(band, block(rows_f, col), 1.0, 0.0)
+    put(band, block(rows_b, col + 2), 1.0, 0.0)
+    f_prev = block(rows_f[1:], col[:-1]), block(rows_f[1:], col[:-1] + 2)
+    b_next = block(rows_b[:-1], col[1:]), block(rows_b[:-1], col[1:] + 2)
+
+    def solve(y, omega, delta, r):
+        m, z = _unpack(y, n)
+        a = plan.alpha(m, omega)
+        tp, tq, q, dz = _site_maps(m, z, a, detunings, delta, r)
+        # dm_i = A_i dF_i + W_i dB_i + q_i as (P, Q) pairs
+        ap, aq = -1j * g * tp, 1j * g * tq
+        wp, wq = gw * tp, np.conj(gw) * tq
+        ab, rhs = band.copy(), np.zeros(4 * n)
+        # dF_i − (1 + A_{i−1}) dF_{i−1} − W_{i−1} dB_{i−1} = q_{i−1}
+        put(ab, f_prev[0], -1.0 - ap[:-1], -aq[:-1])
+        put(ab, f_prev[1], -wp[:-1], -wq[:-1])
+        rhs[rows_f[1:]], rhs[rows_f[1:] + 1] = q[:-1].real, q[:-1].imag
+        # dB_i − c dB_{i+1} − cv_{i+1} (A dF + W dB)_{i+1} = cv_{i+1} q_{i+1}
+        put(ab, b_next[0], -cv * ap[1:], -cv * aq[1:])
+        put(ab, b_next[1], -c - cv * wp[1:], -cv * wq[1:])
+        back = cv * q[1:]
+        rhs[rows_b[:-1]], rhs[rows_b[:-1] + 1] = back.real, back.imag
+        x = solve_banded((3, 3), ab, rhs).reshape(n, 4)
+        da = -1j * g * ((x[:, 0] + 1j * x[:, 1]) + w * (x[:, 2] + 1j * x[:, 3]))
+        dm = tp * da + tq * np.conj(da) + q
+        return np.concatenate((dm.real, dm.imag, dz(da, dm)))
+
+    return solve
+
+
+def _settle(rhs, solve, y0: np.ndarray, omega: float, opts: SolverOptions):
     """Integrate the drive ramp (when `opts.ramp` is set), continue
-    pseudo-transiently into the steady state at drive `omega`, then sharpen
-    with the shared Newton finish under the branch guard.  Returns
+    pseudo-transiently into the steady state at drive `omega`, then take
+    one exact Newton step under the branch guard.  `solve` is the
+    model's exact Jacobian solve, solve(y, omega, δ, r).  Returns
     (y, residual, converged); an exhausted step budget comes back as
     converged=False with the last state."""
     ramp = opts.ramp
@@ -158,10 +265,13 @@ def _settle(rhs, y0: np.ndarray, omega: float, opts: SolverOptions):
     def rhs0(y):
         return rhs(y, omega)
 
-    res = pseudo_transient(rhs0, y0, opts)
+    def solve0(y, delta, r):
+        return solve(y, omega, delta, r)
+
+    res = pseudo_transient(rhs0, solve0, y0, opts)
     if not res.converged:
         return res.y, res.residual, False
-    y, residual = newton_finish(rhs0, res.y, small_move(res.y))
+    y, residual = newton_step(rhs0, solve0, res.y, small_move(res.y))
     return y, residual, True
 
 
@@ -198,8 +308,9 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                            initial.sigma_minus[0].imag, initial.sigma_z[0]])
         else:
             y0 = np.array([0.0, 0.0, -1.0])
-        y, residual, converged = _settle(_collective_rhs(b, params.detuning),
-                                         y0, omega_end, opts)
+        y, residual, converged = _settle(
+            _collective_rhs(b, params.detuning),
+            _collective_solve(b, params.detuning), y0, omega_end, opts)
         m = np.full(n, y[0] + 1j * y[1])
         return MeanFieldSolution(
             sigma_minus=m, sigma_z=np.full(n, y[2]),
@@ -225,7 +336,8 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                        np.asarray(initial.sigma_z, dtype=float))
         else:
             y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
-        y, residual, converged = _settle(rhs, y0, omega_end, opts)
+        y, residual, converged = _settle(rhs, _make_solve(plan, det), y0,
+                                         omega_end, opts)
 
     m, z = _unpack(y, n)
     alpha = plan.alpha(m, omega_end)
@@ -253,6 +365,23 @@ def _collective_rhs(b: float, detuning: float = 0.0):
     return rhs
 
 
+def _collective_solve(b: float, detuning: float = 0.0):
+    """Exact solve of (I/δ − J(y)) x = r for `_collective_rhs`: the site
+    block of `_site_maps` closed by its own feedback dα = −i(b/2) dm."""
+
+    def solve(y, omega, delta, r):
+        m = y[:1] + 1j * y[1:2]
+        a = 0.5 * omega - 0.5j * b * m
+        tp, tq, q, dz = _site_maps(m, y[2:], a, detuning, delta, r)
+        # (1 − T∘(−ib/2)) dm = q, inverted as a map x ↦ p x + q x̄
+        lp, lq = 1.0 + 0.5j * b * tp, -0.5j * b * tq
+        dm = (np.conj(lp) * q - lq * np.conj(q)) / (np.abs(lp) ** 2
+                                                    - np.abs(lq) ** 2)
+        return np.concatenate((dm.real, dm.imag, dz(-0.5j * b * dm, dm)))
+
+    return solve
+
+
 def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = None,
                      t_ramp: float = 400.0,
                      opts: Optional[SolverOptions] = None):
@@ -267,7 +396,7 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
     either raises NonConvergence naming b, s₀, s0_start and the stage.
     """
     opts = opts or SolverOptions()
-    rhs = _collective_rhs(feedback)
+    rhs, solve = _collective_rhs(feedback), _collective_solve(feedback)
     start = "none" if s0_start is None else f"{s0_start:g}"
 
     def miss(stage, residual):
@@ -280,12 +409,13 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
     if s0_start is not None:
         # start on the branch belonging to s0_start
         w0 = math.sqrt(s0_start / 2.0)
-        res = pseudo_transient(lambda y: rhs(y, w0), y0, opts)
+        res = pseudo_transient(lambda y: rhs(y, w0),
+                               lambda y, d, r: solve(y, w0, d, r), y0, opts)
         if not res.converged:
             raise miss("s0_start settle", res.residual)
         y0 = res.y
         ramp = RampSpec(s0_start=s0_start, s0_end=s0, t_ramp=t_ramp)
-    y, residual, converged = _settle(rhs, y0, math.sqrt(s0 / 2.0),
+    y, residual, converged = _settle(rhs, solve, y0, math.sqrt(s0 / 2.0),
                                      replace(opts, ramp=ramp))
     if not converged:
         raise miss("steady state", residual)

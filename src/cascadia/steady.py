@@ -5,18 +5,20 @@ Where a steady state need not be unique, the solver must pick the branch
 an experiment would reach from a physical initial condition: the
 mean-field fixed-point equations are multistable in parts of parameter
 space.  `pseudo_transient` does this without time integration.  It takes
-backward-Euler steps (y − y_k)/δ = f(y), each solved by matrix-free
-Newton–Krylov; small steps follow the trajectory from the ground state
-(or the end of a drive ramp) into its basin, and as δ grows the step turns
-into Newton on f (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508 (1998)).
-Drive ramps for branch continuation are integrated in time
-(`integrate_ramp`), and so is the exact oracle's fallback for degenerate
-kernels (`integrate_to_steady`).  `newton_finish` runs a matrix-free
-Newton–Krylov iteration (Knoll & Keyes, J. Comput. Phys. 193, 357 (2004))
-and keeps its result only if the caller's acceptance test holds and the
-residual went down, so a finish can sharpen a state but never move it to
-another branch.  CE2, whose steady state is unique, uses `newton_finish`
-alone.
+backward-Euler steps (y − y_k)/δ = f(y), each solved by Newton with the
+caller's exact Jacobian solve (for the mean-field chains an O(N) banded
+solve); small steps follow the trajectory from the ground state (or the
+end of a drive ramp) into its basin, and as δ grows the step turns into
+Newton on f (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508 (1998)).
+`newton_step` then takes one exact Newton step to round-off, kept only if
+the caller's acceptance test holds and the residual went down, so a finish
+can sharpen a state but never move it to another branch.  Drive ramps for
+branch continuation are integrated in time (`integrate_ramp`), and so is
+the exact oracle's fallback for degenerate kernels
+(`integrate_to_steady`).  CE2, whose steady state is unique and which has
+no structured Jacobian, uses `newton_finish` alone: matrix-free
+Newton–Krylov (Knoll & Keyes, J. Comput. Phys. 193, 357 (2004)) under
+the same acceptance rule.
 
 State vectors are packed real (complex moments split into Re/Im by the
 caller) so that stiff solvers can be used interchangeably.
@@ -24,6 +26,7 @@ caller) so that stiff solvers can be used interchangeably.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,14 +37,20 @@ from scipy.integrate import solve_ivp
 from .errors import NumericalInstability
 
 __all__ = ["RampSpec", "SolverOptions", "SteadyResult", "integrate_to_steady",
-           "integrate_ramp", "newton_finish", "pseudo_transient", "small_move"]
+           "integrate_ramp", "newton_finish", "newton_step", "pseudo_transient",
+           "small_move"]
 
 _EPS = float(np.finfo(float).eps)
 # steps (accepted or retried) before `pseudo_transient` gives up
 _PTC_STEPS = 200
+# Newton iterations per pseudo-transient step before it counts as missed
+_PTC_NEWTON = 8
 # tolerance floor of the pseudo-transient inner solves, where the loop
 # stops.  Below it the rounding noise of a long chain's RHS (~1e-14 at
-# N = 8000) makes inner solves miss; the Newton finish takes the last step.
+# N = 8000) makes even exact Newton solves miss: at a floor of 4·eps,
+# BWM N = 8000 (β = 0.005, η = 0.05) missed 12 inner solves at s₀ = 30
+# and used up the step budget at s₀ = 80; at 1e-14, EAM N = 8000 missed 6.
+# The Newton finish takes the last step.
 _PTC_FLOOR = 1e-13
 
 
@@ -167,50 +176,67 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-def pseudo_transient(fun: Callable, y0: np.ndarray,
+def _implicit_step(fun: Callable, solve: Callable, yk: np.ndarray,
+                   fk: np.ndarray, delta: float, f_tol: float):
+    """Newton on the backward-Euler step (v − yk)/δ = fun(v) from v = yk,
+    where fun(yk) = fk.  Returns (v, fun(v)) once the step residual is at
+    most `f_tol`, or None after `_PTC_NEWTON` iterations or on a
+    non-finite state or step residual."""
+    v, g = yk, -fk
+    for _ in range(_PTC_NEWTON):
+        v = v - solve(v, delta, g)
+        if not np.all(np.isfinite(v)):
+            return None
+        fv = fun(v)
+        g = (v - yk) / delta - fv
+        step_residual = _max_abs(g)
+        if step_residual <= f_tol:
+            return v, fv
+        if not np.isfinite(step_residual):
+            return None
+    return None
+
+
+def pseudo_transient(fun: Callable, solve: Callable, y0: np.ndarray,
                      opts: SolverOptions) -> SteadyResult:
     """Steady state of dy/dt = fun(y) by pseudo-transient continuation.
 
-    Each step solves (y − y_k)/δ = fun(y) by Newton–Krylov (lgmres, at most
-    8 iterations, tolerance 1e-4 of the current residual but at least
-    `_PTC_FLOOR`).  δ starts at 1 and grows with every step whose inner
-    solve succeeds: ×2 if the residual rose, ×r_k/r_{k+1} clipped to
-    [2, 16] if it fell.  Growing on inner success rather than on a falling
-    residual carries the iteration through the transient rise past a fold
-    of the fixed-point curve.  A missed inner solve (iteration budget out,
+    `solve(y, δ, r)` returns the x with (I/δ − J(y)) x = r, J the exact
+    Jacobian of `fun` at y (δ = ∞ gives −J x = r).  Each step solves
+    (y − y_k)/δ = fun(y) by Newton with that solve: at most `_PTC_NEWTON`
+    iterations, to a max-norm step residual of 1e-4 of the current
+    residual but at least `_PTC_FLOOR`.  δ starts at 1 and grows with every
+    step whose inner solve succeeds: ×2 if the residual rose,
+    ×r_k/r_{k+1} clipped to [2, 16] if it fell.  Growing on inner success
+    rather than on a falling residual carries the iteration through the
+    transient rise past a fold of the fixed-point curve.  A missed inner
+    solve (residual still above its tolerance after the iteration budget,
     or a non-finite state) quarters δ and retries from the same state.
 
     The loop stops once the residual is below `opts.steady_state_residual`
     and a step fails to halve it, or at the inner solves' floor
-    `_PTC_FLOOR`, from where one Newton step reaches round-off.  After
-    `_PTC_STEPS` steps it returns the last state flagged converged=False
-    rather than raising, so sweep drivers can record unresolved cells.
-    `t` of the result is the pseudo-time Σδ of the accepted steps.
+    `_PTC_FLOOR`, from where one Newton step (`newton_step`) reaches
+    round-off.  After `_PTC_STEPS` steps it returns the last state flagged
+    converged=False rather than raising, so sweep drivers can record
+    unresolved cells.  `t` of the result is the pseudo-time Σδ of the
+    accepted steps.
     """
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y)
-    residual = _max_abs(fun(y))
+    fy = fun(y)
+    residual = _max_abs(fy)
     t, delta = 0.0, 1.0
     for _ in range(_PTC_STEPS):
         f_tol = max(1e-4 * residual, _PTC_FLOOR)
         if residual <= f_tol:  # at the floor: nothing left to solve
             break
-        yk, rk, dk = y, residual, delta
-
-        def step(v):
-            return (v - yk) / dk - fun(v)
-
-        try:
-            ynew = optimize.newton_krylov(step, yk, method="lgmres",
-                                          f_tol=f_tol, maxiter=8)
-        except optimize.NoConvergence:
+        step = _implicit_step(fun, solve, y, fy, delta, f_tol)
+        if step is None:
             delta /= 4.0
             continue
-        rnew = _max_abs(fun(ynew)) if np.all(np.isfinite(ynew)) else np.inf
-        if not np.isfinite(rnew):
-            delta /= 4.0
-            continue
-        y, residual, t = ynew, rnew, t + dk
+        rk = residual
+        y, fy = step
+        residual, t = _max_abs(fy), t + delta
         if residual < opts.steady_state_residual and residual > 0.5 * rk:
             break
         if residual >= rk:
@@ -233,20 +259,51 @@ def small_move(y: np.ndarray) -> Callable:
     return accept
 
 
+def _keep_better(fun: Callable, y: np.ndarray, residual: float,
+                 ynew: np.ndarray, accept: Callable):
+    """(ynew, its residual) if ynew is finite, passes `accept` and lowers
+    the residual of `y`; else (y, residual)."""
+    if not np.all(np.isfinite(ynew)) or not accept(ynew):
+        return y, residual
+    rnew = _max_abs(fun(ynew))
+    if rnew < residual:
+        return ynew, rnew
+    return y, residual
+
+
+def newton_step(fun: Callable, solve: Callable, y: np.ndarray,
+                accept: Callable):
+    """One exact Newton step on `fun` from `y`, with `solve` as in
+    `pseudo_transient` at δ = ∞.
+
+    Returns (state, max|fun(state)|).  The step replaces `y` only if the
+    result is finite, passes `accept` and lowers the residual; from a
+    continued state it lands on the rounding floor.  A state already
+    within 4·eps is returned as is.
+    """
+    y = np.asarray(y, dtype=float)
+    fy = fun(y)
+    residual = _max_abs(fy)
+    if residual <= 4.0 * _EPS:
+        return y, residual
+    return _keep_better(fun, y, residual, y + solve(y, math.inf, fy), accept)
+
+
 def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,
                   f_tol: Optional[float] = None):
-    """Matrix-free Newton–Krylov (lgmres) root of `fun` started at `y`.
+    """Matrix-free Newton–Krylov (lgmres) root of `fun` started at `y`:
+    CE2's finish, which has no structured Jacobian solve.
 
     Returns (state, max|fun(state)|).  The Newton result replaces `y` only
     if it is finite, passes `accept` and lowers the residual; an iteration
     budget running out keeps the last iterate under the same test.
 
     With `f_tol` unset the finish is one Newton step towards round-off:
-    from a continued or integrated state a single step already lands on
-    the rounding floor, and each step costs ~30 RHS evaluations.  A given
-    `f_tol` is a max-norm stopping tolerance, with up to 60 steps to get
-    there from a loose basin.  A state already within 4·eps (or `f_tol`)
-    is returned as is.
+    from a converged state a single step already lands on the rounding
+    floor, and each step costs ~30 RHS evaluations.  A given `f_tol` is a
+    max-norm stopping tolerance, with up to 60 steps to get there from a
+    loose basin.  A state already within 4·eps (or `f_tol`) is returned
+    as is.
     """
     y = np.asarray(y, dtype=float)
     residual = _max_abs(fun(y))
@@ -257,9 +314,4 @@ def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,
         ynew = optimize.newton_krylov(fun, y, method="lgmres", **budget)
     except optimize.NoConvergence as exc:
         ynew = np.asarray(exc.args[0], dtype=float)
-    if not np.all(np.isfinite(ynew)) or not accept(ynew):
-        return y, residual
-    rnew = _max_abs(fun(ynew))
-    if rnew < residual:
-        return ynew, rnew
-    return y, residual
+    return _keep_better(fun, y, residual, ynew, accept)

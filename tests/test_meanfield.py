@@ -116,7 +116,7 @@ def test_collective_hysteresis_branches():
 
 
 def test_collective_failure_names_the_cell(monkeypatch):
-    def missed(fun, y0, opts):
+    def missed(fun, solve, y0, opts):
         y = np.asarray(y0, dtype=float)
         return SteadyResult(y=y, t=0.0, residual=float(np.max(np.abs(fun(y)))),
                             converged=False)
@@ -135,8 +135,8 @@ def test_collective_start_settle_must_converge(monkeypatch):
     # succeed, so the miss must not be ramped over
     calls = []
 
-    def first_misses(fun, y0, opts):
-        res = pseudo_transient(fun, y0, opts)
+    def first_misses(fun, solve, y0, opts):
+        res = pseudo_transient(fun, solve, y0, opts)
         calls.append(res.converged)
         if len(calls) == 1:
             res = replace(res, converged=False)

@@ -1,15 +1,19 @@
 """The shared steady-state engine: pseudo-transient continuation against the
-integration it replaced, Newton finish, round-off residuals, the
-closed-form UWM path and branch selection in the Dicke window."""
+integration and the Newton–Krylov steps it replaced, the structured
+Jacobian solves against dense Jacobians, Newton finish, round-off
+residuals, the closed-form UWM path and branch selection in the Dicke
+window."""
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       dicke_bistability_window, dicke_steady_states,
                       effective_drive, solve_steady_state,
                       uwm_cascade_fixed_point)
-from cascadia.meanfield import _collective_rhs
+from cascadia.meanfield import (_DrivePlan, _collective_rhs, _collective_solve,
+                                _make_solve)
 from cascadia.steady import (integrate_to_steady, newton_finish,
                              pseudo_transient, small_move)
 
@@ -31,6 +35,13 @@ def _rhs(model, params, chain):
         return np.concatenate((dm.real, dm.imag, dz))
 
     return rhs
+
+
+def _solve(model, params, chain):
+    """The solver's exact Jacobian solve, (I/δ − J(y)) x = r, at drive
+    params.rabi."""
+    solve = _make_solve(_DrivePlan(model, params, chain), None)
+    return lambda y, delta, r: solve(y, params.rabi, delta, r)
 
 
 def _residual(model, params, chain, sol):
@@ -71,10 +82,131 @@ def test_continuation_matches_integration(model, n, s0, eta):
     assert np.max(np.abs(sol.sigma_z - z)) <= 1e-10
 
 
+def _krylov_pseudo_transient(fun, y0, opts):
+    """The ΨTC loop the exact Newton steps replaced, copied with its step
+    control unchanged: each backward-Euler step is solved by matrix-free
+    Newton–Krylov (lgmres).  Returns (y, converged)."""
+    y = np.asarray(y0, dtype=float).copy()
+    residual = float(np.max(np.abs(fun(y))))
+    t, delta = 0.0, 1.0
+    for _ in range(200):
+        f_tol = max(1e-4 * residual, 1e-13)
+        if residual <= f_tol:  # at the floor: nothing left to solve
+            break
+        yk, rk, dk = y, residual, delta
+
+        def step(v):
+            return (v - yk) / dk - fun(v)
+
+        try:
+            ynew = optimize.newton_krylov(step, yk, method="lgmres",
+                                          f_tol=f_tol, maxiter=8)
+        except optimize.NoConvergence:
+            delta /= 4.0
+            continue
+        rnew = (float(np.max(np.abs(fun(ynew))))
+                if np.all(np.isfinite(ynew)) else np.inf)
+        if not np.isfinite(rnew):
+            delta /= 4.0
+            continue
+        y, residual, t = ynew, rnew, t + dk
+        if residual < opts.steady_state_residual and residual > 0.5 * rk:
+            break
+        if residual >= rk:
+            delta *= 2.0
+        elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
+            delta *= min(max(rk / residual, 2.0), 16.0)
+    return y, residual < opts.steady_state_residual
+
+
+@pytest.mark.parametrize("model,n,s0,eta", _BRAGG_FOLD + _LONG_CHAINS)
+def test_exact_newton_steps_match_krylov_steps(model, n, s0, eta):
+    p = ModelParams.from_beta(beta=0.005, s0=s0, n_emitters=n, eta=eta,
+                              seed=3)
+    chain = build_chain(p) if model == "BWM" else None
+    sol = solve_steady_state(model, p, chain)
+    assert sol.converged
+    rhs = _rhs(model, p, chain)
+    y, converged = _krylov_pseudo_transient(
+        rhs, np.concatenate((np.zeros(2 * n), -np.ones(n))), SolverOptions())
+    assert converged
+    y, _ = newton_finish(rhs, y, small_move(y))
+    m, z = _unpack(y, n)
+    assert np.max(np.abs(sol.sigma_minus - m)) <= 1e-10
+    assert np.max(np.abs(sol.sigma_z - z)) <= 1e-10
+
+
+# --- the structured Jacobian solve against a dense Jacobian -------------------
+
+
+def _fd_jacobian(fun, y, h=1e-5):
+    # every RHS is quadratic in the state, so central differences carry
+    # no truncation error, only rounding
+    return np.array([(fun(y + h * e) - fun(y - h * e)) / (2.0 * h)
+                     for e in np.eye(y.size)]).T
+
+
+def _assert_solves(fun, solve, y):
+    jac = _fd_jacobian(fun, y)
+    r = np.random.default_rng(5).normal(size=y.size)
+    for delta in (0.7, np.inf):
+        ref = np.linalg.solve(np.eye(y.size) / delta - jac, r)
+        x = solve(y, delta, r)
+        assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("model,eta,xi,detuning", [
+    ("BWM", 0.1, 0.0, 0.0), ("BWM", 0.1, 0.8, 0.0), ("EAM", 0.1, 0.0, 0.0),
+    ("EAM", 20.0, 0.0, 0.0), ("UWM", 0.0, 0.0, 0.6)])
+def test_chain_solve_matches_dense_jacobian(model, eta, xi, detuning):
+    n = 7
+    p = ModelParams.from_beta(beta=0.1, s0=5.0, n_emitters=n, eta=eta,
+                              seed=2, detuning=detuning)
+    chain = build_chain(p, xi_delta=xi) if model == "BWM" else None
+    plan = _DrivePlan(model, p, chain)
+    if model == "EAM" and eta > 1.0:
+        assert plan.r == 0.0  # the kernel underflows: no backward channel
+    det = chain.detunings if xi > 0.0 else None
+    if detuning != 0.0:
+        det = np.full(n, detuning)
+    rng = np.random.default_rng(1)
+    y = np.concatenate((0.3 * rng.normal(size=2 * n),
+                        -0.5 + 0.3 * rng.normal(size=n)))
+
+    def fun(v):
+        m, z = _unpack(v, n)
+        a = effective_drive(model, p, chain, m)
+        dm = 1j * a * z - 0.5 * m
+        if det is not None:
+            dm += 1j * det * m
+        dz = -4.0 * np.imag(np.conj(a) * m) - (1.0 + z)
+        return np.concatenate((dm.real, dm.imag, dz))
+
+    solve = _make_solve(plan, det)
+    _assert_solves(fun, lambda v, d, r: solve(v, p.rabi, d, r), y)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.8])
+def test_collective_solve_matches_dense_jacobian(detuning):
+    b, omega = 7.0, 2.0
+
+    def fun(v):
+        m, z = v[0] + 1j * v[1], v[2]
+        a = 0.5 * omega - 0.5j * b * m
+        dm = 1j * a * z + (1j * detuning - 0.5) * m
+        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
+        return np.array([dm.real, dm.imag, dz])
+
+    solve = _collective_solve(b, detuning)
+    _assert_solves(fun, lambda v, d, r: solve(v, omega, d, r),
+                   np.array([0.1, -0.2, -0.4]))
+
+
 def test_continuation_survives_an_exact_zero_residual():
     # rounding snaps the last step onto the root: max|f| is exactly 0.0, as
     # on some cells of the 3-dof collective system
-    res = pseudo_transient(lambda y: np.round(1.0 - y, 14), np.zeros(1),
+    res = pseudo_transient(lambda y: np.round(1.0 - y, 14),
+                           lambda y, d, r: r / (1.0 / d + 1.0), np.zeros(1),
                            SolverOptions())
     assert res.converged and res.residual == 0.0
     assert abs(res.y[0] - 1.0) < 1e-14
@@ -97,7 +229,7 @@ def test_exhausted_step_budget_is_reported(monkeypatch):
                               seed=3)
     chain = build_chain(p)
     opts = SolverOptions()
-    res = pseudo_transient(_rhs("BWM", p, chain),
+    res = pseudo_transient(_rhs("BWM", p, chain), _solve("BWM", p, chain),
                            np.concatenate((np.zeros(2000), -np.ones(1000))),
                            opts)
     assert not res.converged and res.residual >= opts.steady_state_residual
