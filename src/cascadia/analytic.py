@@ -6,7 +6,7 @@ D = 4βi, whose solution is s(D) = W(s₀ e^{s₀−D}) with W the principal
 Lambert-W branch.  The permutationally-symmetric (Dicke) limit instead
 yields a cubic fixed-point equation for the inversion with a bistable
 window at large optical depth.  Everything here is pure arithmetic; the
-time-domain solvers live in `meanfield`.
+steady-state solvers live in `meanfield`.
 """
 
 from __future__ import annotations
@@ -194,10 +194,9 @@ def dicke_steady_states(d_total: float, s0: float) -> DickeRoots:
 
     Roots come from the companion matrix of the cubic plus one Newton
     polish each (robust near the folds, where two roots nearly coalesce).
-    Stability is classified operationally: the collective mean-field ODE
-    is integrated with the drive ramped slowly up from zero and down from
-    deep saturation; a root reached by either continuation branch is
-    stable, an unreached (middle) root is unstable.
+    Stability is that of the collective mean-field equations linearized
+    at each root (`_is_stable`): the lower and upper branches are stable,
+    the middle root of the bistable window is not.
     """
     if d_total <= 0.0:
         raise ValueError("d_total must be > 0")
@@ -226,19 +225,24 @@ def dicke_steady_states(d_total: float, s0: float) -> DickeRoots:
         raise NoPhysicalRoot(
             f"no cubic root in [-1, 0] for D={D}, s0={s0} — should be impossible")
 
-    stability = _classify_by_continuation(roots, D, s0)
+    stability = ["stable" if _is_stable(z, D, s0) else "unstable"
+                 for z in roots]
     return DickeRoots(roots=roots, stability=tuple(stability),
                       bistable=int(roots.size) >= 3)
 
 
-def _classify_by_continuation(roots: np.ndarray, D: float, s0: float):
-    from .meanfield import solve_collective  # local import: avoids cycle
+def _is_stable(z: float, D: float, s0: float) -> bool:
+    """Linear stability of the collective fixed point with ⟨σᶻ⟩ = z.
 
-    reached = set()
-    # continuation from below (ground state, drive ramped up to s0) and from
-    # above (start deep in saturation, drive ramped down to s0)
-    for s_start in (0.0, max(4.0 * s0, 10.0 * D, 100.0)):
-        m, z = solve_collective(feedback=D / 2.0, s0=s0, s0_start=s_start,
-                                t_ramp=400.0)
-        reached.add(int(np.argmin(np.abs(roots - z))))
-    return ["stable" if k in reached else "unstable" for k in range(roots.size)]
+    With b = D/2 and Ω = √(s₀/2) the fixed point has ⟨σ⁻⟩ = iΩz/(1 − bz),
+    purely imaginary.  There the Jacobian of the collective equations
+    splits into the Re⟨σ⁻⟩ mode, with eigenvalue (bz − 1)/2 < 0, and the
+    (Im⟨σ⁻⟩, ⟨σᶻ⟩) block with trace (bz − 3)/2 < 0 and determinant
+    (1 − bz)/2 + Ω²(1 + bz)/(1 − bz)².  The root is stable iff that
+    determinant is positive; one within rounding of zero (a root at a
+    fold) counts as stable, as a slow ramp comes to rest on it.
+    """
+    bz = 0.5 * D * z
+    relax = 0.5 * (1.0 - bz)
+    drive = 0.5 * s0 * (1.0 + bz) / (1.0 - bz) ** 2
+    return relax + drive >= -1e-12 * (abs(relax) + abs(drive))

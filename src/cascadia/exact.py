@@ -1,14 +1,15 @@
 """Density-matrix oracle for small chains (N ≤ 6).
 
-Builds each model's Lindblad generator explicitly and solves Lρ = 0 with
-tr ρ = 1 directly: one sparse LU factorization of the 4ᴺ×4ᴺ Liouvillian
-superoperator (the standard steady-state method, as in QuTiP; Johansson,
-Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)).  Where the kernel
-of L is degenerate (β = ½ leaves no loss, and dark states give several
-steady states) the state is instead integrated from |g…g⟩, which picks the
-one that the ground state relaxes to.  Used as ground truth by the test
-suite; nothing here scales past a handful of emitters and nothing here is
-approximate.
+Builds each model's Lindblad generator explicitly and finds the steady
+state by shifted inverse iteration on the 4ᴺ×4ᴺ Liouvillian superoperator
+L: a sparse LU factorization of I − τL, then ρ ← (I − τL)⁻¹ρ from |g…g⟩
+(QuTiP's "power" steady-state method; Johansson, Nation & Nori, Comput.
+Phys. Commun. 184, 1234 (2013)), with a larger shift only where slow
+modes need one.  The iteration converges to the state |g…g⟩ relaxes to,
+so unique and degenerate kernels (β = ½ leaves no loss, and dark states
+give several steady states) take the same path.  Used as ground truth by
+the test suite; nothing here scales past a handful of emitters and nothing
+here is approximate.
 
 All four models share the driven-qubit part and differ in the guided
 channels.  In the spiral gauge the right-going channel has unit weights
@@ -40,17 +41,24 @@ from scipy.sparse.linalg import splu
 from .errors import DimensionCap, NonConvergence
 from .params import (EmitterChain, ModelParams, attenuation_kernel,
                      left_output_weights, spiral_phases)
-from .steady import SolverOptions, integrate_to_steady
 
 __all__ = ["DensityState", "exact_steady_state", "exact_observables",
            "flux_report", "build_generator"]
 
 _MAX_N = 6
-# Smallest |U_ii| / largest |U_ii| of the LU factor below which the kernel
-# of L is taken as degenerate.  Scanned over all four models at N = 1-4,
-# β = 0.005-0.5, s₀ = 0-100, η ∈ {0, 0.1, 1} with the kernel dimension from
-# an SVD: unique kernels have ratios ≥ 2.7e-8, degenerate ones ≤ 8e-16.
-_PIVOT_RATIO_MIN = 1e-11
+# shifts τ = t/‖L‖_∞ of the inverse iteration, t tried in turn from the
+# best iterate so far while ‖Lρ‖_F stays above _RESIDUAL_MAX.  A back-solve
+# damps every mode of L with |λ| ≥ ‖L‖_∞/t by ≥ 2, and adds rounding of
+# ~eps·t to the kernel part of ρ, which no back-solve damps.  The first
+# shift keeps that rounding small in a degenerate kernel (at t = 1e6 the
+# β = ½ cells drift by 2e-11); the larger ones reach the slow modes of
+# nearly degenerate kernels (DM at β = 0.49, BWM at β = ½ and η = 0.1),
+# whose 1-D kernel the trace fixes.
+_TAU_NORMS = (1e3, 1e6, 1e9)
+# back-solves, over all shifts, before the inverse iteration gives up
+_INVERSE_STEPS = 50
+# the largest ‖dρ/dt‖_F accepted as a steady state
+_RESIDUAL_MAX = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,75 +195,66 @@ def build_generator(model_tag: str, params: ModelParams,
     return _Generator(H, kernels, sm)
 
 
-def _direct_steady_state(gen: _Generator) -> Optional[np.ndarray]:
-    """Solve Lρ = 0 with tr ρ = 1 by one sparse LU, or None when the kernel
-    of L is degenerate (exactly singular factor or a pivot ratio below
-    _PIVOT_RATIO_MIN), where no single null vector is the answer."""
+def _inverse_iteration(gen: _Generator):
+    """ρ ← (I − τL)⁻¹ρ from |g…g⟩ with tr ρ = 1 after every back-solve.
+
+    I − τL is nonsingular for every τ > 0, as Re λ(L) ≤ 0, and each
+    back-solve multiplies a mode of L by 1/(1 − τλ): the kernel part of ρ
+    is kept, so the iterate tends to the state |g…g⟩ relaxes to, unique
+    kernel or not.  Each shift in `_TAU_NORMS` is factored once (sparse
+    LU) and iterated until a back-solve fails to halve ‖Lρ‖_F: at
+    round-off, or where the slowest mode decays too slowly for this
+    shift, and then the next shift continues from the best iterate.
+    Returns (best ρ, back-solves, last t).
+    """
     dim = gen.H.shape[0]
     L = gen.superoperator()
-    # tr(Lρ) = 0 for every ρ, so the rows of L are linearly dependent; the
-    # trace functional replaces row 0, the equation for ρ₀₀
+    eye = sparse.identity(dim * dim, dtype=complex, format="csc")
+    norm = float(abs(L).sum(axis=1).max())
     diag = np.arange(dim) * (dim + 1)
-    trace = sparse.csr_matrix((np.ones(dim), (np.zeros(dim, int), diag)),
-                              shape=(1, dim * dim))
-    try:
-        lu = splu(sparse.vstack([trace, L[1:]], format="csc"))
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        if "singular" not in str(err):
-            raise
-        return None
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() < _PIVOT_RATIO_MIN * pivots.max():
-        return None
-    e0 = np.zeros(dim * dim, dtype=complex)
-    e0[0] = 1.0
-    return lu.solve(e0).reshape(dim, dim)
-
-
-def _integrated_steady_state(gen: _Generator, opts: Optional[SolverOptions]):
-    """Integrate dρ/dt from |g…g⟩; returns (ρ, integrated time)."""
-    dim = gen.H.shape[0]
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[dim - 1, dim - 1] = 1.0  # |g…g⟩: ground is the last basis state
-
-    def rhs(t, y):
-        rho = (y[:dim * dim] + 1j * y[dim * dim:]).reshape(dim, dim)
-        drho = gen.apply(rho)
-        return np.concatenate((drho.real.ravel(), drho.imag.ravel()))
-
-    opts = opts or SolverOptions(steady_state_residual=1e-12, rel_tol=1e-10,
-                                 abs_tol=1e-12)
-    y0 = np.concatenate((rho0.real.ravel(), rho0.imag.ravel()))
-    res = integrate_to_steady(rhs, y0, opts)
-    rho = (res.y[:dim * dim] + 1j * res.y[dim * dim:]).reshape(dim, dim)
-    return rho, res.t
+    best = np.zeros(dim * dim, dtype=complex)
+    best[-1] = 1.0  # |g…g⟩: ground is the last basis state
+    best_r, solves = np.inf, 0
+    for tau_norm in _TAU_NORMS:
+        lu = splu((eye - (tau_norm / norm) * L).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A")
+        v, prev = best, np.inf
+        while solves < _INVERSE_STEPS:
+            v = lu.solve(v)
+            v /= v[diag].sum()
+            solves += 1
+            r = float(np.linalg.norm(L @ v))
+            if r < best_r:
+                best, best_r = v, r
+            if not r < 0.5 * prev:
+                break
+            prev = r
+        if best_r <= _RESIDUAL_MAX:
+            break
+    return best.reshape(dim, dim), solves, tau_norm
 
 
 def exact_steady_state(model_tag: str, params: ModelParams,
-                       chain: Optional[EmitterChain] = None,
-                       opts: Optional[SolverOptions] = None) -> DensityState:
-    """Steady state of the master equation by a direct sparse solve.
+                       chain: Optional[EmitterChain] = None) -> DensityState:
+    """Steady state of the master equation by shifted inverse iteration.
 
-    Where the steady state is unique it is the one solution of Lρ = 0 with
-    tr ρ = 1, found by a single LU factorization.  Where the kernel is
-    degenerate (e.g. β = ½ with collective decay, which has dark states)
-    the master equation is integrated from |g…g⟩ instead, and the state the
-    ground state relaxes to is returned.  `opts` only governs that
-    fallback integration.  Either way the Frobenius norm of dρ/dt must end
-    below 1e−10, else NonConvergence.
+    Returns the state that |g…g⟩ relaxes to: where the steady state is
+    unique it is the one solution of Lρ = 0 with tr ρ = 1; where the
+    kernel is degenerate (e.g. β = ½ with collective decay, which has dark
+    states) it is the projection of |g…g⟩ onto the kernel.  Unique and
+    degenerate kernels take the same path (`_inverse_iteration`).  The
+    Frobenius norm of dρ/dt must end below 1e−10, else NonConvergence.
     """
     gen = build_generator(model_tag, params, chain)
-    rho = _direct_steady_state(gen)
-    how = "a direct solve"
-    if rho is None:
-        rho, t = _integrated_steady_state(gen, opts)
-        how = f"integration to t = {t}"
+    rho, solves, tau_norm = _inverse_iteration(gen)
     frob = float(np.linalg.norm(gen.apply(rho)))
-    if frob > 1e-10:
+    if frob > _RESIDUAL_MAX:
         raise NonConvergence(
             f"exact {model_tag} steady state at N = {params.n_emitters}, "
             f"β = {params.beta:g}, s₀ = {params.derive().s0:g}: "
-            f"‖dρ/dt‖_F = {frob:.2e} > 1e-10 after {how}")
+            f"‖dρ/dt‖_F = {frob:.2e} > {_RESIDUAL_MAX:g} after {solves} "
+            f"back-solves of shifted inverse iteration "
+            f"(τ‖L‖_∞ up to {tau_norm:g})")
     rho = 0.5 * (rho + rho.conj().T)  # strip the solver's Hermiticity dust
     return DensityState(rho=rho, model_tag=model_tag)
 
@@ -322,7 +321,7 @@ def flux_report(state: DensityState, params: ModelParams,
     Input flux Ω²/(2Γ₁D) must equal the sum of right output (coherent +
     inelastic), left output, γ loss, and — for the UWM — the discarded
     backward emission.  `defect` is input minus the sum; a correct
-    generator at a converged state leaves only integrator dust.
+    generator at a converged state leaves only rounding dust.
 
     The left channel splits into coherent/inelastic through its collective
     operator when the channel is rank-one (BWM, DM); for the EAM the

@@ -33,8 +33,8 @@ from scipy.signal import lfilter
 from .errors import NonConvergence
 from .params import (EmitterChain, ModelParams, averaged_phase_factor,
                      left_output_weights, spiral_phases)
-from .steady import (RampSpec, SolverOptions, integrate_ramp, newton_step,
-                     pseudo_transient, small_move)
+from .steady import (RampSpec, SolverOptions, newton_step, pseudo_transient,
+                     small_move)
 
 __all__ = [
     "MODEL_TAGS", "MeanFieldSolution", "FieldObservables",
@@ -250,29 +250,48 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     return solve
 
 
+# Γ_tot⁻¹ of drive ramp per quasi-static continuation step.  On 378
+# collective cells across the bistable window (D = 16.5…80, up to 0.1% from
+# each fold, ramps up and down over 400 Γ_tot⁻¹) steps of 12.5-50 matched
+# the integrated ramp to 6e-14, while steps of 100 lost the branch on 6
+# cells and a single step on 44: 10 leaves a fivefold margin.
+_RAMP_STEP = 10.0
+
+
 def _settle(rhs, solve, y0: np.ndarray, omega: float, opts: SolverOptions):
-    """Integrate the drive ramp (when `opts.ramp` is set), continue
-    pseudo-transiently into the steady state at drive `omega`, then take
-    one exact Newton step under the branch guard.  `solve` is the
-    model's exact Jacobian solve, solve(y, omega, δ, r).  Returns
-    (y, residual, converged); an exhausted step budget comes back as
-    converged=False with the last state."""
+    """Continue pseudo-transiently into the steady state at drive `omega`,
+    then take one exact Newton step under the branch guard.  `solve` is
+    the model's exact Jacobian solve, solve(y, omega, δ, r).
+
+    With `opts.ramp` set, the state is first continued quasi-statically
+    along the ramp: one pseudo-transient solve at each of the K − 1 drives
+    s0_at(k·t_ramp/K), K = ⌈t_ramp/_RAMP_STEP⌉, each warm-started from the
+    last, before the settle at `omega`.  Returns (y, residual, missed):
+    `missed` is None on success, else the stage that ran out of steps
+    ("ramp step k of K at s₀ = …" or "steady state"), with its last state
+    and that state's residual at `omega`.
+    """
+    def at(w):
+        return (lambda y: rhs(y, w)), (lambda y, delta, r: solve(y, w, delta, r))
+
     ramp = opts.ramp
+    y = y0
     if ramp is not None:
-        y0 = integrate_ramp(lambda t, y: rhs(y, math.sqrt(ramp.s0_at(t) / 2.0)),
-                            y0, ramp.t_ramp, opts)
+        k_steps = math.ceil(ramp.t_ramp / _RAMP_STEP)
+        for k in range(1, k_steps):
+            s0 = ramp.s0_at(k * ramp.t_ramp / k_steps)
+            res = pseudo_transient(*at(math.sqrt(s0 / 2.0)), y, opts)
+            y = res.y
+            if not res.converged:
+                return (y, float(np.max(np.abs(rhs(y, omega)))),
+                        f"ramp step {k} of {k_steps} at s₀ = {s0:g}")
 
-    def rhs0(y):
-        return rhs(y, omega)
-
-    def solve0(y, delta, r):
-        return solve(y, omega, delta, r)
-
-    res = pseudo_transient(rhs0, solve0, y0, opts)
+    rhs0, solve0 = at(omega)
+    res = pseudo_transient(rhs0, solve0, y, opts)
     if not res.converged:
-        return res.y, res.residual, False
+        return res.y, res.residual, "steady state"
     y, residual = newton_step(rhs0, solve0, res.y, small_move(res.y))
-    return y, residual, True
+    return y, residual, None
 
 
 def solve_steady_state(model_tag: str, params: ModelParams,
@@ -287,12 +306,14 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     (warm start for branch continuation) is given, and follows the
     relaxation from there into its basin (`steady.pseudo_transient`), so a
     multistable model lands on the branch the dynamics selects.
-    `opts.ramp` integrates the drive s₀ linearly over t_ramp first; the
-    returned solution then corresponds to drive ramp.s0_end, not
-    params.rabi.  Resonant UWM has a unique steady state and returns the
-    cascade fixed point in closed form.  A continuation that runs out of
-    steps returns a flagged (converged=False) partial result; `opts.t_max`
-    plays no part.
+    `opts.ramp` first continues the state quasi-statically along the drive
+    ramp s0_start → s0_end (see `RampSpec`); the returned solution then
+    corresponds to drive ramp.s0_end, not params.rabi.  Resonant UWM has a
+    unique steady state and returns the cascade fixed point in closed form.
+    A continuation that runs out of steps, on the ramp or at the final
+    drive, is never continued past: it returns a flagged (converged=False)
+    partial result whose residual is that of the returned state at the
+    final drive.
     """
     opts = opts or SolverOptions()
     n = params.n_emitters
@@ -308,14 +329,14 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                            initial.sigma_minus[0].imag, initial.sigma_z[0]])
         else:
             y0 = np.array([0.0, 0.0, -1.0])
-        y, residual, converged = _settle(
+        y, residual, missed = _settle(
             _collective_rhs(b, params.detuning),
             _collective_solve(b, params.detuning), y0, omega_end, opts)
         m = np.full(n, y[0] + 1j * y[1])
         return MeanFieldSolution(
             sigma_minus=m, sigma_z=np.full(n, y[2]),
             alpha=np.full(n, 0.5 * omega_end - 0.5j * b * m[0]),
-            converged=converged, residual=residual, model_tag="DM")
+            converged=missed is None, residual=residual, model_tag="DM")
 
     plan = _DrivePlan(model_tag, params, chain)
     det = None
@@ -336,8 +357,9 @@ def solve_steady_state(model_tag: str, params: ModelParams,
                        np.asarray(initial.sigma_z, dtype=float))
         else:
             y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
-        y, residual, converged = _settle(rhs, _make_solve(plan, det), y0,
-                                         omega_end, opts)
+        y, residual, missed = _settle(rhs, _make_solve(plan, det), y0,
+                                      omega_end, opts)
+        converged = missed is None
 
     m, z = _unpack(y, n)
     alpha = plan.alpha(m, omega_end)
@@ -390,10 +412,12 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
     `feedback` is b: 2β(N−1) for the N-emitter permutation-symmetric model,
     or D/2 in the thermodynamic parametrization by total optical depth.
     With s0_start given, the system first settles at s0_start from the
-    ground state, then the drive ramps s0_start → s0 over t_ramp (branch
-    continuation in the bistable window).  Both settles are
-    pseudo-transient continuations.  Returns (⟨σ⁻⟩, ⟨σᶻ⟩); a miss in
-    either raises NonConvergence naming b, s₀, s0_start and the stage.
+    ground state, then is continued quasi-statically along the drive ramp
+    s0_start → s0 (branch continuation in the bistable window; t_ramp sets
+    the number of steps, see `RampSpec`).  Every solve is a
+    pseudo-transient continuation.  Returns (⟨σ⁻⟩, ⟨σᶻ⟩); a miss at any
+    stage (the settle at s0_start, a ramp step, the final settle) raises
+    NonConvergence naming the stage, b, s₀ and s0_start.
     """
     opts = opts or SolverOptions()
     rhs, solve = _collective_rhs(feedback), _collective_solve(feedback)
@@ -415,10 +439,10 @@ def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = Non
             raise miss("s0_start settle", res.residual)
         y0 = res.y
         ramp = RampSpec(s0_start=s0_start, s0_end=s0, t_ramp=t_ramp)
-    y, residual, converged = _settle(rhs, solve, y0, math.sqrt(s0 / 2.0),
-                                     replace(opts, ramp=ramp))
-    if not converged:
-        raise miss("steady state", residual)
+    y, residual, missed = _settle(rhs, solve, y0, math.sqrt(s0 / 2.0),
+                                  replace(opts, ramp=ramp))
+    if missed is not None:
+        raise miss(missed, residual)
     return y[0] + 1j * y[1], y[2]
 
 

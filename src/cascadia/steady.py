@@ -1,5 +1,5 @@
 """Shared steady-state engine: continue pseudo-transiently into the basin,
-then one Newton finish.
+then one Newton finish.  Nothing here integrates in time.
 
 Where a steady state need not be unique, the solver must pick the branch
 an experiment would reach from a physical initial condition: the
@@ -7,21 +7,20 @@ mean-field fixed-point equations are multistable in parts of parameter
 space.  `pseudo_transient` does this without time integration.  It takes
 backward-Euler steps (y − y_k)/δ = f(y), each solved by Newton with the
 caller's exact Jacobian solve (for the mean-field chains an O(N) banded
-solve); small steps follow the trajectory from the ground state (or the
-end of a drive ramp) into its basin, and as δ grows the step turns into
-Newton on f (Kelley & Keyes, SIAM J. Numer. Anal. 35, 508 (1998)).
-`newton_step` then takes one exact Newton step to round-off, kept only if
-the caller's acceptance test holds and the residual went down, so a finish
-can sharpen a state but never move it to another branch.  Drive ramps for
-branch continuation are integrated in time (`integrate_ramp`), and so is
-the exact oracle's fallback for degenerate kernels
-(`integrate_to_steady`).  CE2, whose steady state is unique and which has
-no structured Jacobian, uses `newton_finish` alone: matrix-free
-Newton–Krylov (Knoll & Keyes, J. Comput. Phys. 193, 357 (2004)) under
-the same acceptance rule.
+solve); small steps follow the trajectory from the ground state into its
+basin, and as δ grows the step turns into Newton on f (Kelley & Keyes,
+SIAM J. Numer. Anal. 35, 508 (1998)).  A drive ramp (`RampSpec`) is a
+quasi-static continuation: the caller runs `pseudo_transient` at a
+sequence of drives, each warm-started from the last.  `newton_step` then
+takes one exact Newton step to round-off, kept only if the caller's
+acceptance test holds and the residual went down, so a finish can sharpen
+a state but never move it to another branch.  CE2, whose steady state is
+unique and which has no structured Jacobian, uses `newton_finish` alone:
+matrix-free Newton–Krylov (Knoll & Keyes, J. Comput. Phys. 193, 357
+(2004)) under the same acceptance rule.
 
 State vectors are packed real (complex moments split into Re/Im by the
-caller) so that stiff solvers can be used interchangeably.
+caller).
 """
 
 from __future__ import annotations
@@ -32,13 +31,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import optimize
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalInstability
 
-__all__ = ["RampSpec", "SolverOptions", "SteadyResult", "integrate_to_steady",
-           "integrate_ramp", "newton_finish", "newton_step", "pseudo_transient",
-           "small_move"]
+__all__ = ["RampSpec", "SolverOptions", "SteadyResult", "newton_finish",
+           "newton_step", "pseudo_transient", "small_move"]
 
 _EPS = float(np.finfo(float).eps)
 # steps (accepted or retried) before `pseudo_transient` gives up
@@ -56,9 +53,13 @@ _PTC_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class RampSpec:
-    """Linear drive ramp s₀: s0_start → s0_end over t_ramp, for hysteresis
-    continuation.  After the ramp the drive is held at s0_end until the
-    steady-state criterion is met."""
+    """Drive ramp s₀: s0_start → s0_end, for hysteresis continuation.
+
+    The ramp is quasi-static: the steady state is continued through the
+    drives s0_at(t) on a grid of t ∈ (0, t_ramp], one step per 10 Γ_tot⁻¹,
+    each solve warm-started from the last, and ends in the steady state at
+    s0_end.  A slower ramp (larger t_ramp) is a finer continuation.
+    """
 
     s0_start: float
     s0_end: float
@@ -75,101 +76,34 @@ class RampSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances shared by the mean-field, cumulant and exact solvers.
+    """Tolerance and drive ramp shared by the steady-state solvers.
 
     `steady_state_residual` is the max-norm residual every steady state
     must reach: the pseudo-transient loop of mean-field and the collective
-    system, CE2's Newton solves and the exact oracle's integration
-    fallback.  `abs_tol`/`rel_tol` govern the time integrations, i.e. the
-    drive ramps (`ramp`, mean-field only) and the exact fallback.  `t_max`
-    bounds only the exact fallback's integration; pseudo-transient
-    continuation is bounded by its step budget instead.
+    system, and CE2's Newton solves.  `ramp` (mean-field only) continues
+    the steady state along a drive ramp first.  The exact oracle takes no
+    options.
     """
 
-    # rel_tol must sit well below steady_state_residual: the integrator's
-    # local error rattles the state off the fixed point at ~rel_tol×rates,
-    # and a residual target below that floor is never met
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
     steady_state_residual: float = 1e-9
-    t_max: float = 1e4
     ramp: Optional[RampSpec] = None
 
     def __post_init__(self):
-        if min(self.abs_tol, self.rel_tol, self.steady_state_residual) <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be > 0")
+        if self.steady_state_residual <= 0:
+            raise ValueError("steady_state_residual must be > 0")
 
 
 @dataclass
 class SteadyResult:
     y: np.ndarray
-    t: float          # time integrated, or pseudo-time Σδ of the ΨTC steps
+    t: float          # pseudo-time Σδ of the accepted ΨTC steps
     residual: float   # max-norm of the RHS at y
     converged: bool   # residual < steady_state_residual
 
 
-def _pick_method(ndof: int) -> str:
-    # LSODA auto-detects stiffness but factors dense Jacobians; past ~1200
-    # real dof the factorization dominates and the explicit RK wins.
-    return "LSODA" if ndof <= 1200 else "DOP853"
-
-
 def _check_finite(y: np.ndarray):
     if not np.all(np.isfinite(y)):
-        raise NumericalInstability("integration produced non-finite state")
-
-
-def integrate_ramp(rhs_t: Callable, y0: np.ndarray, t_ramp: float,
-                   opts: SolverOptions) -> np.ndarray:
-    """Integrate a time-dependent RHS over [0, t_ramp] (no residual check)."""
-    method = _pick_method(y0.size)
-    sol = solve_ivp(rhs_t, (0.0, t_ramp), y0, method=method,
-                    rtol=opts.rel_tol, atol=opts.abs_tol, dense_output=False)
-    if not sol.success:
-        raise NumericalInstability(f"ramp integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    _check_finite(y)
-    return y
-
-
-def integrate_to_steady(rhs: Callable, y0: np.ndarray,
-                        opts: SolverOptions) -> SteadyResult:
-    """Integrate dy/dt = rhs(t, y) until max|rhs| < steady_state_residual.
-
-    The exact oracle's fallback for degenerate kernels; mean-field steady
-    states use `pseudo_transient` instead.
-
-    Time is consumed in growing chunks (25 → 400 Γ_tot⁻¹) with a residual
-    check between chunks; this keeps dense output off and avoids paying for
-    interpolation while still detecting convergence early.  Returns a
-    flagged (converged=False) result at t_max rather than raising, so sweep
-    drivers can record unresolved cells.  NaN/Inf aborts hard.
-    """
-    y = np.asarray(y0, dtype=float).copy()
-    _check_finite(y)
-    method = _pick_method(y.size)
-    t, chunk = 0.0, 25.0
-    residual = float(np.max(np.abs(rhs(t, y)))) if y.size else 0.0
-    if residual < opts.steady_state_residual:
-        return SteadyResult(y=y, t=t, residual=residual, converged=True)
-
-    while t < opts.t_max:
-        t_next = min(t + chunk, opts.t_max)
-        sol = solve_ivp(rhs, (t, t_next), y, method=method,
-                        rtol=opts.rel_tol, atol=opts.abs_tol)
-        if not sol.success:
-            raise NumericalInstability(f"integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        _check_finite(y)
-        t = t_next
-        residual = float(np.max(np.abs(rhs(t, y))))
-        if residual < opts.steady_state_residual:
-            return SteadyResult(y=y, t=t, residual=residual, converged=True)
-        chunk = min(chunk * 2.0, 400.0)
-
-    return SteadyResult(y=y, t=t, residual=residual, converged=False)
+        raise NumericalInstability("non-finite state")
 
 
 def _max_abs(v: np.ndarray) -> float:

@@ -9,8 +9,8 @@ from scipy.special import lambertw
 
 from cascadia import (dicke_bistability_window, dicke_cubic,
                       dicke_steady_states, lambert_w0, mean_polarization,
-                      thermodynamic_saturation, uwm_inversion,
-                      uwm_saturation)
+                      solve_collective, thermodynamic_saturation,
+                      uwm_inversion, uwm_saturation)
 
 
 # --- principal-branch Lambert W (log-domain argument) -------------------------
@@ -182,3 +182,36 @@ def test_dicke_zero_drive_is_ground_state():
     assert r.roots.size == 1
     assert r.roots[0] == pytest.approx(-1.0, abs=1e-12)
     assert r.stability == ("stable",)
+
+
+def _dicke_cells():
+    for d in (10.0, 20.0, 30.0, 40.0, 80.0):
+        w = dicke_bistability_window(d)
+        mid = 0.5 * (w.s_minus + w.s_plus)
+        yield from ((d, s0) for s0 in (0.0, 0.5 * mid, mid, 1.5 * w.s_plus))
+        if d in (30.0, 40.0):
+            for edge in (w.s_minus, w.s_plus):
+                yield from ((d, edge - 1e-6), (d, edge + 1e-6))
+
+
+def test_linear_stability_matches_ramp_reachability():
+    # a root is stable iff a slow drive ramp from below or from deep
+    # saturation comes to rest on it
+    for d, s0 in _dicke_cells():
+        r = dicke_steady_states(d, s0)
+        reached = set()
+        for s_start in (0.0, max(4.0 * s0, 10.0 * d, 100.0)):
+            _, z = solve_collective(d / 2.0, s0, s0_start=s_start)
+            reached.add(int(np.argmin(np.abs(r.roots - z))))
+        assert r.stability == tuple("stable" if k in reached else "unstable"
+                                    for k in range(r.roots.size)), (d, s0)
+
+
+@pytest.mark.parametrize("d", [30.0, 40.0])
+def test_fold_ghost_counts_as_stable(d):
+    # at the upper fold the lower and middle roots merge into a double
+    # root; rounding leaves its determinant at ±3e-15 (−2.7e-15 at D = 30),
+    # and a slow ramp from below comes to rest there
+    r = dicke_steady_states(d, dicke_bistability_window(d).s_plus)
+    assert r.roots.size == 2
+    assert r.stability == ("stable", "stable")

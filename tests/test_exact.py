@@ -8,6 +8,8 @@ from cascadia import (ModelParams, build_chain, build_generator,
                       flux_report, solve_steady_state)
 from cascadia.errors import DimensionCap
 
+from _time_integration import IntegrationOptions, integrate_to_steady
+
 
 def _params(beta, s0, n, **kw):
     return ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n, **kw)
@@ -155,14 +157,13 @@ def test_total_flux_is_conserved(tag, n, eta):
         assert rep[key] >= -1e-12
 
 
-# --- direct Liouvillian solve against time integration --------------------------
+# --- inverse iteration against time integration ----------------------------------
 
 
 def _integrated(tag, p, chain):
     """Steady state by integrating dρ/dt from |g…g⟩ to max|dρ/dt| < 1e-12:
-    the reference for the direct solve, and exactly what the
-    degenerate-kernel fallback must return."""
-    from cascadia.steady import SolverOptions, integrate_to_steady
+    the reference for the inverse iteration on unique and degenerate
+    kernels alike."""
     gen = build_generator(tag, p, chain)
     dim = 2 ** p.n_emitters
     rho0 = np.zeros((dim, dim), dtype=complex)
@@ -173,31 +174,12 @@ def _integrated(tag, p, chain):
         drho = gen.apply(rho)
         return np.concatenate((drho.real.ravel(), drho.imag.ravel()))
 
-    opts = SolverOptions(steady_state_residual=1e-12, rel_tol=1e-10,
-                         abs_tol=1e-12)
+    opts = IntegrationOptions(steady_state_residual=1e-12, rel_tol=1e-10,
+                              abs_tol=1e-12)
     y0 = np.concatenate((rho0.real.ravel(), rho0.imag.ravel()))
     res = integrate_to_steady(rhs, y0, opts)
     rho = (res.y[:dim * dim] + 1j * res.y[dim * dim:]).reshape(dim, dim)
     return 0.5 * (rho + rho.conj().T)
-
-
-@pytest.fixture
-def no_integration(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("integration reached on a unique kernel")
-    monkeypatch.setattr("cascadia.exact.integrate_to_steady", fail)
-
-
-@pytest.fixture
-def count_integrations(monkeypatch):
-    import cascadia.exact as ex
-    integrate, calls = ex.integrate_to_steady, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-    monkeypatch.setattr(ex, "integrate_to_steady", counted)
-    return calls
 
 
 def _residual(tag, p, chain, rho):
@@ -208,8 +190,7 @@ def _residual(tag, p, chain, rho):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("beta,s0,eta", [(0.1, 1.0, 0.1), (0.05, 0.7, 0.01),
                                          (0.2, 2.0, 1.0)])
-def test_direct_solve_matches_integration(tag, n, beta, s0, eta,
-                                          no_integration):
+def test_direct_solve_matches_integration(tag, n, beta, s0, eta):
     p = _params(beta, s0, n, eta=eta, seed=7)
     chain = build_chain(p) if tag == "BWM" else None
     rho = exact_steady_state(tag, p, chain).rho
@@ -218,21 +199,21 @@ def test_direct_solve_matches_integration(tag, n, beta, s0, eta,
 
 @pytest.mark.parametrize("tag", ["DM", "EAM", "BWM"])
 @pytest.mark.parametrize("n", [2, 3])
-def test_degenerate_kernel_falls_back_to_integration(tag, n,
-                                                     count_integrations):
-    # β = ½ leaves no loss; collective (η = 0) decay then has dark states
+def test_degenerate_kernel_falls_back_to_integration(tag, n):
+    # β = ½ leaves no loss; collective (η = 0) decay then has dark states,
+    # and the state |g…g⟩ relaxes to is the one returned
     p = _params(0.5, 2.0, n, eta=0.0, seed=7)
     chain = build_chain(p) if tag == "BWM" else None
     state = exact_steady_state(tag, p, chain)
-    assert len(count_integrations) == 1
-    assert np.array_equal(state.rho, _integrated(tag, p, chain))
+    assert np.max(np.abs(state.rho - _integrated(tag, p, chain))) <= 1e-12
     assert abs(np.trace(state.rho) - 1.0) < 1e-12
     rep = flux_report(state, p, chain)
     assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
 
 
-def test_near_degenerate_unique_kernel_goes_direct(no_integration):
-    # the smallest LU pivot ratio seen on a unique kernel (~3e-8)
+def test_near_degenerate_unique_kernel_goes_direct():
+    # a unique kernel close to degenerate: the smallest LU pivot ratio of L
+    # with its trace row seen on a unique kernel (~3e-8)
     p = _params(0.5, 0.0, 4, eta=0.1, seed=7)
     chain = build_chain(p)
     rho = exact_steady_state("BWM", p, chain).rho
@@ -240,7 +221,21 @@ def test_near_degenerate_unique_kernel_goes_direct(no_integration):
     assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
-def test_stiff_cascade_at_n5_is_solved(no_integration):
+@pytest.mark.parametrize("n,s0", [(3, 100.0), (4, 1.0)])
+def test_slow_modes_of_nearly_degenerate_kernels_are_reached(n, s0):
+    # β = 0.49 leaves a loss of 0.02: modes too slow for the first shift,
+    # which misses by ~1e-3 in ‖Lρ‖_F; the reference is the null vector of
+    # the dense L from its SVD
+    p = _params(0.49, s0, n)
+    rho = exact_steady_state("DM", p).rho
+    _, _, vh = np.linalg.svd(build_generator("DM", p, None)
+                             .superoperator().toarray())
+    ref = vh[-1].conj().reshape(2 ** n, 2 ** n)
+    ref /= np.trace(ref)
+    assert np.max(np.abs(rho - ref)) <= 1e-12
+
+
+def test_stiff_cascade_at_n5_is_solved():
     # stiff for time integration: it stalls here (NonConvergence at t_max
     # after ~80 s)
     p = _params(0.2, 5.0, 5)
@@ -253,12 +248,12 @@ def test_stiff_cascade_at_n5_is_solved(no_integration):
     assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
 
 
-def test_fallback_nonconvergence_names_the_cell():
+def test_fallback_nonconvergence_names_the_cell(monkeypatch):
     from cascadia.errors import NonConvergence
-    from cascadia.steady import SolverOptions
+    monkeypatch.setattr("cascadia.exact._INVERSE_STEPS", 1)
     p = _params(0.5, 2.0, 2)
     with pytest.raises(NonConvergence, match=r"DM .*N = 2, β = 0\.5, s₀ = 2"):
-        exact_steady_state("DM", p, opts=SolverOptions(t_max=0.5))
+        exact_steady_state("DM", p)
 
 
 def test_only_a_singular_factor_is_caught(monkeypatch):

@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cascadia import (ModelParams, SolverOptions, build_chain, dicke_cubic,
-                      dicke_steady_states, effective_drive,
+from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
+                      dicke_cubic, dicke_steady_states, effective_drive,
                       field_observables, solve_collective, solve_steady_state,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
-from cascadia.meanfield import MeanFieldSolution
+from cascadia.meanfield import MeanFieldSolution, _collective_rhs
 from cascadia.steady import SteadyResult, pseudo_transient
 
 
@@ -150,6 +150,40 @@ def test_collective_start_settle_must_converge(monkeypatch):
     assert calls == [True]
 
 
+def test_missed_ramp_step_is_reported(monkeypatch):
+    # the third solve misses: in solve_collective the second ramp step
+    # (after the settle at s0_start), in a DM ramp from the ground state
+    # the third.  The later steps and the final settle would succeed, so
+    # the miss must not be ramped over
+    calls = []
+
+    def third_misses(fun, solve, y0, opts):
+        res = pseudo_transient(fun, solve, y0, opts)
+        calls.append(res.converged)
+        if len(calls) == 3:
+            res = replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr("cascadia.meanfield.pseudo_transient", third_misses)
+    with pytest.raises(NonConvergence, match=r"ramp step 2 of 40 at s₀ = \S+ "
+                                             r"not reached at b = 10, "
+                                             r"s₀ = 36\.5, s0_start = 1: "
+                                             r"residual \S+"):
+        solve_collective(10.0, 36.5, s0_start=1.0)
+    assert calls == [True, True, True]
+
+    calls.clear()
+    p = _params(0.0025, 36.5, 2001)
+    sol = solve_steady_state("DM", p, opts=SolverOptions(
+        ramp=RampSpec(0.0, 36.5, 400.0)))
+    assert calls == [True, True, True] and not sol.converged
+    y = np.array([sol.sigma_minus[0].real, sol.sigma_minus[0].imag,
+                  sol.sigma_z[0]])
+    assert sol.residual == float(np.max(np.abs(
+        _collective_rhs(10.0)(y, math.sqrt(36.5 / 2.0)))))
+    assert sol.residual >= SolverOptions().steady_state_residual
+
+
 # --- model-limit equivalences -------------------------------------------------
 
 
@@ -241,6 +275,4 @@ def test_recursion_approaches_continuum_profile():
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(t_max=-1.0)
+        SolverOptions(steady_state_residual=0.0)

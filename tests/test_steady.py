@@ -1,8 +1,8 @@
 """The shared steady-state engine: pseudo-transient continuation against the
 integration and the Newton–Krylov steps it replaced, the structured
 Jacobian solves against dense Jacobians, Newton finish, round-off
-residuals, the closed-form UWM path and branch selection in the Dicke
-window."""
+residuals, the closed-form UWM path, and branch selection in the Dicke
+window by quasi-static ramps against the integrated ramps they replaced."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,12 @@ from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       effective_drive, solve_steady_state,
                       uwm_cascade_fixed_point)
 from cascadia.meanfield import (_DrivePlan, _collective_rhs, _collective_solve,
-                                _make_solve)
-from cascadia.steady import (integrate_to_steady, newton_finish,
-                             pseudo_transient, small_move)
+                                _make_solve, solve_collective)
+from cascadia.steady import (newton_finish, newton_step, pseudo_transient,
+                             small_move)
+
+from _time_integration import (IntegrationOptions, integrate_ramp,
+                               integrate_to_steady)
 
 
 def _unpack(y, n):
@@ -56,7 +59,7 @@ def _residual(model, params, chain, sol):
 def _integrated_settle(rhs, y0):
     """The path pseudo-transient continuation replaced: integrate to the
     basin, then the Newton finish under the branch guard."""
-    res = integrate_to_steady(lambda t, y: rhs(y), y0, SolverOptions())
+    res = integrate_to_steady(lambda t, y: rhs(y), y0, IntegrationOptions())
     assert res.converged
     y, _ = newton_finish(rhs, res.y, small_move(res.y))
     return y
@@ -294,7 +297,7 @@ def test_uwm_fixed_point_matches_integration(n):
     p = ModelParams.from_beta(beta=0.005, s0=17.8, n_emitters=n)
     rhs = _rhs("UWM", p, None)
     y0 = np.concatenate((np.zeros(2 * n), -np.ones(n)))
-    res = integrate_to_steady(lambda t, y: rhs(y), y0, SolverOptions())
+    res = integrate_to_steady(lambda t, y: rhs(y), y0, IntegrationOptions())
     assert res.converged
     y, _ = newton_finish(rhs, res.y, small_move(res.y))
     m, z = _unpack(y, n)
@@ -330,3 +333,43 @@ def test_dicke_ramps_keep_their_branches(d_eff):
     assert roots.size == 3
     assert abs(up.sigma_z[0] - roots[0]) < 1e-10
     assert abs(down.sigma_z[0] - roots[-1]) < 1e-10
+
+
+def _integrated_collective_ramp(b, s0, s0_start, t_ramp=400.0):
+    """The collective ramp the quasi-static continuation replaced: settle at
+    s0_start, integrate the ramp s0_start → s0 over t_ramp, settle at s0
+    and take the Newton finish under the branch guard."""
+    rhs, solve = _collective_rhs(b), _collective_solve(b)
+
+    def settle(y, s):
+        w = np.sqrt(s / 2.0)
+        res = pseudo_transient(lambda v: rhs(v, w),
+                               lambda v, d, r: solve(v, w, d, r), y,
+                               SolverOptions())
+        assert res.converged
+        return res.y, w
+
+    y, _ = settle(np.array([0.0, 0.0, -1.0]), s0_start)
+    ramp = RampSpec(s0_start, s0, t_ramp)
+    y = integrate_ramp(lambda t, v: rhs(v, np.sqrt(ramp.s0_at(t) / 2.0)), y,
+                       t_ramp, IntegrationOptions())
+    y, w = settle(y, s0)
+    y, _ = newton_step(lambda v: rhs(v, w), lambda v, d, r: solve(v, w, d, r),
+                       y, small_move(y))
+    return y[0] + 1j * y[1], y[2]
+
+
+@pytest.mark.parametrize("d_tot", [20.0, 40.0, 80.0])
+@pytest.mark.parametrize("place", ["lower fold", "mid", "upper fold"])
+def test_quasi_static_ramps_match_integrated_ramps(d_tot, place):
+    # 0.1% inside each fold of the window and mid-window, ramped up from
+    # the ground state and down from deep saturation
+    w = dicke_bistability_window(d_tot)
+    s0 = {"lower fold": 1.001 * w.s_minus,
+          "mid": 0.5 * (w.s_minus + w.s_plus),
+          "upper fold": 0.999 * w.s_plus}[place]
+    for s0_start in (0.0, max(4.0 * s0, 10.0 * d_tot, 100.0)):
+        m, z = solve_collective(d_tot / 2.0, s0, s0_start=s0_start)
+        m_ref, z_ref = _integrated_collective_ramp(d_tot / 2.0, s0, s0_start)
+        assert abs(m - m_ref) <= 1e-10
+        assert abs(z - z_ref) <= 1e-10
