@@ -192,8 +192,9 @@ def dicke_bistability_window(d_total: float) -> BistabilityWindow:
 def dicke_steady_states(d_total: float, s0: float) -> DickeRoots:
     """All physical fixed points of the collective model at drive s₀.
 
-    Roots come from the companion matrix of the cubic plus one Newton
-    polish each (robust near the folds, where two roots nearly coalesce).
+    Roots come from the companion matrix of the cubic plus a Newton
+    polish each.  At a fold it splits the double root by ~√eps; such a
+    pair is one root, polished by Newton on the cubic's derivative.
     Stability is that of the collective mean-field equations linearized
     at each root (`_is_stable`): the lower and upper branches are stable,
     the middle root of the bistable window is not.
@@ -203,24 +204,25 @@ def dicke_steady_states(d_total: float, s0: float) -> DickeRoots:
     if s0 < 0.0:
         raise ValueError("s0 must be >= 0")
     D = d_total
-    coeffs = [D * D / 4.0, D * D / 4.0 - D, s0 - D + 1.0, 1.0]
-    raw = np.roots(coeffs)
-    real = raw[np.abs(raw.imag) < 1e-8 * max(1.0, np.abs(raw).max())].real
+    a3, a2, a1 = D * D / 4.0, D * D / 4.0 - D, s0 - D + 1.0
+    raw = np.roots([a3, a2, a1, 1.0])
+    scale = max(1.0, np.abs(raw).max())
+    # a double root comes out as two close reals or a nearly real pair
+    real = np.sort(raw[np.abs(raw.imag) < 1e-7 * scale].real)
+    groups = np.split(real, np.flatnonzero(np.diff(real) > 1e-7 * scale) + 1)
 
     roots = []
-    for r in real:
-        m = float(r)
-        for _ in range(3):  # Newton polish
-            p = dicke_cubic(m, D, s0)
-            dp = 3.0 * m * m * D * D / 4.0 + 2.0 * m * (D * D / 4.0 - D) + (s0 - D + 1.0)
+    for grp in groups:
+        m = float(np.mean(grp))
+        for _ in range(3):  # Newton polish, on the derivative for a pair
+            d1 = (3.0 * a3 * m + 2.0 * a2) * m + a1
+            p, dp = ((d1, 6.0 * a3 * m + 2.0 * a2) if grp.size > 1 else
+                     (((a3 * m + a2) * m + a1) * m + 1.0, d1))
             if dp != 0.0:
                 m -= p / dp
         if -1.0 - 1e-9 <= m <= 1e-9:
             roots.append(min(0.0, max(-1.0, m)))
     roots = np.array(sorted(roots))
-    if roots.size > 1:  # merge near-coalescent fold duplicates
-        keep = np.concatenate(([True], np.diff(roots) > 1e-7))
-        roots = roots[keep]
     if roots.size == 0:
         raise NoPhysicalRoot(
             f"no cubic root in [-1, 0] for D={D}, s0={s0} — should be impossible")

@@ -18,17 +18,18 @@ closure (σ⁻σ⁺ = (1−σᶻ)/2, σᶻσ⁻ = −σ⁻, σ⁻σᶻ = +σ⁻,
 closure only ever sees distinct-site triples.  The test suite re-derives
 these equations symbolically from the generator and checks every term.
 
-Because site i's singles and the pairs (l, i), l < i never couple to sites
-downstream of i, the system is a cascade of blocks.  Each block is affine
-in its own moments once upstream is fixed, with a nonsingular matrix
-(smallest singular value ≥ 0.188 over n ≤ 5, β ≤ ½, s₀ ≤ 80), so the
-steady state is unique and nothing is time-integrated.  A whole-system
-Newton–Krylov solve (`steady.newton_finish`) from the closed-form
-mean-field cascade ("simultaneous", default — vectorized over n×n moment
-matrices) and a sweep of one Newton solve per site block ("blocks")
-agree to solver precision; both end in the shared round-off finish.  The
-packed state stores each tracked moment once: 3n + 9·C(n,2) reals
-(`_layout`).
+`_single_eqs` and `_pair_eqs` state these equations once: `build_rhs`
+evaluates them on whole moment matrices, the solver reads coefficients
+off them.  Site i's singles and pairs (l, i), l < i never couple to sites
+downstream of i, so the system is a cascade of blocks (cascaded systems:
+Gardiner, PRL 70, 2269; Carmichael, PRL 70, 2273 (1993)), each affine in
+its own moments once upstream is fixed, with a nonsingular matrix
+(smallest singular value ≥ 0.188 over n ≤ 5, β ≤ ½, s₀ ≤ 80).  The
+steady state is unique, and `solve_ce2` solves it exactly, site by site:
+each block is one bordered banded linear system of O(k) size
+(`_solve_site`), O(n²) in all, with no iteration and no time
+integration.  The packed state stores each tracked moment once: 3n +
+9·C(n,2) reals (`_layout`).
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import linalg
 
 from .errors import DimensionCap, NonConvergence
-from .meanfield import uwm_cascade_fixed_point
 from .params import ModelParams
-from .steady import SolverOptions, newton_finish, small_move
+from .steady import SolverOptions
 
 __all__ = ["CumulantSolution", "solve_ce2", "sigma_xx_cumulant",
            "inelastic_saturation", "CE2_MAX_SITES"]
@@ -159,11 +160,63 @@ def _pack(m, z, MM, MP, MZ, ZZ) -> np.ndarray:
     return np.concatenate((c.real, c.imag, z, ZZ.ravel()[lay.up]))
 
 
+def _single_eqs(om, g, m, z, dMZv, dMPv):
+    """(dm, dz) of each site k, with dMZv = Σ_{l<k} ⟨σ⁻_lσᶻ_k⟩ and
+    dMPv = Σ_{l<k} ⟨σ⁻_lσ⁺_k⟩."""
+    dm = 0.5j * om * z - 0.5 * m + g * dMZv
+    dz = -2.0 * om * m.imag - (1.0 + z) - 4.0 * g * dMPv.real
+    return dm, dz
+
+
+def _pair_eqs(om, g, MM, MP, MZ, MZt, ZZ, C_MM, C_MP, C_MZ, C_MMt, C_MPt,
+              C_MZt, m_c, z_c, bm_c, dMZ_c, dMP_c, m_r, z_r, bm_r, dMZ_r,
+              dMP_r, iu, il):
+    """(dMM, dMP, dMZ, dZZ) at (i, j), from broadcastable arguments: the
+    moments at (i, j), MZt = ⟨σ⁻_jσᶻ_i⟩, C_X = Σ_{l<i} X[l, j] and C_Xt =
+    Σ_{l<j} X[l, i]; m, z, bm = Σ_{l<site} ⟨σ⁻_l⟩ and `_single_eqs`'s dMZv,
+    dMPv of site i (`_c`) and j (`_r`); iu = 1 where i < j, il = 1 where
+    j < i.  dMM, dMP and dZZ hold for i < j, dMZ for every i ≠ j."""
+    p_c, p_r, bp_r = np.conj(m_c), np.conj(m_r), np.conj(bm_r)
+    PM, PZ, ZP, C_PMt = np.conj(MP), np.conj(MZ), np.conj(MZt), np.conj(C_MPt)
+    dPZ_r, dPM_r = np.conj(dMZ_r), np.conj(dMP_r)
+
+    # ⟨σ⁻σ⁻⟩, valid for i < j
+    CSA1 = MZt * bm_c + m_r * dMZ_c + z_c * C_MM - 2.0 * bm_c * z_c * m_r
+    CSA2 = (MZ * (bm_r - m_c) + z_r * C_MMt + m_c * (dMZ_r - MZ)
+            - 2.0 * (bm_r - m_c) * m_c * z_r)
+    dMM = 0.5j * om * (MZt + MZ) - MM + g * (CSA1 + CSA2)
+
+    # ⟨σ⁻σ⁺⟩, valid for i < j
+    CSB1 = ZP * bm_c + p_r * dMZ_c + z_c * C_MP - 2.0 * bm_c * z_c * p_r
+    CSB2 = (MZ * (bp_r - p_c) + z_r * C_PMt + m_c * (dPZ_r - PZ)
+            - 2.0 * (bp_r - p_c) * m_c * z_r + 0.5 * (z_r - ZZ))
+    dMP = 0.5j * om * (ZP - MZ) - MP + g * (CSB1 + CSB2 + ZZ)
+
+    # ⟨σ⁻σᶻ⟩, valid for all i ≠ j (il/iu flag the collision corrections)
+    CS1 = (ZZ * (bm_c - il * m_r) + z_r * (dMZ_c - il * MZt) + z_c * C_MZ
+           - 2.0 * (bm_c - il * m_r) * z_c * z_r + il * MZt)
+    T1 = 0.5j * om * ZZ - 0.5 * MZ + g * CS1
+    S1 = (MP * (bm_r - iu * m_c) + p_r * C_MMt + m_c * (dMP_r - iu * MP)
+          - 2.0 * (bm_r - iu * m_c) * m_c * p_r)
+    S2 = (MM * (bp_r - iu * p_c) + m_r * C_PMt + m_c * (dPM_r - iu * PM)
+          - 2.0 * (bp_r - iu * p_c) * m_c * m_r + 0.5 * iu * (m_r - MZt))
+    T2 = 1j * om * (MM - MP) - (m_c + MZ) - 2.0 * g * (S1 + S2)
+    dMZ = T1 + T2 - 2.0 * g * MZt
+
+    # ⟨σᶻσᶻ⟩, valid for i < j; the two site-sums are mutual conjugates
+    Sum1 = PZ * bm_c + z_r * dMP_c + p_c * C_MZ - 2.0 * bm_c * p_c * z_r
+    Sum1p = (ZP * (bm_r - m_c) + p_r * C_MZt + z_c * (dMP_r - MP)
+             - 2.0 * (bm_r - m_c) * z_c * p_r)
+    dZZ = (-2.0 * om * (MZ.imag + MZt.imag) - (z_c + z_r + 2.0 * ZZ)
+           - 4.0 * g * (Sum1.real + Sum1p.real) + 4.0 * g * MP.real)
+    return dMM, dMP, dMZ, dZZ
+
+
 def build_rhs(params: ModelParams, n: int):
     """Vectorized CE2 time derivative on the packed real state.
 
     Exposed for the test suite (term-by-term symbolic validation and the
-    mean-field regression hook); solver entry point is `solve_ce2`.
+    mean-field regression hook) and for the residual check of `solve_ce2`.
     """
     om = params.rabi
     g = params.gamma_1d / 2.0
@@ -172,68 +225,16 @@ def build_rhs(params: ModelParams, n: int):
 
     def rhs(t, y):
         m, z, MM, MP, MZ, ZZ = _unpack(y, n)
-        p = np.conj(m)
-        PM = np.conj(MP)
-        PZ = np.conj(MZ)
-        ZP = PZ.T
-
         bm = np.concatenate(([0.0 + 0.0j], np.cumsum(m)[:-1]))
-        bp = np.conj(bm)
-        C_MM = _excl_cumsum(MM)
-        C_MP = _excl_cumsum(MP)
-        C_MZ = _excl_cumsum(MZ)
-        C_PM = np.conj(C_MP)
+        C_MM, C_MP, C_MZ = (_excl_cumsum(X) for X in (MM, MP, MZ))
         dMZv = np.diagonal(C_MZ)          # Σ_{l<k} ⟨σ⁻_lσᶻ_k⟩
         dMPv = np.diagonal(C_MP)          # Σ_{l<k} ⟨σ⁻_lσ⁺_k⟩
-        dPZv = np.conj(dMZv)
-        dPMv = np.conj(dMPv)
-
-        m_c, m_r = m[:, None], m[None, :]
-        p_c, p_r = p[:, None], p[None, :]
-        z_c, z_r = z[:, None], z[None, :]
-        bm_c, bm_r = bm[:, None], bm[None, :]
-        bp_c, bp_r = bp[:, None], bp[None, :]
-        dMZ_c, dMZ_r = dMZv[:, None], dMZv[None, :]
-        dMP_r = dMPv[None, :]
-        dMP_c = dMPv[:, None]
-        dPZ_r = dPZv[None, :]
-        dPM_r = dPMv[None, :]
-        MZt = MZ.T
-
-        # singles
-        dm = 0.5j * om * z - 0.5 * m + g * dMZv
-        dz = -2.0 * om * m.imag - (1.0 + z) - 4.0 * g * dMPv.real
-
-        # ⟨σ⁻σ⁻⟩, valid for i < j
-        CSA1 = MZt * bm_c + m_r * dMZ_c + z_c * C_MM - 2.0 * bm_c * z_c * m_r
-        CSA2 = (MZ * (bm_r - m_c) + z_r * C_MM.T + m_c * (dMZ_r - MZ)
-                - 2.0 * (bm_r - m_c) * m_c * z_r)
-        dMM = 0.5j * om * (MZt + MZ) - MM + g * (CSA1 + CSA2)
-
-        # ⟨σ⁻σ⁺⟩, valid for i < j
-        CSB1 = ZP * bm_c + p_r * dMZ_c + z_c * C_MP - 2.0 * bm_c * z_c * p_r
-        CSB2 = (MZ * (bp_r - p_c) + z_r * C_PM.T + m_c * (dPZ_r - PZ)
-                - 2.0 * (bp_r - p_c) * m_c * z_r + 0.5 * (z_r - ZZ))
-        dMP = 0.5j * om * (ZP - MZ) - MP + g * (CSB1 + CSB2 + ZZ)
-
-        # ⟨σ⁻σᶻ⟩, valid for all i ≠ j (il/iu flag the collision corrections)
-        CS1 = (ZZ * (bm_c - il * m_r) + z_r * (dMZ_c - il * MZt) + z_c * C_MZ
-               - 2.0 * (bm_c - il * m_r) * z_c * z_r + il * MZt)
-        T1 = 0.5j * om * ZZ - 0.5 * MZ + g * CS1
-        S1 = (MP * (bm_r - iu * m_c) + p_r * C_MM.T + m_c * (dMP_r - iu * MP)
-              - 2.0 * (bm_r - iu * m_c) * m_c * p_r)
-        S2 = (MM * (bp_r - iu * p_c) + m_r * C_PM.T + m_c * (dPM_r - iu * PM)
-              - 2.0 * (bp_r - iu * p_c) * m_c * m_r + 0.5 * iu * (m_r - MZt))
-        T2 = 1j * om * (MM - MP) - (m_c + MZ) - 2.0 * g * (S1 + S2)
-        dMZ = T1 + T2 - 2.0 * g * MZt
-
-        # ⟨σᶻσᶻ⟩, valid for i < j; the two site-sums are mutual conjugates
-        Sum1 = PZ * bm_c + z_r * dMP_c + p_c * C_MZ - 2.0 * bm_c * p_c * z_r
-        Sum1p = (ZP * (bm_r - m_c) + p_r * C_MZ.T + z_c * (dMP_r - MP)
-                 - 2.0 * (bm_r - m_c) * z_c * p_r)
-        dZZ = (-2.0 * om * (MZ.imag + MZt.imag) - (z_c + z_r + 2.0 * ZZ)
-               - 4.0 * g * (Sum1.real + Sum1p.real) + 4.0 * g * MP.real)
-
+        dm, dz = _single_eqs(om, g, m, z, dMZv, dMPv)
+        dMM, dMP, dMZ, dZZ = _pair_eqs(
+            om, g, MM, MP, MZ, MZ.T, ZZ, C_MM, C_MP, C_MZ, C_MM.T, C_MP.T,
+            C_MZ.T, m[:, None], z[:, None], bm[:, None], dMZv[:, None],
+            dMPv[:, None], m[None, :], z[None, :], bm[None, :],
+            dMZv[None, :], dMPv[None, :], iu, il)
         return _pack(dm, dz, dMM, dMP, dMZ, dZZ)
 
     return rhs
@@ -247,33 +248,6 @@ def _ground_state(n: int) -> np.ndarray:
     MZ = np.zeros((n, n), dtype=complex)
     ZZ = 1.0 - np.eye(n)  # ⟨σᶻσᶻ⟩ = (+1) off-diagonal in |g…g⟩
     return _pack(m, z, MM, MP, MZ, ZZ)
-
-
-def _factorized_state(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Product state with the given singles (pair cumulants all zero)."""
-    MM = np.outer(m, m)
-    MP = np.outer(m, np.conj(m))
-    MZ = np.outer(m, z)
-    ZZ = np.outer(z, z)
-    return _pack(m, z, MM, MP, MZ, ZZ)
-
-
-def _warm_start(params: ModelParams, n: int) -> np.ndarray:
-    """Factorized mean-field steady state of the n-site prefix: the resonant
-    UWM cascade fixed point in closed form, so Newton only has to build up
-    the pair cumulants."""
-    fp = uwm_cascade_fixed_point(2.0 * params.rabi ** 2, params.beta, n)
-    return _factorized_state(fp.sigma_minus, fp.sigma_z)
-
-
-def _physical(y: np.ndarray, n: int, slack: float = 1e-6) -> bool:
-    m, z, MM, MP, MZ, ZZ = _unpack(y, n)
-    if np.max(np.abs(z)) > 1.0 + slack or np.max(np.abs(m)) > 0.5 + slack:
-        return False
-    for A in (MM, MP, MZ, ZZ):
-        if np.max(np.abs(A)) > 1.0 + slack:
-            return False
-    return True
 
 
 def _cell(params: ModelParams, n: int) -> str:
@@ -292,23 +266,84 @@ def _block_indices(n: int, k: int):
     return np.concatenate((cplx, nc + cplx, [2 * nc + k], 2 * nc + n + tri))
 
 
+# a site's 22 real unknowns (`_solve_site`) at 23 probe points: column 0 is
+# the base point, all zero, and column d + 1 the unit step in unknown d;
+# _C[d] is the complex unknown with its real part at d, imaginary at d + 1
+_E = np.eye(23)[1:]
+_C = _E[:-1] + 1j * _E[1:]
+_PROBE_X = (_C[0], _C[2], _C[4], _C[6], _E[8])
+_PROBE_P = (_C[9], _C[11], _C[13])
+_PROBE_S = (_C[15], _E[17], _C[18], _C[20])
+_KL, _KU = 15, 8  # band of a site system
+
+
+def _solve_site(om, g, bm_k, m, z, bm, dMZv, dMPv, S_MM, S_MP, S_MZ):
+    """Site k's block, given upstream: x (k × 9 reals) and s (7 reals).
+
+    The upstream arrays hold the `_pair_eqs` data of each site l < k =
+    m.size, and S_X[l] = Σ_{l'<k} X[l', l].  The unknowns are, per l, x_l
+    (Re, Im of MM, MP, MZ at (l, k) and of MZ at (k, l); ZZ) and P_l (Re,
+    Im of the column prefixes Σ_{l'<l} of MM, MP, MZ at (l', k)), and s
+    (Re, Im of ⟨σ⁻_k⟩; ⟨σᶻ_k⟩; Re, Im of the MZ and MP column totals).
+    Row l is affine in x_l, P_l and s alone, so `_pair_eqs` at the probes
+    gives its coefficients exactly.  Interleaved as [x_l, P_{l+1}], with
+    P_{l+1} = P_l + (MM, MP, MZ)(l, k), the rows are banded: one banded
+    solve gives x and P affine in s, and a 7×7 system (the singles, and
+    the totals equal to P_k) fixes s.
+    """
+    k = m.size
+    xs, ps, (m_k, z_k, T_MZ, T_MP) = _PROBE_X, _PROBE_P, _PROBE_S
+    up = [v[:, None] for v in (m, z, bm, dMZv, dMPv)]
+    S = [v[:, None] for v in (S_MM, S_MP, S_MZ)]
+    dMM, dMP, dMZ, dZZ = _pair_eqs(om, g, *xs, *ps, *S, *up, m_k, z_k, bm_k,
+                                   T_MZ, T_MP, 1.0, 0.0)
+    MM, MP, MZ, MZt, ZZ = xs
+    dMZt = _pair_eqs(om, g, MM, np.conj(MP), MZt, MZ, ZZ, *S, *ps, m_k, z_k,
+                     bm_k, T_MZ, T_MP, *up, 0.0, 1.0)[2]
+    F = np.stack((dMM.real, dMM.imag, dMP.real, dMP.imag, dMZ.real,
+                  dMZ.imag, dMZt.real, dMZt.imag, dZZ), axis=1)  # k×9×23
+    J = F[..., 1:] - F[..., :1]
+
+    # rows 15l + i (the nine equations of l) and 15l + 9 + j (the prefix
+    # P_{l+1}[j]); columns 15l + c (x_l) and 15l + 9 + j (P_{l+1})
+    ab = np.zeros((_KL + _KU + 1, 15 * k))
+    b = np.zeros((15 * k, 8))
+    i9, c9, j6 = np.arange(9)[:, None], np.arange(9), np.arange(6)
+    l15 = 15 * np.arange(k)[:, None]
+    ab[_KU + i9 - c9, l15[:, None] + c9] = J[..., :9]
+    ab[_KU + 6 + i9 - j6, l15[1:, None] - 6 + j6] = J[1:, :, 9:15]
+    ab[_KU, l15 + 9 + j6] = 1.0
+    ab[_KU + 9, l15 + j6] = -1.0
+    ab[_KU + 15, l15[1:] - 6 + j6] = -1.0
+    b[l15 + c9, 0] = -F[..., 0]
+    b[l15 + c9, 1:] = -J[..., 15:]
+    if k:
+        u = linalg.solve_banded((_KL, _KU), ab, b, overwrite_ab=True,
+                                overwrite_b=True, check_finite=False)
+        last = u[-6:][[4, 5, 2, 3]]  # P_k's MZ and MP totals
+    else:
+        u, last = b, np.zeros((4, 8))  # P_0 = 0
+
+    dm, dz = _single_eqs(om, g, m_k, z_k, T_MZ, T_MP)
+    G = np.stack((dm.real, dm.imag, dz))
+    M = np.vstack((G[:, 16:] - G[:, :1], np.eye(7)[3:] - last[:, 1:]))
+    s = np.linalg.solve(M, np.concatenate((-G[:, 0], last[:, 0])))
+    return (u[:, 0] + u[:, 1:] @ s).reshape(k, 15)[:, :9], s
+
+
 def solve_ce2(params: ModelParams, n: Optional[int] = None,
-              opts: Optional[SolverOptions] = None,
-              strategy: str = "simultaneous") -> CumulantSolution:
+              opts: Optional[SolverOptions] = None) -> CumulantSolution:
     """CE2 steady state of the cascaded chain.
 
     `n` defaults to params.n_emitters (pass a smaller value to solve a
-    chain prefix).  The CE2 steady state is unique, so nothing is
-    time-integrated: of `opts` only `steady_state_residual` is read, the
-    max-norm residual every Newton solve must reach.  Strategies:
-    "simultaneous" Newton-solves the whole packed moment system from the
-    mean-field warm start (fast, vectorized); "blocks" sweeps left to
-    right, freezing upstream sites and solving each site's block, which is
-    affine in its own moments, from the ground state.  The cascade makes
-    the two exactly equivalent at steady state.  A miss raises
-    NonConvergence naming the cell; a failed block also carries its site
-    index.  Both end in the shared round-off finish.  Detuned chains are
-    not supported here (the sweeps that need CE2 are all on resonance).
+    chain prefix).  The unique steady state is solved exactly, one site
+    block at a time from the head of the chain (`_solve_site`): O(n²) in
+    all, with no iteration.  Of `opts` only `steady_state_residual` is
+    read: the max-norm of `build_rhs` at the result must reach it, or
+    NonConvergence names the cell and the first site whose rows miss it.
+    A singular or non-finite site system raises NonConvergence for its
+    site.  Detuned chains are not supported here (the sweeps that need CE2
+    are all on resonance).
     """
     n = params.n_emitters if n is None else int(n)
     if n > CE2_MAX_SITES:
@@ -324,51 +359,46 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
     assert _layout(n).size == 3 * math.comb(n, 1) + 9 * math.comb(n, 2)
 
     opts = opts or SolverOptions()
-    rhs = build_rhs(params, n)
+    om, g = params.rabi, params.gamma_1d / 2.0
+    m, bm = np.zeros(n, dtype=complex), np.zeros(n + 1, dtype=complex)
+    dMZv, dMPv = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    z, ZZ = np.zeros(n), np.zeros((n, n))
+    X = np.zeros((3, n, n), dtype=complex)  # MM, MP, MZ
+    S = np.zeros((3, n), dtype=complex)     # S[:, l] = Σ_{l'<k} X[:, l', l]
+    for k in range(n):
+        try:
+            x, s = _solve_site(om, g, bm[k], m[:k], z[:k], bm[:k], dMZv[:k],
+                               dMPv[:k], *S[:, :k])
+            solved = np.all(np.isfinite(x)) and np.all(np.isfinite(s))
+        except np.linalg.LinAlgError:
+            solved = False
+        if not solved:
+            raise NonConvergence(f"CE2 site {k + 1} system singular at "
+                                 f"{_cell(params, n)}", site=k + 1)
+        m[k], z[k] = s[0] + 1j * s[1], s[2]
+        X[:, :k, k] = x[:, 0:6:2].T + 1j * x[:, 1:6:2].T  # at (l, k)
+        X[:, k, :k] = (X[0, :k, k], np.conj(X[1, :k, k]),
+                       x[:, 6] + 1j * x[:, 7])
+        ZZ[:k, k] = ZZ[k, :k] = x[:, 8]
+        # what downstream sites read of site k
+        bm[k + 1] = bm[k] + m[k]
+        S[:, :k] += X[:, k, :k]
+        S[:, k] = X[:, :k, k].sum(axis=1)
+        dMPv[k], dMZv[k] = S[1:, k]
 
-    if strategy == "simultaneous":
-        y = _solve_simultaneous(rhs, params, n, opts)
-    elif strategy == "blocks":
-        target = opts.steady_state_residual
-        y = _ground_state(n)
-        for k in range(n):
-            idx = _block_indices(n, k)
-
-            def block(yb):
-                y[idx] = yb
-                return rhs(0.0, y)[idx]
-
-            y[idx], residual = newton_finish(block, y[idx], lambda v: True,
-                                             f_tol=0.5 * target)
-            if residual > target:
-                raise NonConvergence(
-                    f"CE2 block for site {k + 1} not solved at "
-                    f"{_cell(params, n)}: residual {residual:.2e}", site=k + 1)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    y, residual = newton_finish(lambda v: rhs(0.0, v), y, small_move(y))
-    m, z, MM, MP, MZ, ZZ = _unpack(y, n)
+    MM, MP, MZ = X
+    r = np.abs(build_rhs(params, n)(0.0, _pack(m, z, MM, MP, MZ, ZZ)))
+    residual = float(np.max(r))
+    target = opts.steady_state_residual
+    if residual > target:
+        site = next(k + 1 for k in range(n)
+                    if np.max(r[_block_indices(n, k)]) > target)
+        raise NonConvergence(f"CE2 steady state not reached at "
+                             f"{_cell(params, n)}: residual {residual:.2e}, "
+                             f"first at site {site}", site=site)
     s0 = 2.0 * params.rabi ** 2
     return CumulantSolution(sigma_minus=m, sigma_z=z, mm=MM, mp=MP, mz=MZ,
                             zz=ZZ, residual=residual, beta=params.beta, s0=s0)
-
-
-def _solve_simultaneous(rhs, params: ModelParams, n: int,
-                        opts: SolverOptions) -> np.ndarray:
-    """Whole-system steady state: one Newton–Krylov solve (physical roots
-    only) from the factorized mean-field warm start to half the
-    steady-state tolerance.  The steady state is unique, so there is no
-    basin to integrate into first; a miss raises NonConvergence naming the
-    cell and the residual."""
-    target = opts.steady_state_residual
-    y, residual = newton_finish(lambda v: rhs(0.0, v), _warm_start(params, n),
-                                lambda v: _physical(v, n), f_tol=0.5 * target)
-    if residual > target:
-        raise NonConvergence(f"CE2 steady state not reached at {_cell(params, n)}: "
-                             f"residual {residual:.2e} after Newton from the "
-                             f"mean-field warm start")
-    return y
 
 
 # --- derived observables ----------------------------------------------------

@@ -9,7 +9,7 @@ fixed to '\\n'.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 

@@ -1,5 +1,6 @@
-"""Shared steady-state engine: continue pseudo-transiently into the basin,
-then one Newton finish.  Nothing here integrates in time.
+"""Shared steady-state engine of the mean-field and collective solvers:
+continue pseudo-transiently into the basin, then one exact Newton step.
+Nothing here integrates in time.
 
 Where a steady state need not be unique, the solver must pick the branch
 an experiment would reach from a physical initial condition: the
@@ -14,10 +15,9 @@ quasi-static continuation: the caller runs `pseudo_transient` at a
 sequence of drives, each warm-started from the last.  `newton_step` then
 takes one exact Newton step to round-off, kept only if the caller's
 acceptance test holds and the residual went down, so a finish can sharpen
-a state but never move it to another branch.  CE2, whose steady state is
-unique and which has no structured Jacobian, uses `newton_finish` alone:
-matrix-free Newton–Krylov (Knoll & Keyes, J. Comput. Phys. 193, 357
-(2004)) under the same acceptance rule.
+a state but never move it to another branch.  CE2 needs none of this:
+its steady state is unique and `cumulant.solve_ce2` solves it exactly,
+site by site.
 
 State vectors are packed real (complex moments split into Re/Im by the
 caller).
@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericalInstability
 
-__all__ = ["RampSpec", "SolverOptions", "SteadyResult", "newton_finish",
-           "newton_step", "pseudo_transient", "small_move"]
+__all__ = ["RampSpec", "SolverOptions", "SteadyResult", "newton_step",
+           "pseudo_transient", "small_move"]
 
 _EPS = float(np.finfo(float).eps)
 # steps (accepted or retried) before `pseudo_transient` gives up
@@ -80,9 +79,9 @@ class SolverOptions:
 
     `steady_state_residual` is the max-norm residual every steady state
     must reach: the pseudo-transient loop of mean-field and the collective
-    system, and CE2's Newton solves.  `ramp` (mean-field only) continues
-    the steady state along a drive ramp first.  The exact oracle takes no
-    options.
+    system, and the `build_rhs` residual of a CE2 solve.  `ramp`
+    (mean-field only) continues the steady state along a drive ramp
+    first.  The exact oracle takes no options.
     """
 
     steady_state_residual: float = 1e-9
@@ -193,18 +192,6 @@ def small_move(y: np.ndarray) -> Callable:
     return accept
 
 
-def _keep_better(fun: Callable, y: np.ndarray, residual: float,
-                 ynew: np.ndarray, accept: Callable):
-    """(ynew, its residual) if ynew is finite, passes `accept` and lowers
-    the residual of `y`; else (y, residual)."""
-    if not np.all(np.isfinite(ynew)) or not accept(ynew):
-        return y, residual
-    rnew = _max_abs(fun(ynew))
-    if rnew < residual:
-        return ynew, rnew
-    return y, residual
-
-
 def newton_step(fun: Callable, solve: Callable, y: np.ndarray,
                 accept: Callable):
     """One exact Newton step on `fun` from `y`, with `solve` as in
@@ -220,32 +207,10 @@ def newton_step(fun: Callable, solve: Callable, y: np.ndarray,
     residual = _max_abs(fy)
     if residual <= 4.0 * _EPS:
         return y, residual
-    return _keep_better(fun, y, residual, y + solve(y, math.inf, fy), accept)
+    ynew = y + solve(y, math.inf, fy)
+    if np.all(np.isfinite(ynew)) and accept(ynew):
+        rnew = _max_abs(fun(ynew))
+        if rnew < residual:
+            return ynew, rnew
+    return y, residual
 
-
-def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,
-                  f_tol: Optional[float] = None):
-    """Matrix-free Newton–Krylov (lgmres) root of `fun` started at `y`:
-    CE2's finish, which has no structured Jacobian solve.
-
-    Returns (state, max|fun(state)|).  The Newton result replaces `y` only
-    if it is finite, passes `accept` and lowers the residual; an iteration
-    budget running out keeps the last iterate under the same test.
-
-    With `f_tol` unset the finish is one Newton step towards round-off:
-    from a converged state a single step already lands on the rounding
-    floor, and each step costs ~30 RHS evaluations.  A given `f_tol` is a
-    max-norm stopping tolerance, with up to 60 steps to get there from a
-    loose basin.  A state already within 4·eps (or `f_tol`) is returned
-    as is.
-    """
-    y = np.asarray(y, dtype=float)
-    residual = _max_abs(fun(y))
-    if residual <= (4.0 * _EPS if f_tol is None else f_tol):
-        return y, residual
-    budget = {"iter": 1} if f_tol is None else {"f_tol": f_tol, "maxiter": 60}
-    try:
-        ynew = optimize.newton_krylov(fun, y, method="lgmres", **budget)
-    except optimize.NoConvergence as exc:
-        ynew = np.asarray(exc.args[0], dtype=float)
-    return _keep_better(fun, y, residual, ynew, accept)

@@ -207,6 +207,22 @@ def test_linear_stability_matches_ramp_reachability():
                                     for k in range(r.roots.size)), (d, s0)
 
 
+@pytest.mark.parametrize("edge", ["s_minus", "s_plus"])
+@pytest.mark.parametrize("d", [17.0, 20.0, 30.0, 40.0, 80.0])
+def test_fold_drives_return_the_double_root(d, edge):
+    # exactly at a fold the companion matrix splits the double root by
+    # ~√eps, into two close reals or a complex pair; it must come back
+    # once, on the cubic to rounding, and stable (a slow ramp rests there)
+    s0 = getattr(dicke_bistability_window(d), edge)
+    r = dicke_steady_states(d, s0)
+    assert r.roots.size == 2
+    for m in r.roots:
+        terms = (abs(m ** 3 * d * d / 4.0) + abs(m * m * (d * d / 4.0 - d))
+                 + abs(m * (s0 - d + 1.0)) + 1.0)
+        assert abs(dicke_cubic(m, d, s0)) <= 1e-12 * terms
+    assert r.stability == ("stable", "stable")
+
+
 @pytest.mark.parametrize("d", [30.0, 40.0])
 def test_fold_ghost_counts_as_stable(d):
     # at the upper fold the lower and middle roots merge into a double

@@ -106,7 +106,7 @@ def test_two_sites_are_exact(beta, s0):
 
 
 def test_blocks_are_affine_and_blind_downstream():
-    # the structure both strategies rest on: with upstream fixed, site k's
+    # the structure the site solve rests on: with upstream fixed, site k's
     # rows are affine in site k's own moments and never read a downstream
     # entry — so each block has one solution and the steady state is unique
     n = 6
@@ -135,15 +135,16 @@ def test_blocks_are_affine_and_blind_downstream():
 
 
 @pytest.mark.parametrize("beta,s0,n", [(0.05, 4.0, 6), (0.25, 20.0, 8),
-                                       (0.1, 0.0, 3)])
+                                       (0.1, 0.0, 3), (0.2, 80.0, 200)])
 def test_block_sweep_equals_simultaneous(beta, s0, n):
+    # the site-by-site sweep solves the simultaneous system: the packed
+    # result zeroes the whole-chain RHS to round-off
     p = _params(beta, s0, n)
-    a = solve_ce2(p, strategy="simultaneous")
-    b = solve_ce2(p, strategy="blocks")
-    assert np.max(np.abs(a.sigma_minus - b.sigma_minus)) < 1e-8
-    assert np.max(np.abs(a.sigma_z - b.sigma_z)) < 1e-8
-    assert np.max(np.abs(a.mp - b.mp)) < 1e-8
-    assert np.max(np.abs(a.zz - b.zz)) < 1e-8
+    sol = solve_ce2(p)
+    y = _pack(sol.sigma_minus, sol.sigma_z, sol.mm, sol.mp, sol.mz, sol.zz)
+    residual = np.max(np.abs(build_rhs(p, n)(0.0, y)))
+    assert residual <= 1e-12
+    assert sol.residual == residual
 
 
 # --- solution structure ---------------------------------------------------------
@@ -184,14 +185,24 @@ def test_size_and_input_guards():
     with pytest.raises(ValueError):
         solve_ce2(ModelParams.from_beta(beta=0.1, s0=1.0, n_emitters=3,
                                         detuning=0.5))
-    with pytest.raises(ValueError):
-        solve_ce2(_params(0.1, 1.0, 3), strategy="magic")
+
+
+def test_singular_site_system_reports_its_site(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    # site 1 has no pairs, so site 2 is the first to solve a banded system
+    monkeypatch.setattr("cascadia.cumulant.linalg.solve_banded", singular)
+    with pytest.raises(NonConvergence, match=r"site 2 system singular at "
+                                             r"n = 3, β = 0\.1") as exc:
+        solve_ce2(_params(0.1, 5.0, 3))
+    assert exc.value.site == 2
 
 
 def test_block_failure_reports_site():
     opts = SolverOptions(steady_state_residual=1e-300)
     with pytest.raises(NonConvergence) as exc:
-        solve_ce2(_params(0.1, 5.0, 3), opts=opts, strategy="blocks")
+        solve_ce2(_params(0.1, 5.0, 3), opts=opts)
     assert exc.value.site == 1
 
 

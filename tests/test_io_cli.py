@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

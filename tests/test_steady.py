@@ -1,8 +1,8 @@
 """The shared steady-state engine: pseudo-transient continuation against the
 integration and the Newton–Krylov steps it replaced, the structured
-Jacobian solves against dense Jacobians, Newton finish, round-off
-residuals, the closed-form UWM path, and branch selection in the Dicke
-window by quasi-static ramps against the integrated ramps they replaced."""
+Jacobian solves against dense Jacobians, round-off residuals, the
+closed-form UWM path, and branch selection in the Dicke window by
+quasi-static ramps against the integrated ramps they replaced."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,10 @@ from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       uwm_cascade_fixed_point)
 from cascadia.meanfield import (_DrivePlan, _collective_rhs, _collective_solve,
                                 _make_solve, solve_collective)
-from cascadia.steady import (newton_finish, newton_step, pseudo_transient,
-                             small_move)
+from cascadia.steady import newton_step, pseudo_transient, small_move
 
 from _time_integration import (IntegrationOptions, integrate_ramp,
-                               integrate_to_steady)
+                               integrate_to_steady, newton_finish)
 
 
 def _unpack(y, n):
@@ -243,36 +242,28 @@ def test_exhausted_step_budget_is_reported(monkeypatch):
     assert sol.residual >= opts.steady_state_residual
 
 
-# --- the finish itself ------------------------------------------------------------
+# --- the Newton step itself -------------------------------------------------------
 
 
-def test_newton_finish_accepts_and_rejects():
+def test_newton_step_accepts_and_rejects():
     def fun(v):
         return v ** 2 - 2.0
 
+    def solve(v, delta, r):  # −J x = r at δ = ∞, with J = diag(2v)
+        return -r / (2.0 * v)
+
     y0 = np.array([1.41421356, -1.41421356])
-    y, r = newton_finish(fun, y0, lambda v: True)
+    y, r = newton_step(fun, solve, y0, lambda v: True)
     assert np.max(np.abs(y - np.array([2 ** 0.5, -2 ** 0.5]))) < 1e-15
     assert r == float(np.max(np.abs(fun(y))))
-    # a refused result leaves the state and its residual untouched
-    y, r = newton_finish(fun, y0, lambda v: False)
+    # a refused step leaves the state and its residual untouched
+    y, r = newton_step(fun, solve, y0, lambda v: False)
     assert np.array_equal(y, y0)
     assert r == float(np.max(np.abs(fun(y0))))
-    # the branch guard refuses a root further away than its tolerance
+    # the branch guard refuses a step further than its tolerance
     far = np.array([1.0, -1.0])
-    y, _ = newton_finish(fun, far, small_move(far))
+    y, _ = newton_step(fun, solve, far, small_move(far))
     assert np.array_equal(y, far)
-
-
-def test_newton_finish_skips_states_at_round_off():
-    calls = []
-
-    def fun(v):
-        calls.append(1)
-        return v - 1.0
-
-    y, r = newton_finish(fun, np.array([1.0]), lambda v: True)
-    assert r == 0.0 and len(calls) == 1
 
 
 # --- mean-field residuals at round-off, on both sides of the old cliff -------------
