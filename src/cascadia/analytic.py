@@ -194,7 +194,11 @@ def dicke_steady_states(d_total: float, s0: float) -> DickeRoots:
 
     Roots come from the companion matrix of the cubic plus a Newton
     polish each.  At a fold it splits the double root by ~√eps; such a
-    pair is one root, polished by Newton on the cubic's derivative.
+    pair is one root, polished by Newton on the cubic's derivative.  At
+    the cusp (D = 16, s₀ = 27) it splits the triple root by ~eps^(1/3)
+    into a star; the three are one root, polished on the second derivative
+    to the inflection point and, within rounding of the cusp, from there
+    onto the cubic's simple real root.
     Stability is that of the collective mean-field equations linearized
     at each root (`_is_stable`): the lower and upper branches are stable,
     the middle root of the bistable window is not.
@@ -207,19 +211,33 @@ def dicke_steady_states(d_total: float, s0: float) -> DickeRoots:
     a3, a2, a1 = D * D / 4.0, D * D / 4.0 - D, s0 - D + 1.0
     raw = np.roots([a3, a2, a1, 1.0])
     scale = max(1.0, np.abs(raw).max())
-    # a double root comes out as two close reals or a nearly real pair
-    real = np.sort(raw[np.abs(raw.imag) < 1e-7 * scale].real)
-    groups = np.split(real, np.flatnonzero(np.diff(real) > 1e-7 * scale) + 1)
+    if np.abs(raw - raw.mean()).max() < 3e-5 * scale:
+        # the cusp's triple root splits by ~eps^(1/3) into a star
+        groups = [raw.real]
+    else:
+        # a double root comes out as two close reals or a nearly real pair
+        real = np.sort(raw[np.abs(raw.imag) < 1e-7 * scale].real)
+        groups = np.split(real,
+                          np.flatnonzero(np.diff(real) > 1e-7 * scale) + 1)
+
+    def polish(m: float, k: int) -> float:
+        # a k-fold root is a simple root of the cubic's (k−1)-th derivative
+        for _ in range(3):
+            derivs = (((a3 * m + a2) * m + a1) * m + 1.0,
+                      (3.0 * a3 * m + 2.0 * a2) * m + a1,
+                      6.0 * a3 * m + 2.0 * a2, 6.0 * a3)
+            if derivs[k] != 0.0:
+                m -= derivs[k - 1] / derivs[k]
+        return m
 
     roots = []
     for grp in groups:
-        m = float(np.mean(grp))
-        for _ in range(3):  # Newton polish, on the derivative for a pair
-            d1 = (3.0 * a3 * m + 2.0 * a2) * m + a1
-            p, dp = ((d1, 6.0 * a3 * m + 2.0 * a2) if grp.size > 1 else
-                     (((a3 * m + a2) * m + a1) * m + 1.0, d1))
-            if dp != 0.0:
-                m -= p / dp
+        m = polish(float(np.mean(grp)), grp.size)
+        if grp.size == 3:
+            # m is the inflection point; off the exact cusp the real root
+            # sits the cube root of −cubic(m)/a₃ away, and is simple
+            m = polish(m + np.cbrt(-(((a3 * m + a2) * m + a1) * m + 1.0) / a3),
+                       1)
         if -1.0 - 1e-9 <= m <= 1e-9:
             roots.append(min(0.0, max(-1.0, m)))
     roots = np.array(sorted(roots))

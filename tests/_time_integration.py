@@ -8,7 +8,9 @@ pseudo-transient continuation, the quasi-static drive ramps and the exact
 oracle's inverse iteration are compared against the same paths they
 replaced.  `newton_finish` is the matrix-free Newton–Krylov finish the
 package used before its solvers took exact Newton steps (and CE2 exact
-site solves), kept verbatim for the same reason.
+site solves), kept verbatim for the same reason.  `doppler_profile` is
+the DOP853 propagation the package used before its Doppler profiles became
+a quadrature inverted by Newton, kept verbatim for the same reason.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from scipy import optimize
 from scipy.integrate import solve_ivp
 
+from cascadia.doppler import DopplerParams, averaged_cross_section
 from cascadia.errors import NumericalInstability
 from cascadia.steady import SteadyResult
 
@@ -138,3 +141,27 @@ def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,
     except optimize.NoConvergence as exc:
         ynew = np.asarray(exc.args[0], dtype=float)
     return _keep_better(fun, y, residual, ynew, accept)
+
+
+def doppler_profile(p: DopplerParams) -> np.ndarray:
+    """Integrate the broadened propagation equation; returns an array of
+    (D, s) rows on p.grid.
+
+    Integrates in y = ln s (the RHS becomes dy/dD = −⟨σ⟩(e^y), bounded in
+    [−1, 0]), so the error control is relative in s across its exponential
+    decay range."""
+    xi = p.xi_delta
+    if p.s0 == 0.0:
+        return np.column_stack([p.grid, np.zeros_like(p.grid)])
+
+    def rhs(D, y):
+        return -averaged_cross_section(np.exp(y[0]), xi)
+
+    sol = solve_ivp(rhs, (0.0, float(p.grid[-1])), [np.log(p.s0)],
+                    t_eval=p.grid, method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    if not sol.success or not np.all(np.isfinite(sol.y)):
+        raise NumericalInstability("broadened propagation failed")
+    s = np.exp(sol.y[0])
+    s[0] = p.s0  # exact initial condition, not exp(ln s₀)
+    return np.column_stack([sol.t, s])

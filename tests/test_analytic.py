@@ -231,3 +231,35 @@ def test_fold_ghost_counts_as_stable(d):
     r = dicke_steady_states(d, dicke_bistability_window(d).s_plus)
     assert r.roots.size == 2
     assert r.stability == ("stable", "stable")
+
+
+def test_cusp_returns_the_triple_root():
+    # at D = 16, s₀ = 27 the cubic is 64(m + 1/4)³: the companion matrix
+    # splits the triple root by ~eps^(1/3) ≈ 4e-6, which a Newton polish
+    # on the cubic itself (linear at a triple root) does not remove
+    r = dicke_steady_states(16.0, 27.0)
+    assert r.roots.size == 1
+    assert abs(r.roots[0] + 0.25) <= 1e-12
+    assert r.stability == ("stable",)
+
+
+@pytest.mark.parametrize("rel", [1e-15, -1e-15, 1e-13, -1e-13, 1e-9, -1e-9])
+def test_near_cusp_roots_are_on_the_cubic(rel):
+    # next to the cusp the one real root is simple but sits up to ~5e-6
+    # off the inflection point; it must not be pulled onto the triple root
+    d, s0 = 16.0, 27.0 * (1.0 + rel)
+    r = dicke_steady_states(d, s0)
+    assert r.roots.size == 1
+    m = r.roots[0]
+    terms = (abs(m ** 3 * d * d / 4.0) + abs(m * m * (d * d / 4.0 - d))
+             + abs(m * (s0 - d + 1.0)) + 1.0)
+    assert abs(dicke_cubic(m, d, s0)) <= 1e-12 * terms
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a3, a2, a1 = (mpmath.mpf(c) for c in (d * d / 4.0, d * d / 4.0 - d,
+                                              s0 - d + 1.0))
+        real = [x for x in mpmath.polyroots([a3, a2, a1, 1], maxsteps=500,
+                                            extraprec=500)
+                if mpmath.im(x) == 0]
+    assert len(real) == 1
+    assert abs(m - float(real[0])) <= 1e-8

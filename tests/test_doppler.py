@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _time_integration import doppler_profile as dop853_profile
 from cascadia import (DopplerParams, averaged_cross_section, doppler_profile,
                       doppler_recursion, doppler_width,
                       gauss_hermite_cross_section, uwm_saturation,
@@ -23,6 +24,11 @@ def test_params_validation():
     with pytest.raises(ValueError):  # and increase
         DopplerParams(xi_delta=1.0, s0=1.0, d_max=10.0,
                       grid=np.array([0.0, 2.0, 1.0]))
+    for bad in (np.inf, np.nan):  # the depth table needs a finite ln s₀
+        with pytest.raises(ValueError, match="finite"):
+            DopplerParams(xi_delta=1.0, s0=bad, d_max=10.0)
+        with pytest.raises(ValueError, match="finite"):
+            DopplerParams(xi_delta=bad, s0=1.0, d_max=10.0)
 
 
 # --- averaged cross section ----------------------------------------------------
@@ -109,6 +115,83 @@ def test_saturated_slope_is_thermal_independent():
     prof = doppler_profile(p)
     slope = np.gradient(prof[:, 1], prof[:, 0])
     assert np.all(np.abs(slope[:20] + 1.0) < 2e-2)
+
+
+def _fig8_cells():
+    # `cascadia fig fig8`: 4 widths × 41 drives, output read at D_max
+    for xi in (0.0, 1.0, 10.0, 37.0):
+        depth = 200.0 * (1.0 + 4.0 * xi * xi)
+        for st in np.arange(0.5, 1.5001, 0.025):
+            yield DopplerParams(xi_delta=xi, s0=float(st * depth),
+                                d_max=depth, grid=np.array([0.0, depth]))
+
+
+def test_profile_matches_the_dop853_path():
+    # the time integration this quadrature replaced, at rtol = atol = 1e-13;
+    # measured worst difference 7.7e-10 (ξ = 37), the integrator's error
+    cells = list(_fig8_cells()) + [
+        DopplerParams(xi_delta=0.0, s0=20.0, d_max=40.0),
+        DopplerParams(xi_delta=10.0, s0=50.0, d_max=2000.0),
+        DopplerParams(xi_delta=1.0, s0=1e4, d_max=100.0),
+        DopplerParams(xi_delta=3.0, s0=0.0, d_max=10.0)]
+    for p in cells:
+        new, ref = doppler_profile(p), dop853_profile(p)
+        assert np.array_equal(new[:, 0], ref[:, 0])
+        assert new[0, 1] == ref[0, 1] == p.s0
+        live = ref[:, 1] > 1e-290  # subnormal s carries no relative digits
+        assert np.all(np.abs(new[live, 1] - ref[live, 1])
+                      <= 2e-9 * ref[live, 1])
+        assert np.all(new[~live, 1] <= 1e-290)
+
+
+@pytest.mark.parametrize("xi,s_tilde", [(1.0, 1.05), (10.0, 1.2),
+                                        (37.0, 1.3)])
+def test_profile_solves_the_depth_integral(xi, s_tilde):
+    # the returned s(D) must satisfy D = ∫_{ln s}^{ln s₀} du/⟨σ⟩(eᵘ), with
+    # the integral in 30-digit arithmetic; a depth error δD is a relative
+    # error ⟨σ⟩(s)·δD in s
+    mp = pytest.importorskip("mpmath")
+    depth = 200.0 * (1.0 + 4.0 * xi * xi)
+    s0 = s_tilde * depth
+    s = doppler_profile(DopplerParams(xi_delta=xi, s0=s0, d_max=depth,
+                                      grid=np.array([0.0, depth])))[-1, 1]
+    with mp.workdps(30):
+        def sigma(u):
+            a = mp.sqrt(1 + mp.exp(u))
+            b = a / (2 * mp.sqrt(2) * xi)
+            return mp.sqrt(mp.pi / 2) * mp.erfc(b) * mp.exp(b * b) / (
+                2 * xi * a)
+        d_s = mp.quad(lambda u: 1 / sigma(u), [mp.log(s), mp.log(s0)])
+        rel = abs(d_s - depth) * sigma(mp.log(s))
+    assert float(rel) <= 1e-13
+
+
+@pytest.mark.parametrize("xi", [0.0, 10.0])
+def test_profile_below_the_table(xi):
+    # ln s₀ < −45: the whole profile lies where ⟨σ⟩(s) = ⟨σ⟩(0) to
+    # rounding, and s = s₀·exp(−D⟨σ⟩(0))
+    p = DopplerParams(xi_delta=xi, s0=1e-25, d_max=50.0)
+    prof = doppler_profile(p)
+    ref = 1e-25 * np.exp(-p.grid * averaged_cross_section(0.0, xi))
+    assert np.all(np.abs(prof[:, 1] - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("s0", [7.0, 0.0])
+def test_profile_one_point_grid(s0):
+    p = DopplerParams(xi_delta=10.0, s0=s0, d_max=5.0, grid=np.array([0.0]))
+    assert np.array_equal(doppler_profile(p), [[0.0, s0]])
+
+
+def test_profile_underflows_to_exact_zero():
+    # ξ = 0, s₀ = 1: s ≈ e^{1−D} passes below the smallest subnormal
+    # (~4.9e-324) near D = 745
+    p = DopplerParams(xi_delta=0.0, s0=1.0, d_max=800.0)
+    s = doppler_profile(p)[:, 1]
+    assert s[-1] == 0.0
+    assert np.all(np.diff(s) <= 0.0) and np.all(np.isfinite(s))
+    ref = uwm_saturation(1.0, p.grid)
+    live = ref > 1e-290
+    assert np.all(np.abs(s[live] - ref[live]) <= 1e-12 * ref[live])
 
 
 # --- sampled-atom recursion -------------------------------------------------------
