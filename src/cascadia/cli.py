@@ -5,40 +5,55 @@ a JSON spec, the manifest echoes the fully-resolved spec, and CSV payloads
 are byte-identical across reruns (fixed grid-cell order, fixed-order
 reduction, 17-significant-digit floats).
 
-Exit codes: 0 ok; 2 spec validation failure; 3 a grid cell hit a
-numerical instability.  Non-converged cells are recorded in the manifest
-("unresolved") and skipped, not fatal.
+Profile rows come from `io`, prefixed with the cell's grid coordinates.
+A Doppler medium without a `d_max` is 200(1 + 4ξ²) deep.
+
+Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
+3 a grid cell hit a numerical instability.  Non-converged cells are
+recorded in the manifest ("unresolved") and skipped, not fatal.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .analytic import mean_polarization
-from .cumulant import inelastic_saturation, sigma_xx_cumulant, solve_ce2
+from .cumulant import CE2_MAX_SITES, inelastic_saturation, solve_ce2
 from .doppler import DopplerParams, doppler_profile
 from .ensemble import env_jobs, run_ensemble
 from .errors import NonConvergence, NoPhysicalRoot, NumericalInstability
-from .io import (MEANFIELD_PROFILE_COLS, meanfield_profile_rows, write_csv,
-                 write_cumulant_pair_csv, write_json, write_sie_csv)
+from .io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
+                 ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
+                 ce2_profile_rows, doppler_profile_rows, ensemble_profile_rows,
+                 meanfield_profile_rows, write_csv, write_cumulant_pair_csv,
+                 write_json)
 from .meanfield import field_observables, solve_steady_state
 from .params import ModelParams, build_chain
 
 MODELS = ("BWM", "EAM", "DM", "UWM", "CE2-UWM", "DOPPLER")
 AXES = ("eta", "s0", "s_tilde", "D")
-FIGS = ("fig2", "fig3", "fig4", "fig5", "fig7", "fig8")
 
 _SCALAR_COLS = ("s_out_right", "s_out_left", "j_z", "s_ie_total")
+_PROFILE_COLS = {"DOPPLER": DOPPLER_PROFILE_COLS, "CE2-UWM": CE2_PROFILE_COLS}
+
+# fixed sweep fields, (default, help); --<name> overrides as type(default)
+_FIELDS = {"N": (100, "emitter / site count"), "beta": (0.005, None),
+           "s0": (2.0, None), "eta": (0.0, None), "seed": (0, None),
+           "k0": (1.0, "mean spacing in λ/2 units"),
+           "xi": (0.0, "Doppler width ξ_Δ"), "d_max": (0.0, None),
+           "stream": (0, "chain realization stream")}
+_DEFAULTS = {name: default for name, (default, _) in _FIELDS.items()}
 
 
 class SpecError(Exception):
@@ -92,7 +107,7 @@ class SweepSpec:
     axes: List[Axis]
     fixed: dict
     out: str = "sweep"
-    fmt: str = "csv"
+    format: str = "csv"
     jobs: int = 0          # 0 = auto
 
     def validate(self):
@@ -104,33 +119,29 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise SpecError("axes must be distinct")
-        if self.fmt not in ("csv", "json"):
+        if self.format not in ("csv", "json"):
             raise SpecError("format must be csv or json")
-        f = self.fixed
-        if f["N"] < 1:
-            raise SpecError("field N: need at least one emitter")
-        if not 0.0 <= f["beta"] <= 0.5:
-            raise SpecError("field beta: must lie in [0, 1/2]")
-        if f["s0"] < 0 or f["eta"] < 0 or f["xi"] < 0:
-            raise SpecError("fields s0, eta, xi must be >= 0")
         if self.model == "DOPPLER" and "eta" in names:
             raise SpecError("DOPPLER has no disorder axis eta")
+        for task in self.tasks():
+            _check_fields(self.model, _cell_config(self.model, self.fixed,
+                                                   task["coords"]))
 
-    def payload(self) -> dict:
-        return {
-            "model": self.model,
-            "axes": [{"name": a.name, "kind": a.kind, "lo": a.lo,
-                      "hi": a.hi, "n": a.n} for a in self.axes],
-            "fixed": dict(self.fixed),
-            "out": self.out,
-            "format": self.fmt,
-            "jobs": self.jobs,
-        }
+    def tasks(self) -> List[dict]:
+        return _grid_tasks(self.model, [(a.name, a.values())
+                                        for a in self.axes], self.fixed)
 
 
-_FIXED_DEFAULTS = {"N": 100, "beta": 0.005, "s0": 2.0, "eta": 0.0,
-                   "seed": 0, "k0": 1.0, "xi": 0.0, "d_max": 0.0,
-                   "stream": 0}
+def _check_fields(model: str, cfg: dict):
+    """Reject a configuration the solvers would refuse."""
+    if cfg["N"] < 1:
+        raise SpecError("field N: need at least one emitter")
+    if model == "CE2-UWM" and cfg["N"] > CE2_MAX_SITES:
+        raise SpecError(f"field N: CE2 admits at most {CE2_MAX_SITES} sites")
+    if not 0.0 <= cfg["beta"] <= 0.5:
+        raise SpecError(f"field beta = {cfg['beta']!r}: must lie in [0, 1/2]")
+    if min(cfg[k] for k in ("s0", "eta", "xi", "d_max", "seed", "stream")) < 0:
+        raise SpecError("fields s0, eta, xi, d_max, seed, stream must be >= 0")
 
 
 def _spec_from_args(args) -> SweepSpec:
@@ -144,12 +155,12 @@ def _spec_from_args(args) -> SweepSpec:
             raise SpecError(f"spec file line {exc.lineno}: {exc.msg}")
         if not isinstance(base, dict):
             raise SpecError("spec file: expected a JSON object")
-    unknown = set(base) - {"model", "axes", "fixed", "out", "format", "jobs"}
+    unknown = set(base) - {f.name for f in fields(SweepSpec)}
     if unknown:
         raise SpecError(f"spec file: unknown keys {sorted(unknown)}")
-    fixed = dict(_FIXED_DEFAULTS)
+    fixed = dict(_DEFAULTS)
     fixed.update(base.get("fixed", {}))
-    unknown = set(fixed) - set(_FIXED_DEFAULTS)
+    unknown = set(fixed) - set(_DEFAULTS)
     if unknown:
         raise SpecError(f"spec file fixed: unknown fields {sorted(unknown)}")
 
@@ -167,22 +178,20 @@ def _spec_from_args(args) -> SweepSpec:
             raise SpecError(f"spec file axis {a!r}: expected a string or object")
     if args.axis:
         axes = [_parse_axis(t) for t in args.axis]
-    for name, val in (("N", args.N), ("beta", args.beta), ("s0", args.s0),
-                      ("eta", args.eta), ("seed", args.seed), ("k0", args.k0),
-                      ("xi", args.xi), ("d_max", args.d_max),
-                      ("stream", args.stream)):
-        if val is not None:
-            fixed[name] = val
-    fixed["N"] = int(fixed["N"])
-    fixed["seed"] = int(fixed["seed"])
-    fixed["stream"] = int(fixed["stream"])
+    for name, default in _DEFAULTS.items():
+        if getattr(args, name) is not None:
+            fixed[name] = getattr(args, name)
+        try:
+            fixed[name] = type(default)(fixed[name])
+        except (TypeError, ValueError):
+            raise SpecError(f"field {name}: expected a number") from None
 
     model = args.model or base.get("model")
     if not model:
         raise SpecError("no model given (--model or spec file)")
     spec = SweepSpec(model=model, axes=axes, fixed=fixed,
                      out=args.out or base.get("out", "sweep"),
-                     fmt=args.format or base.get("format", "csv"),
+                     format=args.format or base.get("format", "csv"),
                      jobs=_resolve_jobs(args.jobs if args.jobs is not None
                                         else base.get("jobs", 0)))
     spec.validate()
@@ -201,52 +210,58 @@ def _resolve_jobs(jobs: int) -> int:
 # --- grid-cell evaluation ----------------------------------------------------
 
 
-def _cell_config(fixed: dict, coords: List[Tuple[str, float]]) -> dict:
+def _doppler_depth(cfg: dict) -> float:
+    """Depth of a Doppler medium: `d_max`, or 200(1 + 4ξ²) when it is 0."""
+    return cfg["d_max"] or 200.0 * (1.0 + 4.0 * cfg["xi"] ** 2)
+
+
+def _cell_config(model: str, fixed: dict,
+                 coords: List[Tuple[str, float]]) -> dict:
     cfg = dict(fixed)
     # depth first so an s_tilde coordinate sees the cell's own D
     for name, v in sorted(coords, key=lambda c: c[0] != "D"):
         if name == "D":
-            if cfg.get("_doppler"):
+            if model == "DOPPLER":
                 cfg["d_max"] = v
             else:
                 cfg["beta"] = v / (4.0 * cfg["N"])
         elif name == "s_tilde":
-            d_tot = (cfg["d_max"] if cfg.get("_doppler")
-                     else 4.0 * cfg["beta"] * cfg["N"])
-            cfg["s0"] = v * d_tot
+            cfg["s0"] = v * (_doppler_depth(cfg) if model == "DOPPLER"
+                             else 4.0 * cfg["beta"] * cfg["N"])
         else:
             cfg[name] = v
     return cfg
+
+
+def _grid_tasks(model: str, axes: List[Tuple[str, np.ndarray]],
+                fixed: dict) -> List[dict]:
+    """One task per grid point of the named axes, the last varying fastest."""
+    grids = [[(name, float(v)) for v in values] for name, values in axes]
+    return [{"index": idx, "model": model, "fixed": fixed, "coords": list(c)}
+            for idx, c in enumerate(itertools.product(*grids))]
 
 
 def _eval_cell(task: dict) -> dict:
     """One grid cell; returns profile rows, a scalar row, and a status."""
     model = task["model"]
     coords = task["coords"]
-    cfg = _cell_config(task["fixed"], coords)
+    cfg = _cell_config(model, task["fixed"], coords)
     prefix = [v for _, v in coords]
     out = {"index": task["index"], "coords": coords, "profile": [],
            "scalar": None, "status": "ok"}
     nan = float("nan")
     try:
         if model == "DOPPLER":
-            d_max = cfg["d_max"] or 200.0 * (1.0 + 4.0 * cfg["xi"] ** 2)
-            p = DopplerParams(xi_delta=cfg["xi"], s0=cfg["s0"], d_max=d_max)
-            prof = doppler_profile(p)
-            s0 = cfg["s0"] if cfg["s0"] > 0 else 1.0
-            out["profile"] = [prefix + [D, s, s / s0] for D, s in prof]
-            out["scalar"] = prefix + [prof[-1, 1], nan, nan, nan]
+            p = DopplerParams(xi_delta=cfg["xi"], s0=cfg["s0"],
+                              d_max=_doppler_depth(cfg))
+            rows = doppler_profile_rows(p, doppler_profile(p))
+            out["scalar"] = prefix + [rows[-1][1], nan, nan, nan]
         elif model == "CE2-UWM":
             params = ModelParams.from_beta(beta=cfg["beta"], s0=cfg["s0"],
                                            n_emitters=cfg["N"],
                                            seed=cfg["seed"])
             sol = solve_ce2(params)
-            s0 = cfg["s0"] if cfg["s0"] > 0 else 1.0
-            for i in range(1, sol.n + 1):
-                nn = (sigma_xx_cumulant(sol, i - 1, i) if i < sol.n else nan)
-                out["profile"].append(
-                    prefix + [i, 4.0 * sol.beta * i, sol.sigma_z[i - 1],
-                              inelastic_saturation(sol, upto=i) / s0, nn])
+            rows = ce2_profile_rows(sol, cfg["s0"])
             out["scalar"] = prefix + [nan, nan,
                                       float(np.mean(sol.sigma_z)),
                                       inelastic_saturation(sol)]
@@ -262,22 +277,15 @@ def _eval_cell(task: dict) -> dict:
                 out["status"] = "unresolved"
                 return out
             obs = field_observables(sol, params, chain)
-            out["profile"] = [prefix + row
-                              for row in meanfield_profile_rows(params, sol)]
+            rows = meanfield_profile_rows(params, sol)
             out["scalar"] = prefix + [obs.s_out_right, obs.s_out_left,
                                       float(np.mean(sol.sigma_z)), nan]
+        out["profile"] = [prefix + row for row in rows]
     except (NonConvergence, NoPhysicalRoot):
         out["status"] = "unresolved"
     except NumericalInstability:
         out["status"] = "instability"
     return out
-
-
-_PROFILE_COLS = {
-    "DOPPLER": ["D", "s", "s_over_s0"],
-    "CE2-UWM": ["site", "D_i", "sigma_z", "s_ie_over_s0", "nn_sigxx_cumulant"],
-    "meanfield": list(MEANFIELD_PROFILE_COLS),
-}
 
 
 def _map_cells(tasks: List[dict], jobs: int) -> List[dict]:
@@ -297,25 +305,10 @@ def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     t0 = time.time()
 
-    grids = [a.values() for a in spec.axes]
     names = [a.name for a in spec.axes]
-    fixed = dict(spec.fixed)
-    fixed["_doppler"] = spec.model == "DOPPLER"
-    tasks = []
-    if len(grids) == 1:
-        points = [[(names[0], float(v))] for v in grids[0]]
-    else:
-        points = [[(names[0], float(u)), (names[1], float(v))]
-                  for u in grids[0] for v in grids[1]]
-    for idx, coords in enumerate(points):
-        tasks.append({"index": idx, "model": spec.model, "coords": coords,
-                      "fixed": fixed})
-
+    tasks = spec.tasks()
     results = _map_cells(tasks, spec.jobs)
 
-    kind = spec.model if spec.model in _PROFILE_COLS else "meanfield"
-    prof_header = names + _PROFILE_COLS[kind]
-    scal_header = names + list(_SCALAR_COLS)
     prof_rows, scal_rows, unresolved, instability = [], [], [], []
     for r in results:
         if r["status"] == "ok":
@@ -326,23 +319,21 @@ def cmd_sweep(args) -> int:
         else:
             instability.append(r["coords"])
 
+    prof_cols = _PROFILE_COLS.get(spec.model, MEANFIELD_PROFILE_COLS)
+    tables = {"profile": (names + list(prof_cols), prof_rows),
+              "scalars": (names + list(_SCALAR_COLS), scal_rows)}
     base = Path(spec.out)
-    outputs = []
-    if spec.fmt == "csv":
-        outputs.append(str(write_csv(base.parent / (base.name + "_profile.csv"),
-                                     prof_header, prof_rows)))
-        outputs.append(str(write_csv(base.parent / (base.name + "_scalars.csv"),
-                                     scal_header, scal_rows)))
+    if spec.format == "csv":
+        outputs = [write_csv(base.parent / f"{base.name}_{key}.csv", *table)
+                   for key, table in tables.items()]
     else:
-        payload = {
-            "profile": {"columns": prof_header, "rows": prof_rows},
-            "scalars": {"columns": scal_header, "rows": scal_rows},
-        }
-        outputs.append(str(write_json(base.parent / (base.name + "_data.json"),
-                                      payload)))
+        outputs = [write_json(base.parent / f"{base.name}_data.json",
+                              {key: {"columns": cols, "rows": rows}
+                               for key, (cols, rows) in tables.items()})]
+    outputs = [str(path) for path in outputs]
 
     manifest = {
-        "spec": spec.payload(),
+        "spec": asdict(spec),
         "version": _version(),
         "seed": spec.fixed["seed"],
         "wall_time_s": time.time() - t0,
@@ -383,9 +374,8 @@ def _fig2(args, manifest: dict) -> List[str]:
             params = ModelParams.from_beta(beta=beta, s0=float(s0),
                                            n_emitters=n)
             sol = solve_steady_state(model, params)
-            for i in range(n):
-                rows.append((model, s0, i + 1, 4.0 * beta * (i + 1),
-                             sol.sigma_z[i]))
+            rows.extend((model, s0, site, D, z) for site, D, _, _, z, *_
+                        in meanfield_profile_rows(params, sol))
     out = _fig_dir(args, "fig2")
     path = write_csv(out / "inversion_profiles.csv",
                      ["model", "s0", "site", "D_i", "sigma_z"], rows)
@@ -409,12 +399,10 @@ def _fig3(args, manifest: dict) -> List[str]:
                                        seed=int(args.seed or 0))
         rep = run_ensemble(params, M=M, jobs=jobs)
         excluded[f"{eta:.6g}"] = rep.excluded
-        for i in range(n):
-            rows.append((eta, i + 1, 4.0 * beta * (i + 1),
-                         rep.mean_diff[i], rep.variance[i]))
+        rows.extend([eta] + row for row in ensemble_profile_rows(params, rep))
     out = _fig_dir(args, "fig3")
     path = write_csv(out / "ensemble_maps.csv",
-                     ["eta", "site", "D_i", "mean_diff", "variance"], rows)
+                     ("eta",) + ENSEMBLE_PROFILE_COLS, rows)
     manifest["params"] = {"N": n, "beta": beta, "s0": s0, "M": M,
                           "eta_grid": list(map(float, etas)),
                           "excluded": excluded}
@@ -429,22 +417,16 @@ def _fig4(args, manifest: dict) -> List[str]:
     override away) and M=6 realizations at N=500 for the scatter."""
     n = int(args.N or 1000)
     beta = args.beta if args.beta is not None else 0.005
-    d_tot = 4.0 * beta * n
     etas = np.geomspace(1e-3, 1.0, 20)
     stils = np.linspace(0.05, 4.0, 30)
     jobs = _resolve_jobs(args.jobs or 0)
 
-    tasks = []
-    for idx, (eta, st) in enumerate((e, s) for e in etas for s in stils):
-        tasks.append({"index": idx, "model": "EAM",
-                      "coords": [("eta", float(eta)),
-                                 ("s_tilde", float(st))],
-                      "fixed": dict(_FIXED_DEFAULTS, N=n, beta=beta,
-                                    s0=float(st * d_tot), _doppler=False)})
+    tasks = _grid_tasks("EAM", [("eta", etas), ("s_tilde", stils)],
+                        dict(_DEFAULTS, N=n, beta=beta))
     results = _map_cells(tasks, jobs)
-    # scalar rows carry the 2-coordinate prefix: outputs sit at [2], [3]
-    heat_rows = [(r["coords"][0][1], r["coords"][1][1],
-                  r["scalar"][2], r["scalar"][3])
+    heat_cols = ("eta", "s_tilde", "s_out_right", "s_out_left")
+    cols = ("eta", "s_tilde") + _SCALAR_COLS    # the scalar row's layout
+    heat_rows = [[r["scalar"][cols.index(c)] for c in heat_cols]
                  for r in results if r["status"] == "ok"]
     unresolved = [r["coords"] for r in results if r["status"] != "ok"]
 
@@ -463,8 +445,7 @@ def _fig4(args, manifest: dict) -> List[str]:
 
     out = _fig_dir(args, "fig4")
     paths = [
-        write_csv(out / "output_heatmap.csv",
-                  ["eta", "s_tilde", "s_out_right", "s_out_left"], heat_rows),
+        write_csv(out / "output_heatmap.csv", heat_cols, heat_rows),
         write_csv(out / "realization_scatter.csv",
                   ["eta", "s_tilde", "realization", "s_out_right",
                    "s_out_left"], scat_rows),
@@ -499,14 +480,13 @@ def _fig7(args, manifest: dict) -> List[str]:
     s0 = args.s0 if args.s0 is not None else 80.0
     n = int(args.sites or args.N or 200)
     beta = s0 / (2.0 * n)       # D_N = 4βn = 2 s0
-    if beta > 0.5:
-        raise SpecError(f"sites={n} too few for s0={s0}: "
-                        f"beta = s0/(2 sites) = {beta} > 1/2")
+    _check_fields("CE2-UWM", dict(_DEFAULTS, N=n, beta=beta, s0=s0))
     params = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n)
     sol = solve_ce2(params)
     out = _fig_dir(args, "fig7")
     paths = [write_cumulant_pair_csv(out / "xx_cumulant_map.csv", sol),
-             write_sie_csv(out / "inelastic_profile.csv", sol)]
+             write_csv(out / "inelastic_profile.csv", CE2_PROFILE_COLS,
+                       ce2_profile_rows(sol, sol.s0))]
     manifest["params"] = {"s0": s0, "sites": n, "beta": beta}
     return [str(p) for p in paths]
 
@@ -516,7 +496,7 @@ def _fig8(args, manifest: dict) -> List[str]:
     rows = []
     stils = np.arange(0.5, 1.5001, 0.025)
     for xi in (0.0, 1.0, 10.0, 37.0):
-        d_max = 200.0 * (1.0 + 4.0 * xi * xi)
+        d_max = _doppler_depth({"d_max": 0.0, "xi": xi})
         grid = np.array([0.0, d_max])
         for st in stils:
             s0 = float(st * d_max)
@@ -538,7 +518,7 @@ _FIG_REGISTRY = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
 def cmd_fig(args) -> int:
     if args.name not in _FIG_REGISTRY:
         print(f"unknown figure {args.name!r}: choose from "
-              f"{', '.join(FIGS)}", file=sys.stderr)
+              f"{', '.join(_FIG_REGISTRY)}", file=sys.stderr)
         return 2
     t0 = time.time()
     manifest = {"figure": args.name, "version": _version(),
@@ -572,22 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--model", choices=MODELS)
     sw.add_argument("--axis", action="append",
                     help="name=log|lin:lo..hi:n (repeat for a 2D grid)")
-    sw.add_argument("--N", type=int, help="emitter / site count")
-    sw.add_argument("--beta", type=float)
-    sw.add_argument("--s0", type=float)
-    sw.add_argument("--eta", type=float)
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--k0", type=float, help="mean spacing in λ/2 units")
-    sw.add_argument("--xi", type=float, help="Doppler width ξ_Δ")
-    sw.add_argument("--d-max", dest="d_max", type=float)
-    sw.add_argument("--stream", type=int, help="chain realization stream")
+    for name, (default, help_) in _FIELDS.items():
+        sw.add_argument("--" + name.replace("_", "-"), dest=name,
+                        type=type(default), help=help_)
     sw.add_argument("--out", help="output basename (default 'sweep')")
     sw.add_argument("--format", choices=("csv", "json"))
     sw.add_argument("--jobs", type=int)
     sw.set_defaults(func=cmd_sweep)
 
     fg = sub.add_parser("fig", help="run a pre-registered figure dataset")
-    fg.add_argument("name", help="|".join(FIGS))
+    fg.add_argument("name", help="|".join(_FIG_REGISTRY))
     fg.add_argument("--N", type=int)
     fg.add_argument("--M", type=int, help="realization count")
     fg.add_argument("--beta", type=float)

@@ -22,9 +22,11 @@ from .meanfield import MeanFieldSolution
 from .params import ModelParams
 
 __all__ = ["fmt17", "write_csv", "write_json", "MEANFIELD_PROFILE_COLS",
-           "meanfield_profile_rows", "write_meanfield_csv",
-           "write_cumulant_pair_csv", "write_sie_csv", "write_ensemble_csv",
-           "write_doppler_csv"]
+           "meanfield_profile_rows", "write_meanfield_csv", "CE2_PROFILE_COLS",
+           "ce2_profile_rows", "write_cumulant_pair_csv",
+           "ENSEMBLE_PROFILE_COLS", "ensemble_profile_rows",
+           "write_ensemble_csv", "DOPPLER_PROFILE_COLS",
+           "doppler_profile_rows", "write_doppler_csv"]
 
 
 def fmt17(x) -> str:
@@ -116,23 +118,37 @@ def write_cumulant_pair_csv(path, sol: CumulantSolution) -> Path:
     return write_csv(path, ["i", "j", "D_i", "D_j", "sigxx_cumulant"], rows)
 
 
-def write_sie_csv(path, sol: CumulantSolution) -> Path:
-    """Cumulative inelastic output profile: site,D_i,s_ie_over_s0."""
-    s0 = sol.s0 if sol.s0 > 0 else 1.0
-    rows = [(i, 4.0 * sol.beta * i, inelastic_saturation(sol, upto=i) / s0)
+CE2_PROFILE_COLS = ("site", "D_i", "sigma_z", "s_ie_over_s0",
+                    "nn_sigxx_cumulant")
+
+
+def ce2_profile_rows(sol: CumulantSolution, s0: float) -> list:
+    """One row per site in the `CE2_PROFILE_COLS` layout; the cumulative
+    inelastic output is in units of `s0` (of 1 when s0 = 0)."""
+    s0 = s0 if s0 > 0 else 1.0
+    return [[i, 4.0 * sol.beta * i, float(sol.sigma_z[i - 1]),
+             inelastic_saturation(sol, upto=i) / s0,
+             sigma_xx_cumulant(sol, i - 1, i) if i < sol.n else float("nan")]
             for i in range(1, sol.n + 1)]
-    return write_csv(path, ["site", "D_i", "s_ie_over_s0"], rows)
+
+
+ENSEMBLE_PROFILE_COLS = ("site", "D_i", "mean_diff", "variance")
+
+
+def ensemble_profile_rows(params: ModelParams, report: EnsembleReport) -> list:
+    """One row per site in the `ENSEMBLE_PROFILE_COLS` layout."""
+    cols = zip(report.mean_diff.tolist(), report.variance.tolist())
+    return [[i + 1, 4.0 * params.beta * (i + 1), *c]
+            for i, c in enumerate(cols)]
 
 
 def write_ensemble_csv(path, params: ModelParams,
                        report: EnsembleReport) -> Path:
-    """site,D_i,mean_diff,variance plus a JSON sidecar
+    """`ENSEMBLE_PROFILE_COLS` profile plus a JSON sidecar
     (eta, M, seed, excluded_count)."""
     path = Path(path)
-    beta = params.beta
-    rows = [(i + 1, 4.0 * beta * (i + 1), report.mean_diff[i],
-             report.variance[i]) for i in range(params.n_emitters)]
-    write_csv(path, ["site", "D_i", "mean_diff", "variance"], rows)
+    write_csv(path, ENSEMBLE_PROFILE_COLS,
+              ensemble_profile_rows(params, report))
     write_json(_sidecar(path), {
         "eta": report.eta,
         "M": report.n_realizations,
@@ -142,9 +158,18 @@ def write_ensemble_csv(path, params: ModelParams,
     return path
 
 
-def write_doppler_csv(path, p: DopplerParams, profile: np.ndarray) -> Path:
-    """D,s,s_over_s0,transmission; transmission = s(D_max)/s0 (endpoint)."""
+DOPPLER_PROFILE_COLS = ("D", "s", "s_over_s0")
+
+
+def doppler_profile_rows(p: DopplerParams, profile: np.ndarray) -> list:
+    """One row per depth sample in the `DOPPLER_PROFILE_COLS` layout."""
     s0 = p.s0 if p.s0 > 0 else 1.0
-    trans = profile[-1, 1] / s0
-    rows = [(D, s, s / s0, trans) for D, s in profile]
-    return write_csv(path, ["D", "s", "s_over_s0", "transmission"], rows)
+    return [[D, s, s / s0] for D, s in profile.tolist()]
+
+
+def write_doppler_csv(path, p: DopplerParams, profile: np.ndarray) -> Path:
+    """`DOPPLER_PROFILE_COLS` plus the endpoint transmission s(D_max)/s0,
+    repeated down the column."""
+    rows = doppler_profile_rows(p, profile)
+    return write_csv(path, DOPPLER_PROFILE_COLS + ("transmission",),
+                     [row + [rows[-1][2]] for row in rows])

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from cascadia import (DopplerParams, ModelParams, build_chain, doppler_profile,
                       run_ensemble, solve_ce2, solve_steady_state)
 from cascadia.cli import main
-from cascadia.io import (fmt17, write_cumulant_pair_csv, write_doppler_csv,
+from cascadia.io import (CE2_PROFILE_COLS, ce2_profile_rows, fmt17,
+                         write_cumulant_pair_csv, write_doppler_csv,
                          write_ensemble_csv, write_meanfield_csv)
 
 
@@ -136,6 +137,49 @@ def test_sweep_profile_matches_meanfield_writer(tmp_path):
     assert all(float(r[0]) == 0.05 for r in rows)
 
 
+def test_sweep_profile_matches_ce2_rows(tmp_path):
+    # one CE2 cell: the sweep's profile rows are `ce2_profile_rows` behind
+    # the axis column, in the same 17-digit text
+    rc = main(["sweep", "--model", "CE2-UWM", "--axis", "s0=lin:3..3:1",
+               "--N", "6", "--beta", "0.1", "--out", str(tmp_path / "cell")])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "cell_profile.csv")
+
+    sol = solve_ce2(ModelParams.from_beta(beta=0.1, s0=3.0, n_emitters=6))
+    assert header == ["s0", *CE2_PROFILE_COLS]
+    assert [r[1:] for r in rows] == [[fmt17(x) for x in row]
+                                     for row in ce2_profile_rows(sol, 3.0)]
+
+
+def test_sweep_profile_matches_doppler_writer(tmp_path):
+    # s̃ = 0.5 on a medium of depth 20 is s0 = 10
+    rc = main(["sweep", "--model", "DOPPLER", "--axis", "s_tilde=lin:0.5..0.5:1",
+               "--xi", "1.0", "--d-max", "20", "--out", str(tmp_path / "cell")])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "cell_profile.csv")
+
+    dp = DopplerParams(xi_delta=1.0, s0=10.0, d_max=20.0)
+    wheader, wrows = _read_csv(write_doppler_csv(tmp_path / "dop.csv", dp,
+                                                 doppler_profile(dp)))
+    assert header == ["s_tilde"] + wheader[:3]
+    assert [r[1:] for r in rows] == [r[:3] for r in wrows]
+
+
+def test_doppler_sweep_default_depth(tmp_path):
+    # without --d-max the medium is 200(1 + 4ξ²) = 1000 deep for ξ = 1, and
+    # s̃ scales the input drive by that same depth
+    args = ["sweep", "--model", "DOPPLER", "--axis", "s_tilde=lin:0.5..1.5:3",
+            "--xi", "1"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--d-max", "1000", "--out", str(tmp_path / "b")]) == 0
+    for table in ("profile", "scalars"):
+        assert (tmp_path / f"a_{table}.csv").read_bytes() == \
+               (tmp_path / f"b_{table}.csv").read_bytes()
+    header, rows = _read_csv(tmp_path / "a_scalars.csv")
+    right = header.index("s_out_right")
+    assert all(float(r[right]) > 0 for r in rows)
+
+
 def test_sweep_is_deterministic(tmp_path):
     args = ["sweep", "--model", "BWM", "--axis", "eta=log:0.01..0.1:2",
             "--N", "15", "--beta", "0.05", "--s0", "2.0"]
@@ -190,6 +234,14 @@ def test_spec_file_with_overrides(tmp_path):
      "--beta", "0.7"],                                             # beta range
     ["sweep", "--model", "DOPPLER", "--axis", "eta=lin:0..1:2"],   # no eta here
     ["fig", "fig6"],                                               # no such figure
+    # accepted by the flags, refused by the solvers: caught before any cell
+    ["sweep", "--model", "UWM", "--axis", "D=lin:1..1000:3",
+     "--N", "100"],                                                # beta = D/4N > 1/2
+    ["sweep", "--model", "CE2-UWM", "--axis", "s0=lin:1..2:2",
+     "--N", "600"],                                                # CE2 site cap
+    ["fig", "fig7", "--sites", "600"],                             # CE2 site cap
+    ["sweep", "--model", "BWM", "--axis", "eta=lin:0.01..0.1:2",
+     "--seed", "-1"],                                              # negative seed
 ])
 def test_spec_errors_exit_2(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -219,6 +271,23 @@ def test_bad_spec_file_key_exit_2(tmp_path):
                              "fixed": {"N": 5}, "surprise": 1}))
     rc = main(["sweep", "--spec", str(f), "--out", str(tmp_path / "y")])
     assert rc == 2
+
+
+def test_spec_file_field_not_a_number_exit_2(tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"model": "UWM", "axes": ["s0=lin:1..2:2"],
+                             "fixed": {"N": "many"}}))
+    rc = main(["sweep", "--spec", str(f), "--out", str(tmp_path / "y")])
+    assert rc == 2
+
+
+def test_fig7_profile_is_the_ce2_table(tmp_path):
+    rc = main(["fig", "fig7", "--sites", "6", "--s0", "2",
+               "--out", str(tmp_path / "f7")])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "f7" / "inelastic_profile.csv")
+    assert header == list(CE2_PROFILE_COLS)
+    assert len(rows) == 6
 
 
 def test_figure_registry_smoke(tmp_path):
