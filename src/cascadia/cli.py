@@ -6,7 +6,13 @@ are byte-identical across reruns (fixed grid-cell order, fixed-order
 reduction, 17-significant-digit floats).
 
 Profile rows come from `io`, prefixed with the cell's grid coordinates.
+Each task names the profile its caller reads: a CSV sweep's cells format
+their rows into CSV text (`io.csv_lines`) in the worker that solved them,
+so the parent only joins strings in task order; a JSON sweep's cells
+return the rows, and fig4's heat-map cells none.
 A Doppler medium without a `d_max` is 200(1 + 4ξ²) deep.
+Figure flags that are not given take the figure's defaults; the ones given
+are checked as a sweep cell's fields are.
 
 Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
 3 a grid cell hit a numerical instability.  Non-converged cells are
@@ -23,6 +29,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -35,9 +42,9 @@ from .ensemble import env_jobs, run_ensemble
 from .errors import NonConvergence, NoPhysicalRoot, NumericalInstability
 from .io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
                  ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
-                 ce2_profile_rows, doppler_profile_rows, ensemble_profile_rows,
-                 meanfield_profile_rows, write_csv, write_cumulant_pair_csv,
-                 write_json)
+                 ce2_profile_rows, csv_lines, doppler_profile_rows,
+                 ensemble_profile_rows, meanfield_profile_rows, write_csv,
+                 write_cumulant_pair_csv, write_json)
 from .meanfield import field_observables, solve_steady_state
 from .params import ModelParams, build_chain
 
@@ -129,7 +136,8 @@ class SweepSpec:
 
     def tasks(self) -> List[dict]:
         return _grid_tasks(self.model, [(a.name, a.values())
-                                        for a in self.axes], self.fixed)
+                                        for a in self.axes], self.fixed,
+                           "csv" if self.format == "csv" else "rows")
 
 
 def _check_fields(model: str, cfg: dict):
@@ -234,34 +242,39 @@ def _cell_config(model: str, fixed: dict,
 
 
 def _grid_tasks(model: str, axes: List[Tuple[str, np.ndarray]],
-                fixed: dict) -> List[dict]:
-    """One task per grid point of the named axes, the last varying fastest."""
+                fixed: dict, profile: Optional[str]) -> List[dict]:
+    """One task per grid point of the named axes, the last varying fastest.
+    `profile` is what each cell returns of its profile: "csv" (the text of
+    its CSV lines), "rows", or None (nothing)."""
     grids = [[(name, float(v)) for v in values] for name, values in axes]
-    return [{"index": idx, "model": model, "fixed": fixed, "coords": list(c)}
+    return [{"index": idx, "model": model, "fixed": fixed, "coords": list(c),
+             "profile": profile}
             for idx, c in enumerate(itertools.product(*grids))]
 
 
 def _eval_cell(task: dict) -> dict:
-    """One grid cell; returns profile rows, a scalar row, and a status."""
+    """One grid cell; returns its profile in the form the task names, a
+    scalar row, and a status."""
     model = task["model"]
     coords = task["coords"]
     cfg = _cell_config(model, task["fixed"], coords)
     prefix = [v for _, v in coords]
-    out = {"index": task["index"], "coords": coords, "profile": [],
+    out = {"index": task["index"], "coords": coords, "profile": None,
            "scalar": None, "status": "ok"}
     nan = float("nan")
     try:
         if model == "DOPPLER":
             p = DopplerParams(xi_delta=cfg["xi"], s0=cfg["s0"],
                               d_max=_doppler_depth(cfg))
-            rows = doppler_profile_rows(p, doppler_profile(p))
-            out["scalar"] = prefix + [rows[-1][1], nan, nan, nan]
+            prof = doppler_profile(p)
+            rows = partial(doppler_profile_rows, p, prof)
+            out["scalar"] = prefix + [float(prof[-1, 1]), nan, nan, nan]
         elif model == "CE2-UWM":
             params = ModelParams.from_beta(beta=cfg["beta"], s0=cfg["s0"],
                                            n_emitters=cfg["N"],
                                            seed=cfg["seed"])
             sol = solve_ce2(params)
-            rows = ce2_profile_rows(sol, cfg["s0"])
+            rows = partial(ce2_profile_rows, sol, cfg["s0"])
             out["scalar"] = prefix + [nan, nan,
                                       float(np.mean(sol.sigma_z)),
                                       inelastic_saturation(sol)]
@@ -277,10 +290,13 @@ def _eval_cell(task: dict) -> dict:
                 out["status"] = "unresolved"
                 return out
             obs = field_observables(sol, params, chain)
-            rows = meanfield_profile_rows(params, sol)
+            rows = partial(meanfield_profile_rows, params, sol)
             out["scalar"] = prefix + [obs.s_out_right, obs.s_out_left,
                                       float(np.mean(sol.sigma_z)), nan]
-        out["profile"] = [prefix + row for row in rows]
+        if task["profile"] is not None:
+            table = [prefix + row for row in rows()]
+            out["profile"] = (csv_lines(table) if task["profile"] == "csv"
+                              else table)
     except (NonConvergence, NoPhysicalRoot):
         out["status"] = "unresolved"
     except NumericalInstability:
@@ -309,10 +325,10 @@ def cmd_sweep(args) -> int:
     tasks = spec.tasks()
     results = _map_cells(tasks, spec.jobs)
 
-    prof_rows, scal_rows, unresolved, instability = [], [], [], []
+    profiles, scal_rows, unresolved, instability = [], [], [], []
     for r in results:
         if r["status"] == "ok":
-            prof_rows.extend(r["profile"])
+            profiles.append(r["profile"])
             scal_rows.append(r["scalar"])
         elif r["status"] == "unresolved":
             unresolved.append(r["coords"])
@@ -320,6 +336,9 @@ def cmd_sweep(args) -> int:
             instability.append(r["coords"])
 
     prof_cols = _PROFILE_COLS.get(spec.model, MEANFIELD_PROFILE_COLS)
+    # CSV cells bring their lines as text, JSON cells their rows
+    prof_rows = ("".join(profiles) if spec.format == "csv"
+                 else list(itertools.chain.from_iterable(profiles)))
     tables = {"profile": (names + list(prof_cols), prof_rows),
               "scalars": (names + list(_SCALAR_COLS), scal_rows)}
     base = Path(spec.out)
@@ -362,11 +381,23 @@ def _fig_dir(args, name: str) -> Path:
     return d
 
 
+def _fig_fields(args, model: str, **defaults) -> dict:
+    """The figure's fields named in `defaults`: the flag's value where it
+    was given (not None), else the default, checked by `_check_fields` as
+    a `model` cell's; M, the realization count, must be >= 1."""
+    cfg = {name: default if getattr(args, name) is None
+           else getattr(args, name) for name, default in defaults.items()}
+    _check_fields(model, dict(_DEFAULTS, **cfg))
+    if cfg.get("M", 1) < 1:
+        raise SpecError("field M: need at least one realization")
+    return cfg
+
+
 def _fig2(args, manifest: dict) -> List[str]:
     """Steady-state inversion profiles across drive strengths (two
     directional limits), N=2000, β=0.005, s0 log-spaced 2.4..80."""
-    n = int(args.N or 2000)
-    beta = args.beta if args.beta is not None else 0.005
+    cfg = _fig_fields(args, "UWM", N=2000, beta=0.005)
+    n, beta = cfg["N"], cfg["beta"]
     s0s = np.geomspace(2.4, 80.0, 7)
     rows = []
     for model in ("UWM", "DM"):
@@ -385,18 +416,15 @@ def _fig2(args, manifest: dict) -> List[str]:
 
 def _fig3(args, manifest: dict) -> List[str]:
     """Realization-vs-equation averaging maps over disorder strength."""
-    n = int(args.N or 2000)
-    beta = args.beta if args.beta is not None else 0.005
-    s0 = args.s0 if args.s0 is not None else 20.0
-    M = args.M or 20
+    cfg = _fig_fields(args, "EAM", N=2000, beta=0.005, s0=20.0, M=20, seed=0)
+    n, beta, s0, M = cfg["N"], cfg["beta"], cfg["s0"], cfg["M"]
     etas = np.geomspace(1e-3, 0.3, 7)
-    jobs = _resolve_jobs(args.jobs or 0)
+    jobs = _resolve_jobs(args.jobs)
     rows = []
     excluded = {}
     for eta in etas:
         params = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n,
-                                       eta=float(eta),
-                                       seed=int(args.seed or 0))
+                                       eta=float(eta), seed=cfg["seed"])
         rep = run_ensemble(params, M=M, jobs=jobs)
         excluded[f"{eta:.6g}"] = rep.excluded
         rows.extend([eta] + row for row in ensemble_profile_rows(params, rep))
@@ -415,14 +443,14 @@ def _fig4(args, manifest: dict) -> List[str]:
 
     Desk-scale reduction: 20×30 heatmap grid (paper-scale grids are an
     override away) and M=6 realizations at N=500 for the scatter."""
-    n = int(args.N or 1000)
-    beta = args.beta if args.beta is not None else 0.005
+    cfg = _fig_fields(args, "EAM", N=1000, beta=0.005, M=6, seed=0)
+    n, beta = cfg["N"], cfg["beta"]
     etas = np.geomspace(1e-3, 1.0, 20)
     stils = np.linspace(0.05, 4.0, 30)
-    jobs = _resolve_jobs(args.jobs or 0)
+    jobs = _resolve_jobs(args.jobs)
 
     tasks = _grid_tasks("EAM", [("eta", etas), ("s_tilde", stils)],
-                        dict(_DEFAULTS, N=n, beta=beta))
+                        dict(_DEFAULTS, N=n, beta=beta), None)
     results = _map_cells(tasks, jobs)
     heat_cols = ("eta", "s_tilde", "s_out_right", "s_out_left")
     cols = ("eta", "s_tilde") + _SCALAR_COLS    # the scalar row's layout
@@ -431,13 +459,13 @@ def _fig4(args, manifest: dict) -> List[str]:
     unresolved = [r["coords"] for r in results if r["status"] != "ok"]
 
     n_sc = min(500, n)
-    M_sc = args.M or 6
+    M_sc = cfg["M"]
     scat_rows = []
     for eta in (0.001, 0.02, 0.1):
         for st in np.linspace(0.25, 3.0, 8):
             params = ModelParams.from_beta(beta=beta, s0=float(st * 4 * beta * n_sc),
                                            n_emitters=n_sc, eta=eta,
-                                           seed=int(args.seed or 0))
+                                           seed=cfg["seed"])
             rep = run_ensemble(params, M=M_sc, jobs=jobs)
             for mu in range(M_sc):
                 r_out, l_out = rep.per_realization_outputs[mu]
@@ -478,8 +506,10 @@ def _fig7(args, manifest: dict) -> List[str]:
     """Pair-correlation map and inelastic output profile (second-order
     cumulant run with D_i spanning [0, 2 s0])."""
     s0 = args.s0 if args.s0 is not None else 80.0
-    n = int(args.sites or args.N or 200)
-    beta = s0 / (2.0 * n)       # D_N = 4βn = 2 s0
+    n = args.sites if args.sites is not None else args.N
+    n = 200 if n is None else n
+    # D_N = 4βn = 2 s0; n < 1 is refused just below
+    beta = s0 / (2.0 * n) if n > 0 else 0.0
     _check_fields("CE2-UWM", dict(_DEFAULTS, N=n, beta=beta, s0=s0))
     params = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n)
     sol = solve_ce2(params)
@@ -522,7 +552,7 @@ def cmd_fig(args) -> int:
         return 2
     t0 = time.time()
     manifest = {"figure": args.name, "version": _version(),
-                "seed": int(args.seed or 0)}
+                "seed": 0 if args.seed is None else args.seed}
     outputs = _FIG_REGISTRY[args.name](args, manifest)
     manifest["wall_time_s"] = time.time() - t0
     manifest["outputs"] = outputs

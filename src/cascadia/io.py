@@ -4,14 +4,21 @@ All floats are emitted with 17 significant digits ('%.17g'), which
 round-trips IEEE doubles exactly, so identical inputs produce identical
 bytes regardless of platform or worker scheduling.  Line endings are
 fixed to '\\n'.
+
+`fmt17` states the format of one value.  `csv_lines` applies it a row at a
+time: one '%' format string per tuple of value types, cached, with `fmt17`
+itself only for values that no '%' spec formats exactly (booleans, unknown
+types).  Sweep workers call `csv_lines` on their own cells, and
+`write_csv` takes either rows or that text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +28,7 @@ from .ensemble import EnsembleReport
 from .meanfield import MeanFieldSolution
 from .params import ModelParams
 
-__all__ = ["fmt17", "write_csv", "write_json", "MEANFIELD_PROFILE_COLS",
+__all__ = ["fmt17", "csv_lines", "write_csv", "write_json", "MEANFIELD_PROFILE_COLS",
            "meanfield_profile_rows", "write_meanfield_csv", "CE2_PROFILE_COLS",
            "ce2_profile_rows", "write_cumulant_pair_csv",
            "ENSEMBLE_PROFILE_COLS", "ensemble_profile_rows",
@@ -40,13 +47,48 @@ def fmt17(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def _spec(kind: type) -> Optional[str]:
+    """The '%' spec that formats a `kind` value as `fmt17` does, if any."""
+    if issubclass(kind, (bool, np.bool_)):
+        return None
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    if issubclass(kind, str):
+        return "%s"
+    return None
+
+
+@lru_cache(maxsize=256)   # keyed by tables' row layouts: a handful in a run
+def _row_format(kinds: tuple):
+    """(format string of one CSV line, positions left to `fmt17`)."""
+    specs = [_spec(kind) for kind in kinds]
+    loose = tuple(i for i, spec in enumerate(specs) if spec is None)
+    return ",".join(spec or "%s" for spec in specs) + "\n", loose
+
+
+def csv_lines(rows: Iterable[Sequence]) -> str:
+    """The CSV lines of `rows`, each value formatted as by `fmt17`."""
+    lines = []
+    for row in rows:
+        fmt, loose = _row_format(tuple(map(type, row)))
+        if loose:
+            row = list(row)
+            for i in loose:
+                row[i] = fmt17(row[i])
+        lines.append(fmt % tuple(row))
+    return "".join(lines)
+
+
+def write_csv(path, header: Sequence[str],
+              rows: Union[Iterable[Sequence], str]) -> Path:
+    """Write a CSV table; `rows` is the rows or their `csv_lines` text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt17(x) for x in row) + "\n")
+        fh.write(rows if isinstance(rows, str) else csv_lines(rows))
     return path
 
 

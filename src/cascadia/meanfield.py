@@ -13,8 +13,10 @@ with all model structure in the effective drive α_i:
     DM    α_i = Ω/2 − i(Γ₁D/2) Σ_{j≠i} ⟨σ⁻_j⟩   (= (N−1)⟨σ⁻⟩ when uniform)
 
 All drive sums are evaluated in O(N): forward sums are exclusive cumulative
-sums, the EAM backward kernel is a first-order linear recurrence, and BWM
-backward phases factorize as u_j ū_i with u_j = e^{4πi z_j} (positions in λ).
+sums, the EAM backward kernel is a first-order linear recurrence, solved as
+a unit upper-bidiagonal system by the BLAS banded triangular solve
+(`ztbsv`), and BWM backward phases factorize as u_j ū_i with
+u_j = e^{4πi z_j} (positions in λ).
 The same recurrences, with the prefix and suffix sums as unknowns, make the
 exact Jacobian solve of every Newton step one banded linear solve
 (`_make_solve`), also O(N).
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.signal import lfilter
+from scipy.linalg.blas import ztbsv
 
 from .errors import NonConvergence
 from .params import (EmitterChain, ModelParams, averaged_phase_factor,
@@ -88,6 +90,9 @@ class _DrivePlan:
             self.u = spiral_phases(chain)
         elif model_tag == "EAM":
             self.r = averaged_phase_factor(params.eta, 1)
+            # superdiagonal −r of the unit upper-bidiagonal band (the
+            # diagonal row is not read: ztbsv runs with diag=1)
+            self.band = np.full((2, self.n), -self.r, dtype=complex)
 
     def alpha(self, m: np.ndarray, omega: float) -> np.ndarray:
         base = 0.5 * omega
@@ -101,9 +106,11 @@ class _DrivePlan:
             r = self.r
             if r == 0.0:
                 return base - 1j * self.g * fwd
-            # b_i = Σ_{j>i} r^{j−i} m_j by the recurrence b_i = r(m_{i+1}+b_{i+1})
-            rev = m[::-1]
-            bwd = lfilter([0.0, r], [1.0, -r], rev)[::-1]
+            # b_i = Σ_{j>i} r^{j−i} m_j by the recurrence b_i = r(m_{i+1}+b_{i+1}),
+            # i.e. the bidiagonal solve b_i − r b_{i+1} = r m_{i+1}
+            bwd = np.zeros(self.n, dtype=complex)
+            bwd[:-1] = r * m[1:]
+            bwd = ztbsv(1, self.band, bwd, diag=1, overwrite_x=1)
             return base - 1j * self.g * (fwd + bwd)
         # BWM: Σ_{j>i} u_j ū_i m_j as a suffix sum of u·m
         um = self.u * m

@@ -6,15 +6,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadia import (DopplerParams, ModelParams, build_chain, doppler_profile,
                       run_ensemble, solve_ce2, solve_steady_state)
-from cascadia.cli import main
-from cascadia.io import (CE2_PROFILE_COLS, ce2_profile_rows, fmt17,
-                         write_cumulant_pair_csv, write_doppler_csv,
+from cascadia.cli import _DEFAULTS, _eval_cell, _grid_tasks, main
+from cascadia.io import (CE2_PROFILE_COLS, ce2_profile_rows, csv_lines, fmt17,
+                         write_csv, write_cumulant_pair_csv, write_doppler_csv,
                          write_ensemble_csv, write_meanfield_csv)
 
 
@@ -32,6 +33,42 @@ def test_fmt17_non_floats():
     assert fmt17(False) == "false"
     assert fmt17(42) == "42"
     assert fmt17("site") == "site"
+
+
+def _fmt17_lines(rows):
+    return "".join(",".join(fmt17(x) for x in row) + "\n" for row in rows)
+
+
+_MIXED = [1.0 / 3.0, np.float64(-2.5e-7), np.float32(0.1), 7, np.int64(-9),
+          True, np.bool_(False), "UWM", float("nan"), float("inf"),
+          -float("inf"), -0.0, 5e-324, 1.8e308, np.int32(3), 1 + 2j, None]
+
+
+def test_csv_lines_is_the_fmt17_join():
+    rows = [_MIXED, _MIXED[::-1], _MIXED[3:] + _MIXED[:3], [], [0.0],
+            ("site", 1, 0.5)]
+    assert csv_lines(rows) == _fmt17_lines(rows)
+
+
+_VALUES = st.one_of(
+    st.floats(), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
+    st.booleans().map(np.bool_), st.text())
+
+
+@given(st.lists(st.lists(_VALUES, max_size=8), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_csv_lines_matches_fmt17(rows):
+    assert csv_lines(rows) == _fmt17_lines(rows)
+
+
+def test_write_csv_takes_rows_or_their_text(tmp_path):
+    rows = [[1, 0.5, "x"], [2, float("nan"), True]]
+    a = write_csv(tmp_path / "a.csv", ["i", "v", "w"], rows)
+    b = write_csv(tmp_path / "b.csv", ["i", "v", "w"], csv_lines(rows))
+    assert a.read_bytes() == b.read_bytes() == \
+        b"i,v,w\n1,0.5,x\n2,nan,true\n"
 
 
 # --- writers ---------------------------------------------------------------------
@@ -192,6 +229,50 @@ def test_sweep_is_deterministic(tmp_path):
            (tmp_path / "b_scalars.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "UWM", "--axis", "s0=log:1..40:5", "--N", "30"],
+    ["--model", "EAM", "--axis", "eta=log:0.01..1:2",
+     "--axis", "s_tilde=lin:0.5..2:3", "--N", "20", "--beta", "0.05"],
+    ["--model", "CE2-UWM", "--axis", "s0=lin:1..4:3", "--N", "8",
+     "--beta", "0.05"],
+    ["--model", "DOPPLER", "--axis", "s_tilde=lin:0.5..1.5:3", "--xi", "1",
+     "--d-max", "30"],
+], ids=["UWM", "EAM", "CE2-UWM", "DOPPLER"])
+def test_profile_csv_is_jobs_invariant(argv, tmp_path):
+    # each worker formats its own cells' lines; the parent joins them
+    for jobs in ("1", "2"):
+        assert main(["sweep", *argv, "--jobs", jobs,
+                     "--out", str(tmp_path / f"j{jobs}")]) == 0
+    for table in ("profile", "scalars"):
+        assert (tmp_path / f"j1_{table}.csv").read_bytes() == \
+               (tmp_path / f"j2_{table}.csv").read_bytes()
+
+
+def test_json_sweep_rows_are_the_csv_lines(tmp_path):
+    argv = ["sweep", "--model", "BWM", "--axis", "s0=lin:1..3:2", "--N", "9",
+            "--beta", "0.05", "--eta", "0.1", "--out"]
+    assert main(argv + [str(tmp_path / "c")]) == 0
+    assert main(argv + [str(tmp_path / "j"), "--format", "json"]) == 0
+    data = json.loads((tmp_path / "j_data.json").read_text())["profile"]
+    text = (tmp_path / "c_profile.csv").read_text()
+    assert text == ",".join(data["columns"]) + "\n" + \
+        _fmt17_lines(data["rows"])
+
+
+def test_cell_returns_the_profile_its_task_names():
+    def cell(profile):
+        task, = _grid_tasks("EAM", [("s0", [3.0])],
+                            dict(_DEFAULTS, N=7, eta=0.2), profile)
+        return _eval_cell(task)
+
+    rows, text, none = cell("rows"), cell("csv"), cell(None)
+    assert len(rows["profile"]) == 7
+    assert text["profile"] == csv_lines(rows["profile"])
+    assert none["profile"] is None
+    assert csv_lines([none["scalar"]]) == csv_lines([rows["scalar"]]) == \
+        csv_lines([text["scalar"]])
+
+
 def test_sweep_two_axes_and_json_format(tmp_path):
     out = tmp_path / "grid"
     rc = main(["sweep", "--model", "DOPPLER", "--axis", "D=lin:5..10:2",
@@ -242,6 +323,13 @@ def test_spec_file_with_overrides(tmp_path):
     ["fig", "fig7", "--sites", "600"],                             # CE2 site cap
     ["sweep", "--model", "BWM", "--axis", "eta=lin:0.01..0.1:2",
      "--seed", "-1"],                                              # negative seed
+    # figure flags: checked as a sweep cell's, and 0 is not "not given"
+    ["fig", "fig2", "--beta", "0.7", "--N", "10"],                 # beta range
+    ["fig", "fig3", "--N", "10", "--M", "2", "--seed", "-1"],      # negative seed
+    ["fig", "fig3", "--N", "10", "--M", "0"],                      # no realizations
+    ["fig", "fig4", "--N", "0"],                                   # no emitters
+    ["fig", "fig4", "--N", "10", "--beta", "-0.1"],                # beta range
+    ["fig", "fig7", "--sites", "0"],                               # no sites
 ])
 def test_spec_errors_exit_2(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path / "x")])

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
-                      dicke_cubic, dicke_steady_states, effective_drive,
-                      field_observables, solve_collective, solve_steady_state,
+from cascadia import (ModelParams, RampSpec, SolverOptions,
+                      averaged_phase_factor, build_chain, dicke_cubic,
+                      dicke_steady_states, effective_drive, field_observables,
+                      solve_collective, solve_steady_state,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
@@ -56,6 +58,38 @@ def test_attenuated_drive_hand_value():
     expected = 0.5 * p.rabi - 1j * g * (-0.1j) * (r + r ** 2)
     a = effective_drive("EAM", p, None, m)
     assert a[0] == pytest.approx(expected, rel=1e-14)
+
+
+def _lfilter_backward(m, r):
+    # the backward sum by the IIR filter b_i = r(m_{i+1} + b_{i+1}) run on
+    # the reversed chain: the reference the BLAS bidiagonal solve replaced
+    return lfilter([0.0, r], [1.0, -r], m[::-1])[::-1]
+
+
+@pytest.mark.parametrize("eta", [1e-4, 0.3, 1.0, 10.0],
+                         ids=["r_near_1", "r_half", "r_tiny", "r_zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 2000])
+def test_attenuated_drive_is_the_backward_sum(n, eta):
+    p = _params(min(0.5, 1.0 / n), 2.0, n, eta=eta)
+    r = averaged_phase_factor(eta, 1)
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=n) * 0.2 + 1j * rng.normal(size=n) * 0.2
+    m[rng.random(n) < 0.1] = 0.0
+    g = p.gamma_1d / 2.0
+    fwd = np.concatenate(([0.0j], np.cumsum(m)[:-1]))
+    a = effective_drive("EAM", p, None, m)
+
+    # bit for bit the filter's result
+    bwd = _lfilter_backward(m, r)
+    assert np.array_equal(a, 0.5 * p.rabi - 1j * g * (fwd + bwd))
+    # and the direct O(N²) sum Σ_{j>i} r^{j−i} m_j to rounding
+    powers = r ** np.arange(1, n)
+    direct = np.array([powers[:n - 1 - i] @ m[i + 1:] for i in range(n)])
+    expected = 0.5 * p.rabi - 1j * g * (fwd + direct)
+    scale = 1.0 + g * np.sum(np.abs(m))
+    assert np.max(np.abs(a - expected)) <= 1e-13 * scale
+    if r == 0.0:
+        assert np.array_equal(a, effective_drive("UWM", p, None, m))
 
 
 def test_drive_rejects_wrong_length():
