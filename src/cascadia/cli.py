@@ -16,7 +16,9 @@ are checked as a sweep cell's fields are.
 
 Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
 3 a grid cell hit a numerical instability.  Non-converged cells are
-recorded in the manifest ("unresolved") and skipped, not fatal.
+recorded in the manifest ("unresolved") and left out of the tables, not
+fatal; so are a figure's unconverged solves and ensembles (fig4 lists its
+scatter's under "scatter_unresolved").
 """
 
 from __future__ import annotations
@@ -399,18 +401,22 @@ def _fig2(args, manifest: dict) -> List[str]:
     cfg = _fig_fields(args, "UWM", N=2000, beta=0.005)
     n, beta = cfg["N"], cfg["beta"]
     s0s = np.geomspace(2.4, 80.0, 7)
-    rows = []
+    rows, unresolved = [], []
     for model in ("UWM", "DM"):
         for s0 in s0s:
             params = ModelParams.from_beta(beta=beta, s0=float(s0),
                                            n_emitters=n)
             sol = solve_steady_state(model, params)
+            if not sol.converged:
+                unresolved.append([("model", model), ("s0", float(s0))])
+                continue
             rows.extend((model, s0, site, D, z) for site, D, _, _, z, *_
                         in meanfield_profile_rows(params, sol))
     out = _fig_dir(args, "fig2")
     path = write_csv(out / "inversion_profiles.csv",
                      ["model", "s0", "site", "D_i", "sigma_z"], rows)
     manifest["params"] = {"N": n, "beta": beta, "s0_grid": list(map(float, s0s))}
+    manifest["unresolved"] = unresolved
     return [str(path)]
 
 
@@ -420,12 +426,16 @@ def _fig3(args, manifest: dict) -> List[str]:
     n, beta, s0, M = cfg["N"], cfg["beta"], cfg["s0"], cfg["M"]
     etas = np.geomspace(1e-3, 0.3, 7)
     jobs = _resolve_jobs(args.jobs)
-    rows = []
+    rows, unresolved = [], []
     excluded = {}
     for eta in etas:
         params = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n,
                                        eta=float(eta), seed=cfg["seed"])
-        rep = run_ensemble(params, M=M, jobs=jobs)
+        try:
+            rep = run_ensemble(params, M=M, jobs=jobs)
+        except NonConvergence:
+            unresolved.append([("eta", float(eta))])
+            continue
         excluded[f"{eta:.6g}"] = rep.excluded
         rows.extend([eta] + row for row in ensemble_profile_rows(params, rep))
     out = _fig_dir(args, "fig3")
@@ -434,6 +444,7 @@ def _fig3(args, manifest: dict) -> List[str]:
     manifest["params"] = {"N": n, "beta": beta, "s0": s0, "M": M,
                           "eta_grid": list(map(float, etas)),
                           "excluded": excluded}
+    manifest["unresolved"] = unresolved
     return [str(path)]
 
 
@@ -460,13 +471,17 @@ def _fig4(args, manifest: dict) -> List[str]:
 
     n_sc = min(500, n)
     M_sc = cfg["M"]
-    scat_rows = []
+    scat_rows, scat_unresolved = [], []
     for eta in (0.001, 0.02, 0.1):
         for st in np.linspace(0.25, 3.0, 8):
             params = ModelParams.from_beta(beta=beta, s0=float(st * 4 * beta * n_sc),
                                            n_emitters=n_sc, eta=eta,
                                            seed=cfg["seed"])
-            rep = run_ensemble(params, M=M_sc, jobs=jobs)
+            try:
+                rep = run_ensemble(params, M=M_sc, jobs=jobs)
+            except NonConvergence:
+                scat_unresolved.append([("eta", eta), ("s_tilde", float(st))])
+                continue
             for mu in range(M_sc):
                 r_out, l_out = rep.per_realization_outputs[mu]
                 scat_rows.append((eta, float(st), mu, r_out, l_out))
@@ -484,6 +499,7 @@ def _fig4(args, manifest: dict) -> List[str]:
     manifest["reductions"] = ("heatmap 20x30 and scatter N=500/M=6 keep the "
                               "default run desk-sized; pass --N/--M to scale")
     manifest["unresolved"] = unresolved
+    manifest["scatter_unresolved"] = scat_unresolved
     return [str(p) for p in paths]
 
 

@@ -42,9 +42,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import linalg
 
+from . import steady
 from .errors import DimensionCap, NonConvergence
 from .params import ModelParams
-from .steady import SolverOptions
 
 __all__ = ["CumulantSolution", "solve_ce2", "sigma_xx_cumulant",
            "inelastic_saturation", "CE2_MAX_SITES"]
@@ -331,25 +331,20 @@ def _solve_site(om, g, bm_k, m, z, bm, dMZv, dMPv, S_MM, S_MP, S_MZ):
     return (u[:, 0] + u[:, 1:] @ s).reshape(k, 15)[:, :9], s
 
 
-def solve_ce2(params: ModelParams, n: Optional[int] = None,
-              opts: Optional[SolverOptions] = None) -> CumulantSolution:
-    """CE2 steady state of the cascaded chain.
+def solve_ce2(params: ModelParams) -> CumulantSolution:
+    """CE2 steady state of the cascaded chain of params.n_emitters sites.
 
-    `n` defaults to params.n_emitters (pass a smaller value to solve a
-    chain prefix).  The unique steady state is solved exactly, one site
-    block at a time from the head of the chain (`_solve_site`): O(n²) in
-    all, with no iteration.  Of `opts` only `steady_state_residual` is
-    read: the max-norm of `build_rhs` at the result must reach it, or
-    NonConvergence names the cell and the first site whose rows miss it.
-    A singular or non-finite site system raises NonConvergence for its
-    site.  Detuned chains are not supported here (the sweeps that need CE2
-    are all on resonance).
+    The unique steady state is solved exactly, one site block at a time
+    from the head of the chain (`_solve_site`): O(n²) in all, with no
+    iteration.  The max-norm of `build_rhs` at the result must reach
+    `steady.STEADY_RESIDUAL`, or NonConvergence names the cell and the
+    first site whose rows miss it.  A singular or non-finite site system
+    raises NonConvergence for its site.  Detuned chains are not supported
+    here (the sweeps that need CE2 are all on resonance).
     """
-    n = params.n_emitters if n is None else int(n)
+    n = params.n_emitters
     if n > CE2_MAX_SITES:
         raise DimensionCap(f"CE2 capped at n = {CE2_MAX_SITES} (got {n})")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if params.detuning != 0.0:
         raise ValueError("CE2 solver supports resonant drive only")
 
@@ -358,7 +353,6 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
     # the two reductions cancel in the count)
     assert _layout(n).size == 3 * math.comb(n, 1) + 9 * math.comb(n, 2)
 
-    opts = opts or SolverOptions()
     om, g = params.rabi, params.gamma_1d / 2.0
     m, bm = np.zeros(n, dtype=complex), np.zeros(n + 1, dtype=complex)
     dMZv, dMPv = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
@@ -389,7 +383,7 @@ def solve_ce2(params: ModelParams, n: Optional[int] = None,
     MM, MP, MZ = X
     r = np.abs(build_rhs(params, n)(0.0, _pack(m, z, MM, MP, MZ, ZZ)))
     residual = float(np.max(r))
-    target = opts.steady_state_residual
+    target = steady.STEADY_RESIDUAL
     if residual > target:
         site = next(k + 1 for k in range(n)
                     if np.max(r[_block_indices(n, k)]) > target)

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonConvergence
 from .meanfield import field_observables, solve_steady_state
 from .params import ModelParams, build_chain
-from .steady import SolverOptions
 
 __all__ = ["EnsembleReport", "run_ensemble"]
 
@@ -63,9 +63,9 @@ def env_jobs(default: int) -> int:
         raise ValueError(f"CASCADIA_JOBS={env!r} is not an integer") from None
 
 
-def _one_realization(params: ModelParams, mu: int, opts: Optional[SolverOptions]):
+def _one_realization(params: ModelParams, mu: int):
     chain = build_chain(params, stream=mu)
-    sol = solve_steady_state("BWM", params, chain, opts)
+    sol = solve_steady_state("BWM", params, chain)
     if not sol.converged:
         return mu, None, (np.nan, np.nan)
     out = field_observables(sol, params, chain)
@@ -73,14 +73,14 @@ def _one_realization(params: ModelParams, mu: int, opts: Optional[SolverOptions]
 
 
 def run_ensemble(params: ModelParams, M: int = 20,
-                 opts: Optional[SolverOptions] = None,
                  jobs: Optional[int] = None) -> EnsembleReport:
     """Solve M chain realizations of the bidirectional model plus one
     disorder-averaged reference, and reduce to difference/variance maps.
 
     jobs > 1 distributes realizations over processes (default: the
     CASCADIA_JOBS environment variable, else serial).  Statistics are
-    identical either way.
+    identical either way.  An unconverged reference, or M unconverged
+    realizations, raise NonConvergence.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -88,18 +88,19 @@ def run_ensemble(params: ModelParams, M: int = 20,
         jobs = env_jobs(1)
     jobs = max(1, min(jobs, M))
 
-    avg = solve_steady_state("EAM", params, None, opts)
+    avg = solve_steady_state("EAM", params)
     if not avg.converged:
-        raise RuntimeError("disorder-averaged reference did not converge")
+        raise NonConvergence("disorder-averaged reference did not converge: "
+                             f"residual {avg.residual:.2e}")
     z_avg = avg.sigma_z
 
     results = [None] * M
     if jobs == 1:
         for mu in range(M):
-            results[mu] = _one_realization(params, mu, opts)
+            results[mu] = _one_realization(params, mu)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_one_realization, params, mu, opts)
+            futs = [pool.submit(_one_realization, params, mu)
                     for mu in range(M)]
             for fut in futs:
                 mu, z, out = fut.result()
@@ -119,7 +120,7 @@ def run_ensemble(params: ModelParams, M: int = 20,
         variance += d * d
         kept += 1
     if kept == 0:
-        raise RuntimeError("all realizations failed to converge")
+        raise NonConvergence(f"all {M} realizations failed to converge")
     mean_diff /= kept
     variance /= kept
 

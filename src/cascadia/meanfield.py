@@ -25,7 +25,7 @@ exact Jacobian solve of every Newton step one banded linear solve
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,8 +35,7 @@ from scipy.linalg.blas import ztbsv
 from .errors import NonConvergence
 from .params import (EmitterChain, ModelParams, averaged_phase_factor,
                      left_output_weights, spiral_phases)
-from .steady import (RampSpec, SolverOptions, newton_step, pseudo_transient,
-                     small_move)
+from .steady import RampSpec, SolverOptions, newton_step, pseudo_transient
 
 __all__ = [
     "MODEL_TAGS", "MeanFieldSolution", "FieldObservables",
@@ -94,8 +93,18 @@ class _DrivePlan:
             # diagonal row is not read: ztbsv runs with diag=1)
             self.band = np.full((2, self.n), -self.r, dtype=complex)
 
+    @classmethod
+    def collective(cls, b: float) -> "_DrivePlan":
+        """The one-site collective system α = Ω/2 − i(b/2)⟨σ⁻⟩: DM with
+        every site equal at b = 2β(N−1)."""
+        plan = cls.__new__(cls)
+        plan.tag, plan.n, plan.g = "collective", 1, b / 2.0
+        return plan
+
     def alpha(self, m: np.ndarray, omega: float) -> np.ndarray:
         base = 0.5 * omega
+        if self.tag == "collective":
+            return base - 1j * self.g * m
         if self.tag == "DM":
             return base - 1j * self.g * (np.sum(m) - m)
         fwd = np.cumsum(m)
@@ -149,7 +158,7 @@ def _make_rhs(plan: _DrivePlan, detunings: Optional[np.ndarray]):
         dm = 1j * a * z - 0.5 * m
         if detunings is not None:
             dm += 1j * detunings * m
-        dz = -4.0 * np.imag(np.conj(a) * m) - (1.0 + z)
+        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
         return np.concatenate((dm.real, dm.imag, dz))
 
     return rhs
@@ -164,14 +173,17 @@ def _site_maps(m, z, a, detunings, delta, r):
     dz_i leaves M dm_i = K dα_i + c with M = (κ + 2|α|²/ε, −2α²/ε),
     K = (iz + 2αm̄/ε, −2αm/ε), c = r_m + iα r_z/ε, κ = 1/δ + ½ − iΔ and
     ε = 1/δ + 1.  Returns (tp, tq, q, dz): dm_i = tp dα_i + tq dᾱ_i + q_i,
-    and dz(dα, dm) recovers the population part.
+    and dz(dα, dm) recovers the population part.  det M = |mp|² − |mq|² is
+    formed as |κ|² + 4 Re(κ)|α|²/ε: on a diverging Newton iterate the two
+    |α|⁴ terms of the squares swamp it.
     """
     n = m.size
     inv = 1.0 / delta
     eps = inv + 1.0
     kap = inv + 0.5 if detunings is None else inv + 0.5 - 1j * detunings
-    mp, mq = kap + 2.0 * np.abs(a) ** 2 / eps, -2.0 * a * a / eps
-    norm = np.abs(mp) ** 2 - np.abs(mq) ** 2  # ≥ Re(κ)² > 0
+    a2 = np.abs(a) ** 2
+    mp, mq = kap + 2.0 * a2 / eps, -2.0 * a * a / eps
+    norm = np.abs(kap) ** 2 + 4.0 * kap.real * a2 / eps  # ≥ Re(κ)² > 0
     ip, iq = np.conj(mp) / norm, -mq / norm    # M⁻¹
     kp, kq = 1j * z + 2.0 * a * np.conj(m) / eps, -2.0 * a * m / eps
     tp = ip * kp + iq * np.conj(kq)
@@ -249,7 +261,9 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
         put(ab, b_next[1], -c - cv * wp[1:], -cv * wq[1:])
         back = cv * q[1:]
         rhs[rows_b[:-1]], rhs[rows_b[:-1] + 1] = back.real, back.imag
-        x = solve_banded((3, 3), ab, rhs).reshape(n, 4)
+        # a non-finite system gives a non-finite x, which the caller
+        # refuses as it refuses a singular one
+        x = solve_banded((3, 3), ab, rhs, check_finite=False).reshape(n, 4)
         da = -1j * g * ((x[:, 0] + 1j * x[:, 1]) + w * (x[:, 2] + 1j * x[:, 3]))
         dm = tp * da + tq * np.conj(da) + q
         return np.concatenate((dm.real, dm.imag, dz(da, dm)))
@@ -265,39 +279,41 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
 _RAMP_STEP = 10.0
 
 
-def _settle(rhs, solve, y0: np.ndarray, omega: float, opts: SolverOptions):
+def _settle(rhs, solve, y0: np.ndarray, omega: float,
+            ramp: Optional[RampSpec]):
     """Continue pseudo-transiently into the steady state at drive `omega`,
     then take one exact Newton step under the branch guard.  `solve` is
     the model's exact Jacobian solve, solve(y, omega, δ, r).
 
-    With `opts.ramp` set, the state is first continued quasi-statically
-    along the ramp: one pseudo-transient solve at each of the K − 1 drives
-    s0_at(k·t_ramp/K), K = ⌈t_ramp/_RAMP_STEP⌉, each warm-started from the
-    last, before the settle at `omega`.  Returns (y, residual, missed):
-    `missed` is None on success, else the stage that ran out of steps
-    ("ramp step k of K at s₀ = …" or "steady state"), with its last state
-    and that state's residual at `omega`.
+    With a `ramp`, the state is first continued quasi-statically along it:
+    one pseudo-transient solve at each of the K drives s0_at(k·t_ramp/K),
+    k = 0 … K − 1, K = ⌈t_ramp/_RAMP_STEP⌉, each warm-started from the
+    last, before the settle at `omega`.  Stage k = 0 settles at s0_start;
+    from the ground state at s₀ = 0 or from a finished warm start it
+    returns at once.  Returns (y, residual, missed): `missed` is None on
+    success, else the stage that ran out of steps ("ramp step k of K at
+    s₀ = …" or "steady state"), with its last state and that state's
+    residual at `omega`.
     """
     def at(w):
         return (lambda y: rhs(y, w)), (lambda y, delta, r: solve(y, w, delta, r))
 
-    ramp = opts.ramp
     y = y0
     if ramp is not None:
         k_steps = math.ceil(ramp.t_ramp / _RAMP_STEP)
-        for k in range(1, k_steps):
+        for k in range(k_steps):
             s0 = ramp.s0_at(k * ramp.t_ramp / k_steps)
-            res = pseudo_transient(*at(math.sqrt(s0 / 2.0)), y, opts)
+            res = pseudo_transient(*at(math.sqrt(s0 / 2.0)), y)
             y = res.y
             if not res.converged:
                 return (y, float(np.max(np.abs(rhs(y, omega)))),
                         f"ramp step {k} of {k_steps} at s₀ = {s0:g}")
 
     rhs0, solve0 = at(omega)
-    res = pseudo_transient(rhs0, solve0, y, opts)
+    res = pseudo_transient(rhs0, solve0, y)
     if not res.converged:
         return res.y, res.residual, "steady state"
-    y, residual = newton_step(rhs0, solve0, res.y, small_move(res.y))
+    y, residual = newton_step(rhs0, solve0, res.y)
     return y, residual, None
 
 
@@ -313,10 +329,13 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     (warm start for branch continuation) is given, and follows the
     relaxation from there into its basin (`steady.pseudo_transient`), so a
     multistable model lands on the branch the dynamics selects.
-    `opts.ramp` first continues the state quasi-statically along the drive
-    ramp s0_start → s0_end (see `RampSpec`); the returned solution then
-    corresponds to drive ramp.s0_end, not params.rabi.  Resonant UWM has a
-    unique steady state and returns the cascade fixed point in closed form.
+    `opts.ramp` first settles the state at s0_start, then continues it
+    quasi-statically along the drive ramp s0_start → s0_end (see
+    `RampSpec`); the returned solution then corresponds to drive
+    ramp.s0_end, not params.rabi.  DM is its one-site collective system
+    (as in `solve_collective`), broadcast to the N sites.  Resonant UWM has
+    a unique steady state and returns the cascade fixed point in closed
+    form.
     A continuation that runs out of steps, on the ramp or at the final
     drive, is never continued past: it returns a flagged (converged=False)
     partial result whose residual is that of the returned state at the
@@ -330,19 +349,17 @@ def solve_steady_state(model_tag: str, params: ModelParams,
 
     if model_tag == "DM":
         # one collective site with b = 2β(N−1), broadcast to N sites
-        b = 2.0 * params.beta * (n - 1)
+        y0 = None
         if initial is not None:
-            y0 = np.array([initial.sigma_minus[0].real,
-                           initial.sigma_minus[0].imag, initial.sigma_z[0]])
-        else:
-            y0 = np.array([0.0, 0.0, -1.0])
-        y, residual, missed = _settle(
-            _collective_rhs(b, params.detuning),
-            _collective_solve(b, params.detuning), y0, omega_end, opts)
-        m = np.full(n, y[0] + 1j * y[1])
+            y0 = _pack(np.asarray(initial.sigma_minus[:1], dtype=complex),
+                       np.asarray(initial.sigma_z[:1], dtype=float))
+        plan = _DrivePlan.collective(2.0 * params.beta * (n - 1))
+        y, residual, missed = _settle_collective(plan, params.detuning, y0,
+                                                 omega_end, opts.ramp)
+        m, z = _unpack(y, 1)
         return MeanFieldSolution(
-            sigma_minus=m, sigma_z=np.full(n, y[2]),
-            alpha=np.full(n, 0.5 * omega_end - 0.5j * b * m[0]),
+            sigma_minus=np.repeat(m, n), sigma_z=np.repeat(z, n),
+            alpha=np.repeat(plan.alpha(m, omega_end), n),
             converged=missed is None, residual=residual, model_tag="DM")
 
     plan = _DrivePlan(model_tag, params, chain)
@@ -365,7 +382,7 @@ def solve_steady_state(model_tag: str, params: ModelParams,
         else:
             y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
         y, residual, missed = _settle(rhs, _make_solve(plan, det), y0,
-                                      omega_end, opts)
+                                      omega_end, opts.ramp)
         converged = missed is None
 
     m, z = _unpack(y, n)
@@ -378,78 +395,59 @@ def solve_steady_state(model_tag: str, params: ModelParams,
 # --- collective (permutation-symmetric) reduction ---------------------------
 
 
-def _collective_rhs(b: float, detuning: float = 0.0):
-    """One-site RHS with α = Ω/2 − i(b/2)⟨σ⁻⟩ on the packed (Re, Im, z)."""
-
-    def rhs(y, omega):
-        m = y[0] + 1j * y[1]
-        z = y[2]
-        a = 0.5 * omega - 0.5j * b * m
-        dm = 1j * a * z - 0.5 * m
-        if detuning != 0.0:
-            dm += 1j * detuning * m
-        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
-        return np.array([dm.real, dm.imag, dz])
-
-    return rhs
-
-
-def _collective_solve(b: float, detuning: float = 0.0):
-    """Exact solve of (I/δ − J(y)) x = r for `_collective_rhs`: the site
-    block of `_site_maps` closed by its own feedback dα = −i(b/2) dm."""
+def _collective_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
+    """Exact solve of (I/δ − J(y)) x = r for the one-site collective
+    system (`_DrivePlan.collective`): the site block of `_site_maps`
+    closed by its own feedback dα = −i g dm."""
+    g = plan.g
 
     def solve(y, omega, delta, r):
         m = y[:1] + 1j * y[1:2]
-        a = 0.5 * omega - 0.5j * b * m
-        tp, tq, q, dz = _site_maps(m, y[2:], a, detuning, delta, r)
-        # (1 − T∘(−ib/2)) dm = q, inverted as a map x ↦ p x + q x̄
-        lp, lq = 1.0 + 0.5j * b * tp, -0.5j * b * tq
+        a = plan.alpha(m, omega)
+        tp, tq, q, dz = _site_maps(m, y[2:], a, detunings, delta, r)
+        # (1 − T∘(−ig)) dm = q, inverted as a map x ↦ p x + q x̄
+        lp, lq = 1.0 + 1j * g * tp, -1j * g * tq
         dm = (np.conj(lp) * q - lq * np.conj(q)) / (np.abs(lp) ** 2
                                                     - np.abs(lq) ** 2)
-        return np.concatenate((dm.real, dm.imag, dz(-0.5j * b * dm, dm)))
+        return np.concatenate((dm.real, dm.imag, dz(-1j * g * dm, dm)))
 
     return solve
 
 
-def solve_collective(feedback: float, s0: float, s0_start: Optional[float] = None,
-                     t_ramp: float = 400.0,
-                     opts: Optional[SolverOptions] = None):
+def _settle_collective(plan: _DrivePlan, detuning: float,
+                       y0: Optional[np.ndarray], omega: float,
+                       ramp: Optional[RampSpec]):
+    """`_settle` on the one-site collective system of `plan`
+    (`_DrivePlan.collective`), from y0 (the ground state if None)."""
+    det = None if detuning == 0.0 else np.full(1, detuning)
+    if y0 is None:
+        y0 = np.array([0.0, 0.0, -1.0])
+    return _settle(_make_rhs(plan, det), _collective_solve(plan, det), y0,
+                   omega, ramp)
+
+
+def solve_collective(feedback: float, s0: float,
+                     s0_start: Optional[float] = None):
     """Steady state of the one-site collective system α = Ω/2 − i(b/2)⟨σ⁻⟩.
 
     `feedback` is b: 2β(N−1) for the N-emitter permutation-symmetric model,
     or D/2 in the thermodynamic parametrization by total optical depth.
-    With s0_start given, the system first settles at s0_start from the
-    ground state, then is continued quasi-statically along the drive ramp
-    s0_start → s0 (branch continuation in the bistable window; t_ramp sets
-    the number of steps, see `RampSpec`).  Every solve is a
-    pseudo-transient continuation.  Returns (⟨σ⁻⟩, ⟨σᶻ⟩); a miss at any
-    stage (the settle at s0_start, a ramp step, the final settle) raises
+    With s0_start given, the system is continued quasi-statically along
+    the drive ramp s0_start → s0 over 400 Γ_tot⁻¹ from the ground state
+    settled at s0_start (branch continuation in the bistable window, see
+    `RampSpec`); this is the DM branch of `solve_steady_state` with that
+    ramp.  Returns (⟨σ⁻⟩, ⟨σᶻ⟩); a miss at any stage (a ramp step, the
+    first of which is the settle at s0_start, or the final settle) raises
     NonConvergence naming the stage, b, s₀ and s0_start.
     """
-    opts = opts or SolverOptions()
-    rhs, solve = _collective_rhs(feedback), _collective_solve(feedback)
-    start = "none" if s0_start is None else f"{s0_start:g}"
-
-    def miss(stage, residual):
-        return NonConvergence(
-            f"collective {stage} not reached at b = {feedback:g}, "
-            f"s₀ = {s0:g}, s0_start = {start}: residual {residual:.2e}")
-
-    y0 = np.array([0.0, 0.0, -1.0])
-    ramp = None
-    if s0_start is not None:
-        # start on the branch belonging to s0_start
-        w0 = math.sqrt(s0_start / 2.0)
-        res = pseudo_transient(lambda y: rhs(y, w0),
-                               lambda y, d, r: solve(y, w0, d, r), y0, opts)
-        if not res.converged:
-            raise miss("s0_start settle", res.residual)
-        y0 = res.y
-        ramp = RampSpec(s0_start=s0_start, s0_end=s0, t_ramp=t_ramp)
-    y, residual, missed = _settle(rhs, solve, y0, math.sqrt(s0 / 2.0),
-                                  replace(opts, ramp=ramp))
+    ramp = None if s0_start is None else RampSpec(s0_start, s0, 400.0)
+    y, residual, missed = _settle_collective(
+        _DrivePlan.collective(feedback), 0.0, None, math.sqrt(s0 / 2.0), ramp)
     if missed is not None:
-        raise miss(missed, residual)
+        start = "none" if s0_start is None else f"{s0_start:g}"
+        raise NonConvergence(
+            f"collective {missed} not reached at b = {feedback:g}, "
+            f"s₀ = {s0:g}, s0_start = {start}: residual {residual:.2e}")
     return y[0] + 1j * y[1], y[2]
 
 

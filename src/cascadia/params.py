@@ -99,17 +99,13 @@ class ModelParams:
 class DerivedQuantities:
     """Dimensionless control parameters derived from ModelParams.
 
-    d_total = D_N = 4βN, s0 = 2Ω², s_tilde = s₀/D_N, d_at(i) = 4βi.
+    d_total = D_N = 4βN, s0 = 2Ω², s_tilde = s₀/D_N.
     """
 
     beta: float
     d_total: float
     s0: float
     s_tilde: float
-
-    def d_at(self, i):
-        """Optical depth coordinate D_i = 4βi of site i (1-based; array ok)."""
-        return 4.0 * self.beta * np.asarray(i, dtype=float)
 
 
 def derive(params: ModelParams) -> DerivedQuantities:

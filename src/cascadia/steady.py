@@ -13,11 +13,12 @@ basin, and as δ grows the step turns into Newton on f (Kelley & Keyes,
 SIAM J. Numer. Anal. 35, 508 (1998)).  A drive ramp (`RampSpec`) is a
 quasi-static continuation: the caller runs `pseudo_transient` at a
 sequence of drives, each warm-started from the last.  `newton_step` then
-takes one exact Newton step to round-off, kept only if the caller's
-acceptance test holds and the residual went down, so a finish can sharpen
-a state but never move it to another branch.  CE2 needs none of this:
-its steady state is unique and `cumulant.solve_ce2` solves it exactly,
-site by site.
+takes one exact Newton step to round-off, kept only if it moves the state
+by less than 1e-5 of its scale and lowers the residual, so a finish can
+sharpen a state but never move it to another branch.  Every steady state
+must reach the max-norm residual `STEADY_RESIDUAL`.  CE2 needs no
+continuation: its steady state is unique and `cumulant.solve_ce2` solves
+it exactly, site by site.
 
 State vectors are packed real (complex moments split into Re/Im by the
 caller).
@@ -33,10 +34,14 @@ import numpy as np
 
 from .errors import NumericalInstability
 
-__all__ = ["RampSpec", "SolverOptions", "SteadyResult", "newton_step",
-           "pseudo_transient", "small_move"]
+__all__ = ["RampSpec", "STEADY_RESIDUAL", "SolverOptions", "SteadyResult",
+           "newton_step", "pseudo_transient"]
 
 _EPS = float(np.finfo(float).eps)
+# the max-norm residual every steady state must reach: the pseudo-transient
+# loop of mean-field and the collective system, and the `build_rhs`
+# residual of a CE2 solve
+STEADY_RESIDUAL = 1e-9
 # steps (accepted or retried) before `pseudo_transient` gives up
 _PTC_STEPS = 200
 # Newton iterations per pseudo-transient step before it counts as missed
@@ -75,21 +80,12 @@ class RampSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerance and drive ramp shared by the steady-state solvers.
-
-    `steady_state_residual` is the max-norm residual every steady state
-    must reach: the pseudo-transient loop of mean-field and the collective
-    system, and the `build_rhs` residual of a CE2 solve.  `ramp`
-    (mean-field only) continues the steady state along a drive ramp
-    first.  The exact oracle takes no options.
+    """Options of the mean-field solver: `ramp` continues the steady state
+    along a drive ramp first.  CE2 and the exact oracle take no options;
+    the residual every steady state must reach is `STEADY_RESIDUAL`.
     """
 
-    steady_state_residual: float = 1e-9
     ramp: Optional[RampSpec] = None
-
-    def __post_init__(self):
-        if self.steady_state_residual <= 0:
-            raise ValueError("steady_state_residual must be > 0")
 
 
 @dataclass
@@ -97,41 +93,47 @@ class SteadyResult:
     y: np.ndarray
     t: float          # pseudo-time Σδ of the accepted ΨTC steps
     residual: float   # max-norm of the RHS at y
-    converged: bool   # residual < steady_state_residual
+    converged: bool   # residual < STEADY_RESIDUAL
 
 
 def _check_finite(y: np.ndarray):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NumericalInstability("non-finite state")
 
 
 def _max_abs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def _implicit_step(fun: Callable, solve: Callable, yk: np.ndarray,
                    fk: np.ndarray, delta: float, f_tol: float):
     """Newton on the backward-Euler step (v − yk)/δ = fun(v) from v = yk,
     where fun(yk) = fk.  Returns (v, fun(v)) once the step residual is at
-    most `f_tol`, or None after `_PTC_NEWTON` iterations or on a
-    non-finite state or step residual."""
+    most `f_tol`, or None after `_PTC_NEWTON` iterations, on a singular
+    Jacobian solve, or on a non-finite state or step residual.  A missed
+    step is an expected outcome, so the overflow it may pass through on
+    the way is not warned about."""
     v, g = yk, -fk
-    for _ in range(_PTC_NEWTON):
-        v = v - solve(v, delta, g)
-        if not np.all(np.isfinite(v)):
-            return None
-        fv = fun(v)
-        g = (v - yk) / delta - fv
-        step_residual = _max_abs(g)
-        if step_residual <= f_tol:
-            return v, fv
-        if not np.isfinite(step_residual):
-            return None
+    with np.errstate(all="ignore"):
+        for _ in range(_PTC_NEWTON):
+            try:
+                v = v - solve(v, delta, g)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(v).all():
+                return None
+            fv = fun(v)
+            g = (v - yk) / delta - fv
+            step_residual = _max_abs(g)
+            if step_residual <= f_tol:
+                return v, fv
+            if not np.isfinite(step_residual):
+                return None
     return None
 
 
-def pseudo_transient(fun: Callable, solve: Callable, y0: np.ndarray,
-                     opts: SolverOptions) -> SteadyResult:
+def pseudo_transient(fun: Callable, solve: Callable,
+                     y0: np.ndarray) -> SteadyResult:
     """Steady state of dy/dt = fun(y) by pseudo-transient continuation.
 
     `solve(y, δ, r)` returns the x with (I/δ − J(y)) x = r, J the exact
@@ -144,12 +146,12 @@ def pseudo_transient(fun: Callable, solve: Callable, y0: np.ndarray,
     rather than on a falling residual carries the iteration through the
     transient rise past a fold of the fixed-point curve.  A missed inner
     solve (residual still above its tolerance after the iteration budget,
-    or a non-finite state) quarters δ and retries from the same state.
+    a singular Jacobian solve or a non-finite state) quarters δ and
+    retries from the same state.
 
-    The loop stops once the residual is below `opts.steady_state_residual`
-    and a step fails to halve it, or at the inner solves' floor
-    `_PTC_FLOOR`, from where one Newton step (`newton_step`) reaches
-    round-off.  After `_PTC_STEPS` steps it returns the last state flagged
+    The loop stops once the residual is below `STEADY_RESIDUAL` and a step
+    fails to halve it, or at the inner solves' floor `_PTC_FLOOR`, from
+    where one Newton step (`newton_step`) reaches round-off.  After `_PTC_STEPS` steps it returns the last state flagged
     converged=False rather than raising, so sweep drivers can record
     unresolved cells.  `t` of the result is the pseudo-time Σδ of the
     accepted steps.
@@ -170,47 +172,39 @@ def pseudo_transient(fun: Callable, solve: Callable, y0: np.ndarray,
         rk = residual
         y, fy = step
         residual, t = _max_abs(fy), t + delta
-        if residual < opts.steady_state_residual and residual > 0.5 * rk:
+        if residual < STEADY_RESIDUAL and residual > 0.5 * rk:
             break
         if residual >= rk:
             delta *= 2.0
         elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
             delta *= min(max(rk / residual, 2.0), 16.0)
     return SteadyResult(y=y, t=t, residual=residual,
-                        converged=residual < opts.steady_state_residual)
+                        converged=residual < STEADY_RESIDUAL)
 
 
-def small_move(y: np.ndarray) -> Callable:
-    """Acceptance test for a finish from `y`: the new state may move by
-    less than 1e-5 relative to the state's scale.  Multistable models
-    (DM, BWM) must not hop branches while being sharpened."""
-    scale = 1.0 + _max_abs(y)
-
-    def accept(ynew: np.ndarray) -> bool:
-        return _max_abs(ynew - y) / scale < 1e-5
-
-    return accept
-
-
-def newton_step(fun: Callable, solve: Callable, y: np.ndarray,
-                accept: Callable):
+def newton_step(fun: Callable, solve: Callable, y: np.ndarray):
     """One exact Newton step on `fun` from `y`, with `solve` as in
     `pseudo_transient` at δ = ∞.
 
     Returns (state, max|fun(state)|).  The step replaces `y` only if the
-    result is finite, passes `accept` and lowers the residual; from a
-    continued state it lands on the rounding floor.  A state already
-    within 4·eps is returned as is.
+    Jacobian solve is regular, the result is finite, lowers the residual
+    and moves the state by less than 1e-5 relative to its scale:
+    multistable models (DM, BWM) must not hop branches while being
+    sharpened.  From a continued state it lands on the rounding floor.  A
+    state already within 4·eps is returned as is.
     """
     y = np.asarray(y, dtype=float)
     fy = fun(y)
     residual = _max_abs(fy)
     if residual <= 4.0 * _EPS:
         return y, residual
-    ynew = y + solve(y, math.inf, fy)
-    if np.all(np.isfinite(ynew)) and accept(ynew):
+    try:
+        ynew = y + solve(y, math.inf, fy)
+    except np.linalg.LinAlgError:
+        return y, residual
+    if (np.isfinite(ynew).all()
+            and _max_abs(ynew - y) / (1.0 + _max_abs(y)) < 1e-5):
         rnew = _max_abs(fun(ynew))
         if rnew < residual:
             return ynew, rnew
     return y, residual
-

@@ -8,7 +8,8 @@ pseudo-transient continuation, the quasi-static drive ramps and the exact
 oracle's inverse iteration are compared against the same paths they
 replaced.  `newton_finish` is the matrix-free Newton–Krylov finish the
 package used before its solvers took exact Newton steps (and CE2 exact
-site solves), kept verbatim for the same reason.  `doppler_profile` is
+site solves), kept verbatim for the same reason, with `small_move`, the
+branch guard it was called with.  `doppler_profile` is
 the DOP853 propagation the package used before its Doppler profiles became
 a quadrature inverted by Newton, kept verbatim for the same reason.
 """
@@ -114,6 +115,18 @@ def _keep_better(fun: Callable, y: np.ndarray, residual: float,
     if rnew < residual:
         return ynew, rnew
     return y, residual
+
+
+def small_move(y: np.ndarray) -> Callable:
+    """Acceptance test for a finish from `y`: the new state may move by
+    less than 1e-5 relative to the state's scale.  Multistable models
+    (DM, BWM) must not hop branches while being sharpened."""
+    scale = 1.0 + _max_abs(y)
+
+    def accept(ynew: np.ndarray) -> bool:
+        return _max_abs(ynew - y) / scale < 1e-5
+
+    return accept
 
 
 def newton_finish(fun: Callable, y: np.ndarray, accept: Callable,

@@ -155,6 +155,19 @@ def test_sweep_writes_profile_scalars_manifest(tmp_path):
     assert len(man["outputs"]) == 2
 
 
+def test_sweep_at_the_eam_phase_boundary_resolves(tmp_path):
+    # two long-chain EAM cells whose solves once raised out of the sweep
+    out = tmp_path / "eam"
+    rc = main(["sweep", "--model", "EAM", "--axis", "s_tilde=lin:0.9..1:2",
+               "--N", "12000", "--beta", "0.005", "--eta", "0.03",
+               "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    man = json.loads((tmp_path / "eam.manifest.json").read_text())
+    assert man["unresolved_count"] == 0 and man["instability"] == []
+    _, srows = _read_csv(tmp_path / "eam_scalars.csv")
+    assert len(srows) == 2
+
+
 def test_sweep_profile_matches_meanfield_writer(tmp_path):
     # one BWM cell: the sweep's profile rows are the writer's rows behind
     # the axis column, in the same 17-digit text
@@ -386,6 +399,35 @@ def test_figure_registry_smoke(tmp_path):
     header, rows = _read_csv(tmp_path / "f8" / "transmission.csv")
     assert header == ["xi_delta", "s_tilde", "transmission"]
     assert len(rows) == 4 * 41
+
+
+def test_figures_list_unconverged_solves(tmp_path, monkeypatch):
+    # two ΨTC steps converge no DM or EAM solve here: fig2 keeps only the
+    # closed-form UWM profiles, fig3 and fig4 no ensemble at all
+    monkeypatch.setattr("cascadia.steady._PTC_STEPS", 2)
+    rc = main(["fig", "fig2", "--N", "50", "--out", str(tmp_path / "f2")])
+    assert rc == 0
+    man = json.loads((tmp_path / "f2" / "manifest.json").read_text())
+    assert len(man["unresolved"]) == 7
+    assert all(c[0] == ["model", "DM"] for c in man["unresolved"])
+    _, rows = _read_csv(tmp_path / "f2" / "inversion_profiles.csv")
+    assert len(rows) == 7 * 50 and {r[0] for r in rows} == {"UWM"}
+
+    rc = main(["fig", "fig3", "--N", "20", "--M", "2", "--jobs", "1",
+               "--out", str(tmp_path / "f3")])
+    assert rc == 0
+    man = json.loads((tmp_path / "f3" / "manifest.json").read_text())
+    assert [c[0][0] for c in man["unresolved"]] == ["eta"] * 7
+    _, rows = _read_csv(tmp_path / "f3" / "ensemble_maps.csv")
+    assert rows == []
+
+    rc = main(["fig", "fig4", "--N", "10", "--M", "2", "--jobs", "1",
+               "--out", str(tmp_path / "f4")])
+    assert rc == 0
+    man = json.loads((tmp_path / "f4" / "manifest.json").read_text())
+    assert len(man["scatter_unresolved"]) == 24
+    _, rows = _read_csv(tmp_path / "f4" / "realization_scatter.csv")
+    assert rows == []
 
 
 def test_console_script_entry_point(tmp_path):

@@ -14,8 +14,8 @@ from cascadia import (ModelParams, RampSpec, SolverOptions,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
-from cascadia.meanfield import MeanFieldSolution, _collective_rhs
-from cascadia.steady import SteadyResult, pseudo_transient
+from cascadia.meanfield import MeanFieldSolution, _DrivePlan, _make_rhs
+from cascadia.steady import STEADY_RESIDUAL, SteadyResult, pseudo_transient
 
 
 def _params(beta, s0, n, **kw):
@@ -149,8 +149,23 @@ def test_collective_hysteresis_branches():
     assert abs(dicke_cubic(z_dn, 20.0, 36.5)) < 1e-8
 
 
+@pytest.mark.parametrize("s0,s0_start", [(36.5, 1.0), (36.5, 200.0),
+                                         (30.0, 0.0), (45.0, 120.0),
+                                         (37.0, 5.0)])
+def test_collective_entry_points_take_one_path(s0, s0_start):
+    # solve_collective is the DM branch of solve_steady_state with a ramp
+    # of 400 Γ_tot⁻¹: both give the same bits
+    p = _params(20.0 / 800.0, s0, 201)
+    m, z = solve_collective(2.0 * p.beta * (p.n_emitters - 1), s0,
+                            s0_start=s0_start)
+    sol = solve_steady_state("DM", p, opts=SolverOptions(
+        ramp=RampSpec(s0_start, s0, 400.0)))
+    assert sol.converged
+    assert m == sol.sigma_minus[0] and z == sol.sigma_z[0]
+
+
 def test_collective_failure_names_the_cell(monkeypatch):
-    def missed(fun, solve, y0, opts):
+    def missed(fun, solve, y0):
         y = np.asarray(y0, dtype=float)
         return SteadyResult(y=y, t=0.0, residual=float(np.max(np.abs(fun(y)))),
                             converged=False)
@@ -165,34 +180,36 @@ def test_collective_failure_names_the_cell(monkeypatch):
 
 
 def test_collective_start_settle_must_converge(monkeypatch):
-    # only the settle at s0_start misses; the ramp and final settle would
-    # succeed, so the miss must not be ramped over
+    # only the settle at s0_start, the ramp's step 0, misses; the rest of
+    # the ramp and the final settle would succeed, so the miss must not be
+    # ramped over
     calls = []
 
-    def first_misses(fun, solve, y0, opts):
-        res = pseudo_transient(fun, solve, y0, opts)
+    def first_misses(fun, solve, y0):
+        res = pseudo_transient(fun, solve, y0)
         calls.append(res.converged)
         if len(calls) == 1:
             res = replace(res, converged=False)
         return res
 
     monkeypatch.setattr("cascadia.meanfield.pseudo_transient", first_misses)
-    with pytest.raises(NonConvergence, match=r"s0_start settle not reached at "
-                                             r"b = 10, s₀ = 36\.5, s0_start = 1: "
+    with pytest.raises(NonConvergence, match=r"ramp step 0 of 40 at s₀ = 1 "
+                                             r"not reached at b = 10, "
+                                             r"s₀ = 36\.5, s0_start = 1: "
                                              r"residual \S+"):
         solve_collective(10.0, 36.5, s0_start=1.0)
     assert calls == [True]
 
 
 def test_missed_ramp_step_is_reported(monkeypatch):
-    # the third solve misses: in solve_collective the second ramp step
-    # (after the settle at s0_start), in a DM ramp from the ground state
-    # the third.  The later steps and the final settle would succeed, so
-    # the miss must not be ramped over
+    # the third solve misses: ramp step 2, after step 0 (the settle at
+    # s0_start, or the ground state at s₀ = 0) and step 1.  The later
+    # steps and the final settle would succeed, so the miss must not be
+    # ramped over
     calls = []
 
-    def third_misses(fun, solve, y0, opts):
-        res = pseudo_transient(fun, solve, y0, opts)
+    def third_misses(fun, solve, y0):
+        res = pseudo_transient(fun, solve, y0)
         calls.append(res.converged)
         if len(calls) == 3:
             res = replace(res, converged=False)
@@ -213,9 +230,10 @@ def test_missed_ramp_step_is_reported(monkeypatch):
     assert calls == [True, True, True] and not sol.converged
     y = np.array([sol.sigma_minus[0].real, sol.sigma_minus[0].imag,
                   sol.sigma_z[0]])
+    rhs = _make_rhs(_DrivePlan.collective(10.0), None)
     assert sol.residual == float(np.max(np.abs(
-        _collective_rhs(10.0)(y, math.sqrt(36.5 / 2.0)))))
-    assert sol.residual >= SolverOptions().steady_state_residual
+        rhs(y, math.sqrt(36.5 / 2.0)))))
+    assert sol.residual >= STEADY_RESIDUAL
 
 
 # --- model-limit equivalences -------------------------------------------------
@@ -306,7 +324,3 @@ def test_recursion_approaches_continuum_profile():
     rel = np.abs(s - ref) / ref
     assert rel.max() < 5e-2
 
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(steady_state_residual=0.0)

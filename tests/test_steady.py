@@ -12,12 +12,12 @@ from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       dicke_bistability_window, dicke_steady_states,
                       effective_drive, solve_steady_state,
                       uwm_cascade_fixed_point)
-from cascadia.meanfield import (_DrivePlan, _collective_rhs, _collective_solve,
+from cascadia.meanfield import (_DrivePlan, _collective_solve, _make_rhs,
                                 _make_solve, solve_collective)
-from cascadia.steady import newton_step, pseudo_transient, small_move
+from cascadia.steady import STEADY_RESIDUAL, newton_step, pseudo_transient
 
 from _time_integration import (IntegrationOptions, integrate_ramp,
-                               integrate_to_steady, newton_finish)
+                               integrate_to_steady, newton_finish, small_move)
 
 
 def _unpack(y, n):
@@ -84,7 +84,7 @@ def test_continuation_matches_integration(model, n, s0, eta):
     assert np.max(np.abs(sol.sigma_z - z)) <= 1e-10
 
 
-def _krylov_pseudo_transient(fun, y0, opts):
+def _krylov_pseudo_transient(fun, y0):
     """The ΨTC loop the exact Newton steps replaced, copied with its step
     control unchanged: each backward-Euler step is solved by matrix-free
     Newton–Krylov (lgmres).  Returns (y, converged)."""
@@ -112,13 +112,13 @@ def _krylov_pseudo_transient(fun, y0, opts):
             delta /= 4.0
             continue
         y, residual, t = ynew, rnew, t + dk
-        if residual < opts.steady_state_residual and residual > 0.5 * rk:
+        if residual < STEADY_RESIDUAL and residual > 0.5 * rk:
             break
         if residual >= rk:
             delta *= 2.0
         elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
             delta *= min(max(rk / residual, 2.0), 16.0)
-    return y, residual < opts.steady_state_residual
+    return y, residual < STEADY_RESIDUAL
 
 
 @pytest.mark.parametrize("model,n,s0,eta", _BRAGG_FOLD + _LONG_CHAINS)
@@ -130,7 +130,7 @@ def test_exact_newton_steps_match_krylov_steps(model, n, s0, eta):
     assert sol.converged
     rhs = _rhs(model, p, chain)
     y, converged = _krylov_pseudo_transient(
-        rhs, np.concatenate((np.zeros(2 * n), -np.ones(n))), SolverOptions())
+        rhs, np.concatenate((np.zeros(2 * n), -np.ones(n))))
     assert converged
     y, _ = newton_finish(rhs, y, small_move(y))
     m, z = _unpack(y, n)
@@ -199,7 +199,7 @@ def test_collective_solve_matches_dense_jacobian(detuning):
         dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
         return np.array([dm.real, dm.imag, dz])
 
-    solve = _collective_solve(b, detuning)
+    solve = _collective_solve(_DrivePlan.collective(b), detuning)
     _assert_solves(fun, lambda v, d, r: solve(v, omega, d, r),
                    np.array([0.1, -0.2, -0.4]))
 
@@ -208,8 +208,7 @@ def test_continuation_survives_an_exact_zero_residual():
     # rounding snaps the last step onto the root: max|f| is exactly 0.0, as
     # on some cells of the 3-dof collective system
     res = pseudo_transient(lambda y: np.round(1.0 - y, 14),
-                           lambda y, d, r: r / (1.0 / d + 1.0), np.zeros(1),
-                           SolverOptions())
+                           lambda y, d, r: r / (1.0 / d + 1.0), np.zeros(1))
     assert res.converged and res.residual == 0.0
     assert abs(res.y[0] - 1.0) < 1e-14
 
@@ -217,7 +216,8 @@ def test_continuation_survives_an_exact_zero_residual():
 def test_collective_continuation_matches_integration():
     # DM at N = 200, a cell where the collective residual can land on 0.0
     p = ModelParams.from_beta(beta=0.005, s0=56.0, n_emitters=200)
-    rhs = _collective_rhs(2.0 * p.beta * (p.n_emitters - 1))
+    rhs = _make_rhs(_DrivePlan.collective(2.0 * p.beta * (p.n_emitters - 1)),
+                    None)
     sol = solve_steady_state("DM", p)
     assert sol.converged
     y = _integrated_settle(lambda y: rhs(y, p.rabi), np.array([0.0, 0.0, -1.0]))
@@ -230,16 +230,14 @@ def test_exhausted_step_budget_is_reported(monkeypatch):
     p = ModelParams.from_beta(beta=0.005, s0=38.0, n_emitters=1000, eta=0.0,
                               seed=3)
     chain = build_chain(p)
-    opts = SolverOptions()
     res = pseudo_transient(_rhs("BWM", p, chain), _solve("BWM", p, chain),
-                           np.concatenate((np.zeros(2000), -np.ones(1000))),
-                           opts)
-    assert not res.converged and res.residual >= opts.steady_state_residual
-    sol = solve_steady_state("BWM", p, chain, opts)
+                           np.concatenate((np.zeros(2000), -np.ones(1000))))
+    assert not res.converged and res.residual >= STEADY_RESIDUAL
+    sol = solve_steady_state("BWM", p, chain)
     assert not sol.converged
     assert sol.residual == pytest.approx(_residual("BWM", p, chain, sol),
                                          rel=1e-12)
-    assert sol.residual >= opts.steady_state_residual
+    assert sol.residual >= STEADY_RESIDUAL
 
 
 # --- the Newton step itself -------------------------------------------------------
@@ -253,20 +251,61 @@ def test_newton_step_accepts_and_rejects():
         return -r / (2.0 * v)
 
     y0 = np.array([1.41421356, -1.41421356])
-    y, r = newton_step(fun, solve, y0, lambda v: True)
+    y, r = newton_step(fun, solve, y0)
     assert np.max(np.abs(y - np.array([2 ** 0.5, -2 ** 0.5]))) < 1e-15
     assert r == float(np.max(np.abs(fun(y))))
-    # a refused step leaves the state and its residual untouched
-    y, r = newton_step(fun, solve, y0, lambda v: False)
+    # the branch guard refuses a step further than 1e-5 of the state's
+    # scale, and a refused step leaves the state and its residual untouched
+    far = np.array([1.0, -1.0])
+    y, r = newton_step(fun, solve, far)
+    assert np.array_equal(y, far)
+    assert r == float(np.max(np.abs(fun(far))))
+
+    # a singular Jacobian solve is a refused finish, too
+    def singular(v, delta, r):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    y, r = newton_step(fun, singular, y0)
     assert np.array_equal(y, y0)
     assert r == float(np.max(np.abs(fun(y0))))
-    # the branch guard refuses a step further than its tolerance
-    far = np.array([1.0, -1.0])
-    y, _ = newton_step(fun, solve, far, small_move(far))
-    assert np.array_equal(y, far)
+
+
+def test_singular_or_non_finite_inner_solve_is_a_missed_step():
+    # the first step meets a singular solve, its retry a non-finite one:
+    # each quarters δ and retries from the same state, and the third try
+    # goes on to the steady state
+    deltas = []
+
+    def fun(v):
+        return 1.0 - v
+
+    def solve(v, delta, r):
+        deltas.append(delta)
+        if len(deltas) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        if len(deltas) == 2:
+            return np.full_like(r, np.inf)
+        return r / (1.0 / delta + 1.0)
+
+    res = pseudo_transient(fun, solve, np.zeros(1))
+    assert deltas[:3] == [1.0, 0.25, 0.0625]
+    assert res.converged and abs(res.y[0] - 1.0) < 1e-12
 
 
 # --- mean-field residuals at round-off, on both sides of the old cliff -------------
+
+
+@pytest.mark.parametrize("n,s_tilde", [(12000, 1.0), (16000, 1.1)])
+def test_long_eam_chains_at_the_phase_boundary(n, s_tilde):
+    # an inner Newton iterate here diverges to |α| ~ 1e9: the site
+    # determinant must not cancel to a negative number, and the singular
+    # banded system it then meets must be a missed step, not a raise
+    p = ModelParams.from_beta(beta=0.005, s0=s_tilde * 4.0 * 0.005 * n,
+                              n_emitters=n, eta=0.03)
+    sol = solve_steady_state("EAM", p)
+    assert sol.converged
+    assert np.max(sol.bloch_norm()) <= 1.0
+    assert _residual("EAM", p, None, sol) <= STEADY_RESIDUAL
 
 
 @pytest.mark.parametrize("model,n", [("BWM", 2000), ("EAM", 2000),
@@ -330,13 +369,13 @@ def _integrated_collective_ramp(b, s0, s0_start, t_ramp=400.0):
     """The collective ramp the quasi-static continuation replaced: settle at
     s0_start, integrate the ramp s0_start → s0 over t_ramp, settle at s0
     and take the Newton finish under the branch guard."""
-    rhs, solve = _collective_rhs(b), _collective_solve(b)
+    plan = _DrivePlan.collective(b)
+    rhs, solve = _make_rhs(plan, None), _collective_solve(plan, None)
 
     def settle(y, s):
         w = np.sqrt(s / 2.0)
         res = pseudo_transient(lambda v: rhs(v, w),
-                               lambda v, d, r: solve(v, w, d, r), y,
-                               SolverOptions())
+                               lambda v, d, r: solve(v, w, d, r), y)
         assert res.converged
         return res.y, w
 
@@ -346,7 +385,7 @@ def _integrated_collective_ramp(b, s0, s0_start, t_ramp=400.0):
                        t_ramp, IntegrationOptions())
     y, w = settle(y, s0)
     y, _ = newton_step(lambda v: rhs(v, w), lambda v, d, r: solve(v, w, d, r),
-                       y, small_move(y))
+                       y)
     return y[0] + 1j * y[1], y[2]
 
 
