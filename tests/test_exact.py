@@ -300,3 +300,107 @@ def test_bwm_outputs_need_the_chain():
         flux_report(state, p)
     with pytest.raises(ValueError, match="require the chain"):
         field_observables(solve_steady_state("BWM", p, chain), p)
+
+
+# --- real one-pass path against the complex kron-sum path ---------------------
+
+_CELLS = [  # (β, s₀, η, detuning, ξ_Δ): plain, detuned, lossless collective
+    (0.1, 1.0, 0.1, 0.0, 0.0),
+    (0.2, 2.0, 0.1, 0.5, 0.3),
+    (0.5, 2.0, 0.0, 0.0, 0.0),
+]
+
+
+def _cell(tag, n, beta, s0, eta, detuning, xi_delta):
+    p = _params(beta, s0, n, eta=eta, detuning=detuning, seed=7)
+    chain = build_chain(p, xi_delta=xi_delta) if tag == "BWM" else None
+    return p, chain
+
+
+@pytest.mark.parametrize("tag", ["UWM", "DM", "EAM", "BWM"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cell", _CELLS)
+def test_one_pass_superoperator_equals_the_kron_sum(tag, n, cell):
+    from _complex_oracle import kron_superoperator
+    gen = build_generator(tag, *_cell(tag, n, *cell))
+    L = gen.superoperator()
+    ref = kron_superoperator(gen)
+    norm = float(abs(ref).sum(axis=1).max())
+    assert abs(L - ref).max() <= 1e-15 * norm
+    dim = 2 ** n
+    rng = np.random.default_rng(n)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    assert (np.max(np.abs(L @ rho.ravel() - gen.apply(rho).ravel()))
+            <= 1e-14 * norm * np.max(np.abs(rho)))
+
+
+@pytest.mark.parametrize("tag", ["UWM", "DM", "EAM", "BWM"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cell", _CELLS)
+def test_real_iteration_matches_the_complex_one(tag, n, cell):
+    from _complex_oracle import reference_steady_state
+    p, chain = _cell(tag, n, *cell)
+    rho = exact_steady_state(tag, p, chain).rho
+    assert np.max(np.abs(rho - reference_steady_state(tag, p, chain))) <= 1e-13
+
+
+def test_near_degenerate_unique_kernel_meets_the_gate_on_both_paths():
+    # a unique kernel close to degenerate (it needs the shift 1e9): rounding
+    # moves the two paths' states apart by ~1e-10 along its slowest mode,
+    # and each is a steady state to the residual gate, so the gate is what
+    # is compared
+    from _complex_oracle import reference_steady_state
+    from cascadia.exact import _RESIDUAL_MAX
+    p = _params(0.5, 1.0, 4, eta=0.1, seed=7)
+    chain = build_chain(p)
+    state = exact_steady_state("BWM", p, chain)
+    ref = reference_steady_state("BWM", p, chain)
+    assert state.residual <= _RESIDUAL_MAX
+    assert _residual("BWM", p, chain, state.rho) <= _RESIDUAL_MAX
+    assert _residual("BWM", p, chain, ref) <= _RESIDUAL_MAX
+
+
+def test_non_hermitian_generator_is_refused(monkeypatch):
+    # an anti-Hermitian part iX of H makes −i[H, ρ] carry [X, ρ], which is
+    # anti-Hermitian: U L Uᴴ is then complex, and the solve refuses it
+    from cascadia.errors import NumericalInstability
+    from cascadia.exact import _Generator, _site_ops
+    p = _params(0.2, 2.0, 2)
+    real = build_generator("DM", p, None)
+    sm = _site_ops(2)
+    H = real.H + 0.3j * (sm[0].conj().T @ sm[0])
+    kernels = [p.gamma_1d * np.ones((2, 2)), p.gamma_loss * np.eye(2)]
+    monkeypatch.setattr("cascadia.exact.build_generator",
+                        lambda *args: _Generator(H, kernels, sm))
+    with pytest.raises(NumericalInstability,
+                       match=r"DM .*N = 2, β = 0\.2, s₀ = 2.*Hermiticity"):
+        exact_steady_state("DM", p)
+
+
+def test_state_reports_how_it_was_solved():
+    from cascadia.exact import _RESIDUAL_MAX, _TAU_NORMS, DensityState
+    bare = DensityState(rho=np.eye(2) / 2, model_tag="UWM")
+    assert bare.solves == 0 and np.isnan(bare.tau_norm)
+    assert np.isnan(bare.residual)
+    p = _params(0.2, 2.0, 3)
+    state = exact_steady_state("UWM", p)
+    assert state.solves > 0 and state.tau_norm == _TAU_NORMS[0]
+    assert state.residual == pytest.approx(_residual("UWM", p, None,
+                                                     state.rho), rel=1e-6)
+    assert state.residual <= _RESIDUAL_MAX
+    # a nearly degenerate kernel needs a larger shift (see the slow-modes test)
+    slow = exact_steady_state("DM", _params(0.49, 1.0, 4))
+    assert slow.tau_norm > _TAU_NORMS[0]
+
+
+def test_the_advertised_cap_is_solved():
+    p = _params(0.1, 1.0, 6)
+    state = exact_steady_state("UWM", p)
+    rho = state.rho
+    assert state.residual <= 1e-10
+    assert _residual("UWM", p, None, rho) <= 1e-10
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+    assert np.linalg.eigvalsh(rho).min() > 0.0
+    rep = flux_report(state, p)
+    assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
