@@ -29,7 +29,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -40,7 +39,7 @@ import numpy as np
 from .analytic import mean_polarization
 from .cumulant import CE2_MAX_SITES, inelastic_saturation, solve_ce2
 from .doppler import DopplerParams, doppler_profile
-from .ensemble import env_jobs, run_ensemble
+from .ensemble import env_jobs, process_map, run_ensemble
 from .errors import NonConvergence, NoPhysicalRoot, NumericalInstability
 from .io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
                  ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
@@ -249,9 +248,9 @@ def _grid_tasks(model: str, axes: List[Tuple[str, np.ndarray]],
     `profile` is what each cell returns of its profile: "csv" (the text of
     its CSV lines), "rows", or None (nothing)."""
     grids = [[(name, float(v)) for v in values] for name, values in axes]
-    return [{"index": idx, "model": model, "fixed": fixed, "coords": list(c),
+    return [{"model": model, "fixed": fixed, "coords": list(c),
              "profile": profile}
-            for idx, c in enumerate(itertools.product(*grids))]
+            for c in itertools.product(*grids)]
 
 
 def _eval_cell(task: dict) -> dict:
@@ -261,8 +260,8 @@ def _eval_cell(task: dict) -> dict:
     coords = task["coords"]
     cfg = _cell_config(model, task["fixed"], coords)
     prefix = [v for _, v in coords]
-    out = {"index": task["index"], "coords": coords, "profile": None,
-           "scalar": None, "status": "ok"}
+    out = {"coords": coords, "profile": None, "scalar": None,
+           "status": "ok"}
     nan = float("nan")
     try:
         if model == "DOPPLER":
@@ -306,26 +305,13 @@ def _eval_cell(task: dict) -> dict:
     return out
 
 
-def _map_cells(tasks: List[dict], jobs: int) -> List[dict]:
-    """Evaluate grid cells, across `jobs` processes when jobs > 1, and
-    return the results in task-index order."""
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_cell, tasks))
-    else:
-        results = [_eval_cell(t) for t in tasks]
-    results.sort(key=lambda r: r["index"])
-    return results
-
-
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     t0 = time.time()
 
     names = [a.name for a in spec.axes]
     tasks = spec.tasks()
-    results = _map_cells(tasks, spec.jobs)
+    results = process_map(_eval_cell, tasks, spec.jobs)
 
     profiles, scal_rows, unresolved, instability = [], [], [], []
     for r in results:
@@ -462,7 +448,7 @@ def _fig4(args, manifest: dict) -> List[str]:
 
     tasks = _grid_tasks("EAM", [("eta", etas), ("s_tilde", stils)],
                         dict(_DEFAULTS, N=n, beta=beta), None)
-    results = _map_cells(tasks, jobs)
+    results = process_map(_eval_cell, tasks, jobs)
     heat_cols = ("eta", "s_tilde", "s_out_right", "s_out_left")
     cols = ("eta", "s_tilde") + _SCALAR_COLS    # the scalar row's layout
     heat_rows = [[r["scalar"][cols.index(c)] for c in heat_cols]

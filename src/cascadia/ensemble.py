@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -63,13 +64,23 @@ def env_jobs(default: int) -> int:
         raise ValueError(f"CASCADIA_JOBS={env!r} is not an integer") from None
 
 
+def process_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in item order, across `jobs` processes when
+    jobs > 1 and in this process otherwise."""
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def _one_realization(params: ModelParams, mu: int):
     chain = build_chain(params, stream=mu)
     sol = solve_steady_state("BWM", params, chain)
     if not sol.converged:
-        return mu, None, (np.nan, np.nan)
+        return None, (np.nan, np.nan)
     out = field_observables(sol, params, chain)
-    return mu, sol.sigma_z, (out.s_out_right, out.s_out_left)
+    return sol.sigma_z, (out.s_out_right, out.s_out_left)
 
 
 def run_ensemble(params: ModelParams, M: int = 20,
@@ -86,7 +97,6 @@ def run_ensemble(params: ModelParams, M: int = 20,
         raise ValueError("M must be >= 1")
     if jobs is None:
         jobs = env_jobs(1)
-    jobs = max(1, min(jobs, M))
 
     avg = solve_steady_state("EAM", params)
     if not avg.converged:
@@ -94,24 +104,14 @@ def run_ensemble(params: ModelParams, M: int = 20,
                              f"residual {avg.residual:.2e}")
     z_avg = avg.sigma_z
 
-    results = [None] * M
-    if jobs == 1:
-        for mu in range(M):
-            results[mu] = _one_realization(params, mu)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_one_realization, params, mu)
-                    for mu in range(M)]
-            for fut in futs:
-                mu, z, out = fut.result()
-                results[mu] = (mu, z, out)
+    results = process_map(partial(_one_realization, params), range(M), jobs)
 
     n = params.n_emitters
     mean_diff = np.zeros(n)
     variance = np.zeros(n)
     outputs = np.full((M, 2), np.nan)
     kept = 0
-    for mu, z, out in results:  # fixed order: bit-exact reduction
+    for mu, (z, out) in enumerate(results):  # fixed order: bit-exact reduction
         outputs[mu] = out
         if z is None:
             continue

@@ -6,12 +6,14 @@ class CascadiaError(Exception):
 
 
 class NumericalInstability(CascadiaError):
-    """Integration produced NaN/Inf state — parameters are outside the
-    stable regime of the chosen solver, or tolerances are too loose."""
+    """A solve met numbers it cannot continue from: a non-finite
+    steady-state iterate, a non-finite Doppler profile inversion, or an
+    exact-oracle generator that does not preserve Hermiticity."""
 
 
 class NonConvergence(CascadiaError):
-    """A steady state was not reached within the time/iteration budget.
+    """A steady state was not reached: a continuation ran out of steps, a
+    solve was singular, or the final residual stayed above its gate.
 
     ``site`` is set when a site-sequential solve can pinpoint the first
     emitter whose equations failed to settle.

@@ -9,26 +9,28 @@ modes need one.  The iteration converges to the state |g…g⟩ relaxes to,
 so unique and degenerate kernels (β = ½ leaves no loss, and dark states
 give several steady states) take the same path.  L is assembled in one
 pass and iterated in the real coordinates of Hermitian ρ, where it is a
-real matrix: a solve takes ~0.05 s at N = 5 (~0.03 s of it the LU) and
-~1.5 s and ~140 MB at N = 6 (2-core x86, OPENBLAS_NUM_THREADS=1).  Used
+real matrix: a solve takes ~0.04 s at N = 5 (~0.03 s of it the LU) and
+~1.4 s and ~135 MB at N = 6 (2-core x86, OPENBLAS_NUM_THREADS=1).  Used
 as ground truth by the test suite; nothing here scales past a handful of
 emitters and nothing here is approximate.
 
-All four models share the driven-qubit part and differ in the guided
-channels.  In the spiral gauge the right-going channel has unit weights
-and the left-going channel carries phases v_j = e^{−2ik₀ z_j}:
+All four models share the driven-qubit part and differ only in the
+guided channels, each a kernel K_jl on the sites (`_guided_channels`).
+In the spiral gauge the right-going channel has unit weights and the
+left-going channel carries phases v_j = e^{−2ik₀ z_j}:
 
-    BWM  right cascade (unit weights) + left cascade (weights v_j) + loss γ
-    EAM  same with the left-channel pair weights replaced by their Gaussian
-         ensemble average e^{−2(ηπ)²|i−j|} (a real, positive Kac kernel)
-    DM   single collective channel Γ₁D·D[J⁻] + loss γ (Bragg limit)
-    UWM  right cascade only; the backward emission (Γ₁D/2 per site) becomes
-         independent local loss (photons leaving left never return)
+    right  (Γ₁D/2)·𝟙 for every model
+    left   BWM (Γ₁D/2)·v v̄ᵀ; EAM (Γ₁D/2)·e^{−2(ηπ)²|i−j|} (its ensemble
+           average, a real positive Kac kernel); DM (Γ₁D/2)·𝟙 (Bragg
+           limit: with the right channel, Γ₁D·D[J⁻]); UWM none, its
+           backward emission (Γ₁D/2 per site) becomes local loss
+    loss   γ·I
 
-A cascaded channel with site amplitudes c_j and upstream order ≺ adds
-    H_casc = −(i/2) Σ_{l≺j} (c_j c̄_l σ⁺_j σ⁻_l − h.c.)
-    D(ρ)  = Σ_{j,l} c_j c̄_l (σ⁻_l ρ σ⁺_j − ½{σ⁺_j σ⁻_l, ρ})
-with ≺ the site order for the right channel and its reverse for the left.
+A cascaded channel with kernel K and upstream order ≺ adds
+    H_casc = −(i/2)(A − Aᴴ),  A = Σ_{l≺j} K_jl σ⁺_j σ⁻_l
+with ≺ the site order for the right channel and its reverse for the left,
+and every kernel adds Σ_{j,l} K_jl (σ⁻_l ρ σ⁺_j − ½{σ⁺_j σ⁻_l, ρ}).
+The dissipator is linear in K, so the generator sums the kernels into one.
 """
 
 from __future__ import annotations
@@ -96,44 +98,40 @@ def _site_ops(n: int):
 
 
 class _Generator:
-    """dρ/dt = −i[H, ρ] + Σ_channels Σ_jl K_jl (σ⁻_l ρ σ⁺_j − ½{σ⁺_jσ⁻_l, ρ})."""
+    """dρ/dt = −i[H, ρ] + Σ_jl K_jl (σ⁻_l ρ σ⁺_j − ½{σ⁺_jσ⁻_l, ρ}), with K
+    the sum of `kernels` (one per channel)."""
 
     def __init__(self, H: np.ndarray, kernels, sm):
         self.H = H
         self.sm = sm
         self.sp = [s.conj().T for s in sm]
         n = len(sm)
-        # per channel, precompute S_j = Σ_l K_jl σ⁻_l and G = Σ_j σ⁺_j S_j
-        self.channels = []
-        for K in kernels:
-            S = [sum(K[j, l] * sm[l] for l in range(n)) for j in range(n)]
-            G = sum(self.sp[j] @ S[j] for j in range(n))
-            self.channels.append((S, G))
+        K = sum(kernels)
+        # S_j = Σ_l K_jl σ⁻_l and G = Σ_j σ⁺_j S_j
+        self.S = [sum(K[j, l] * sm[l] for l in range(n)) for j in range(n)]
+        self.G = sum(self.sp[j] @ self.S[j] for j in range(n))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.H @ rho - rho @ self.H)
-        for S, G in self.channels:
-            for j, Sj in enumerate(S):
-                out += Sj @ rho @ self.sp[j]
-            out -= 0.5 * (G @ rho + rho @ G)
+        for Sj, spj in zip(self.S, self.sp):
+            out += Sj @ rho @ spj
+        out -= 0.5 * (self.G @ rho + rho @ self.G)
         return out
 
     def superoperator(self) -> sparse.csr_matrix:
         """L as a sparse matrix on row-major vec(ρ), where vec(AρB) =
-        (A ⊗ Bᵀ)·vec(ρ): with A = −iH − ½Σ G and B = iH − ½Σ G,
+        (A ⊗ Bᵀ)·vec(ρ): with A = −iH − ½G and B = iH − ½G,
 
-            L = A ⊗ I + I ⊗ Bᵀ + Σ_channels Σ_j S_j ⊗ (σ⁺_j)ᵀ,
+            L = A ⊗ I + I ⊗ Bᵀ + Σ_j S_j ⊗ (σ⁺_j)ᵀ,
 
         assembled in one pass from the (row, column, value) triplets of
         every Kronecker product.  Bᵀ = Ā where H and the kernels are
         Hermitian; it is not taken as Ā, so that L is `apply` for any H."""
         dim = self.H.shape[0]
         eye = np.eye(dim)
-        G = sum(g for _, g in self.channels)
-        terms = [(-1j * self.H - 0.5 * G, eye),
-                 (eye, (1j * self.H - 0.5 * G).T)]
-        for S, _ in self.channels:
-            terms += [(Sj, spj.T) for Sj, spj in zip(S, self.sp)]
+        terms = [(-1j * self.H - 0.5 * self.G, eye),
+                 (eye, (1j * self.H - 0.5 * self.G).T)]
+        terms += [(Sj, spj.T) for Sj, spj in zip(self.S, self.sp)]
         rows, cols, vals = [], [], []
         for X, Y in terms:
             rx, cx = np.nonzero(X)
@@ -147,6 +145,27 @@ class _Generator:
             shape=(dim * dim, dim * dim))
 
 
+def _guided_channels(model_tag: str, params: ModelParams,
+                     chain: Optional[EmitterChain]):
+    """The (right, left) guided-channel kernels K_jl of one model; left is
+    None for the UWM, which has no left-going channel."""
+    n = params.n_emitters
+    g = params.gamma_1d / 2.0
+    right = g * np.ones((n, n))
+    if model_tag == "UWM":
+        return right, None
+    if model_tag == "DM":
+        return right, g * np.ones((n, n))
+    if model_tag == "EAM":
+        return right, g * attenuation_kernel(params.eta, n)
+    if model_tag == "BWM":
+        if chain is None:
+            raise ValueError("BWM requires a chain realization")
+        v = np.conj(spiral_phases(chain))  # e^{−2ik₀z}
+        return right, g * np.outer(v, np.conj(v))
+    raise ValueError(f"unknown model tag {model_tag!r}")
+
+
 def build_generator(model_tag: str, params: ModelParams,
                     chain: Optional[EmitterChain]) -> _Generator:
     """Assemble H and dissipator kernels for one model.
@@ -158,9 +177,9 @@ def build_generator(model_tag: str, params: ModelParams,
     n = params.n_emitters
     if n > _MAX_N:
         raise DimensionCap(f"exact solver capped at N = {_MAX_N} (got {n})")
-    g1d = params.gamma_1d
-    g = g1d / 2.0
-    gl = params.gamma_loss
+    right, left = _guided_channels(model_tag, params, chain)
+    if left is None:  # the backward emission leaves as local loss
+        left = (params.gamma_1d / 2.0) * np.eye(n)
     sm = _site_ops(n)
     sp = [s.conj().T for s in sm]
     num = [sp[i] @ sm[i] for i in range(n)]
@@ -171,48 +190,17 @@ def build_generator(model_tag: str, params: ModelParams,
     elif params.detuning != 0.0:
         H = H - sum(params.detuning * num[i] for i in range(n))
 
-    def cascade_h(weights):
-        # −(i/2) Σ_{l≺j} (c_j c̄_l σ⁺_jσ⁻_l − h.c.) with c_j = √g·w_j and the
-        # list `weights` ordered upstream-first
-        Hc = np.zeros_like(H)
-        for jj in range(n):
-            for ll in range(jj):
-                c = g * weights[jj][1] * np.conj(weights[ll][1])
-                j, l = weights[jj][0], weights[ll][0]
-                Hc += -0.5j * (c * sp[j] @ sm[l] - np.conj(c) * sp[l] @ sm[j])
-        return Hc
+    # −(i/2)(A − Aᴴ) per cascaded channel, A = Σ_{l≺j} K_jl σ⁺_jσ⁻_l: the
+    # right channel runs in site order, the left in reverse (a diagonal
+    # kernel, the UWM's backward loss, adds nothing)
+    for K, order in ((right, range(n)), (left, range(n - 1, -1, -1))):
+        A = np.zeros_like(H)
+        for k, j in enumerate(order):
+            for l in order[:k]:
+                A += K[j, l] * (sp[j] @ sm[l])
+        H = H - 0.5j * (A - A.conj().T)
 
-    ones = np.ones((n, n))
-    loc = np.eye(n)
-    kernels = []
-
-    if model_tag == "DM":
-        kernels = [g1d * ones, gl * loc]
-    elif model_tag == "UWM":
-        H = H + cascade_h([(i, 1.0) for i in range(n)])
-        kernels = [g * ones, (g + gl) * loc]
-    elif model_tag == "BWM":
-        if chain is None:
-            raise ValueError("BWM requires a chain realization")
-        v = np.conj(spiral_phases(chain))  # e^{−2ik₀z}
-        H = H + cascade_h([(i, 1.0) for i in range(n)])
-        H = H + cascade_h([(i, v[i]) for i in range(n - 1, -1, -1)])
-        kernels = [g * ones, g * np.outer(v, np.conj(v)), gl * loc]
-    elif model_tag == "EAM":
-        K = attenuation_kernel(params.eta, n)
-        H = H + cascade_h([(i, 1.0) for i in range(n)])
-        # left cascade with ensemble-averaged pair weights (real kernel)
-        Hl = np.zeros_like(H)
-        for j in range(n):
-            for l in range(j):
-                # upstream for the left channel is the larger index j
-                Hl += -0.5j * g * K[j, l] * (sp[l] @ sm[j] - sp[j] @ sm[l])
-        H = H + Hl
-        kernels = [g * ones, g * K, gl * loc]
-    else:
-        raise ValueError(f"unknown model tag {model_tag!r}")
-
-    return _Generator(H, kernels, sm)
+    return _Generator(H, [right, params.gamma_loss * np.eye(n), left], sm)
 
 
 def _hermitian_coordinates(dim: int) -> sparse.csr_matrix:
@@ -377,16 +365,14 @@ def flux_report(state: DensityState, params: ModelParams,
     backward emission.  `defect` is input minus the sum; a correct
     generator at a converged state leaves only rounding dust.
 
-    The left channel splits into coherent/inelastic through its collective
-    operator when the channel is rank-one (BWM, DM); for the EAM the
-    ensemble-averaged kernel is full-rank, so `left_total` is the kernel
-    sum Σ_ij Γ^L_ij ⟨σ⁺_iσ⁻_j⟩ and `left_inelastic` is reported as the
-    remainder after the attenuated coherent part (it then also carries the
-    ensemble-diffuse flux).
+    The left channel's total is its kernel sum Σ_ij K^L_ij ⟨σ⁺_iσ⁻_j⟩
+    (`_guided_channels`), its coherent part (Γ₁D/2)|Σ_j w_j ⟨σ⁻_j⟩|² with
+    the head weights of `left_output_weights`, and `left_inelastic` the
+    remainder.  For the rank-one kernels (BWM, DM) that remainder is the
+    inelastic flux; for the full-rank EAM kernel it also carries the
+    ensemble-diffuse flux.
     """
     obs = exact_observables(state, params, chain)
-    n = params.n_emitters
-    tag = state.model_tag
     g1d = params.gamma_1d
     g = g1d / 2.0
     if g1d == 0.0:
@@ -406,28 +392,15 @@ def flux_report(state: DensityState, params: ModelParams,
     right_inelastic = g * (JpJm - abs(Jev) ** 2)
 
     loss_gamma = params.gamma_loss * float(np.sum(n_i))
-    loss_backward = 0.0
-
-    if tag == "UWM":
-        left_total = left_coherent = left_inelastic = 0.0
+    loss_backward = left_total = left_coherent = 0.0
+    _, left = _guided_channels(state.model_tag, params, chain)
+    if left is None:  # UWM: the backward emission is lost
         loss_backward = g * float(np.sum(n_i))
-    elif tag == "DM":
-        left_coherent = g * abs(Jev) ** 2
-        left_inelastic = g * (JpJm - abs(Jev) ** 2)
-        left_total = left_coherent + left_inelastic
-    elif tag == "BWM":
-        u = spiral_phases(chain)
-        JL = np.sum(u * m)  # phase weights; global phase drops in |·|
-        JLpJLm = float(np.real(np.conj(u)[:, None] * u[None, :] * pm).sum())
-        left_coherent = g * abs(JL) ** 2
-        left_inelastic = g * (JLpJLm - abs(JL) ** 2)
-        left_total = left_coherent + left_inelastic
-    else:  # EAM: full-rank averaged kernel
-        K = attenuation_kernel(params.eta, n)
-        left_total = g * float(np.real(np.sum(K * pm)))
-        w = left_output_weights("EAM", params, chain)
+    else:
+        left_total = float(np.real(np.sum(left * pm)))
+        w = left_output_weights(state.model_tag, params, chain)
         left_coherent = g * abs(np.sum(w * m)) ** 2
-        left_inelastic = left_total - left_coherent
+    left_inelastic = left_total - left_coherent
 
     total_out = (right_coherent + right_inelastic + left_total
                  + loss_gamma + loss_backward)

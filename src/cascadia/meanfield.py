@@ -72,7 +72,15 @@ class FieldObservables:
 
 
 class _DrivePlan:
-    """Per-solve precomputation for O(N) drive evaluation."""
+    """Per-solve precomputation for O(N) drive evaluation.
+
+    A chain model's drive is α_i = Ω/2 − i g (F_i + w_i B_i), g = Γ₁D/2,
+    with the forward prefix sum F_{i+1} = F_i + m_i, F_0 = 0, and the
+    backward suffix sum B_{i−1} = c (B_i + v_i m_i), B_{N−1} = 0.  The
+    model's left channel is the triple (c, v, w): c = 1, v = u, w = ū
+    (BWM, u_j = e^{2ik₀z_j}), c = r, v = w = 1 (EAM, r = e^{−2(ηπ)²}), and
+    c = 0 (UWM, or EAM at r = 0) for no backward sum.
+    """
 
     def __init__(self, model_tag: str, params: ModelParams,
                  chain: Optional[EmitterChain]):
@@ -81,17 +89,20 @@ class _DrivePlan:
         self.tag = model_tag
         self.n = params.n_emitters
         self.g = params.gamma_1d / 2.0  # Γ₁D/2
+        self.c, self.v, self.w = 0.0, 0.0, 0.0
         if model_tag == "BWM":
             if chain is None:
                 raise ValueError("BWM requires a chain realization")
             if len(chain) != self.n:
                 raise ValueError("chain length does not match n_emitters")
-            self.u = spiral_phases(chain)
+            u = spiral_phases(chain)
+            self.c, self.v, self.w = 1.0, u, np.conj(u)
         elif model_tag == "EAM":
-            self.r = averaged_phase_factor(params.eta, 1)
-            # superdiagonal −r of the unit upper-bidiagonal band (the
-            # diagonal row is not read: ztbsv runs with diag=1)
-            self.band = np.full((2, self.n), -self.r, dtype=complex)
+            self.c, self.v, self.w = (averaged_phase_factor(params.eta, 1),
+                                      1.0, 1.0)
+        # superdiagonal −c of the unit upper-bidiagonal band (the diagonal
+        # row is not read: ztbsv runs with diag=1)
+        self.band = np.full((2, self.n), -self.c, dtype=complex)
 
     @classmethod
     def collective(cls, b: float) -> "_DrivePlan":
@@ -109,23 +120,12 @@ class _DrivePlan:
             return base - 1j * self.g * (np.sum(m) - m)
         fwd = np.cumsum(m)
         fwd = np.concatenate(([0.0 + 0.0j], fwd[:-1]))  # Σ_{j<i}
-        if self.tag == "UWM":
-            return base - 1j * self.g * fwd
-        if self.tag == "EAM":
-            r = self.r
-            if r == 0.0:
-                return base - 1j * self.g * fwd
-            # b_i = Σ_{j>i} r^{j−i} m_j by the recurrence b_i = r(m_{i+1}+b_{i+1}),
-            # i.e. the bidiagonal solve b_i − r b_{i+1} = r m_{i+1}
-            bwd = np.zeros(self.n, dtype=complex)
-            bwd[:-1] = r * m[1:]
-            bwd = ztbsv(1, self.band, bwd, diag=1, overwrite_x=1)
-            return base - 1j * self.g * (fwd + bwd)
-        # BWM: Σ_{j>i} u_j ū_i m_j as a suffix sum of u·m
-        um = self.u * m
-        suf = np.cumsum(um[::-1])[::-1]
-        suf = np.concatenate((suf[1:], [0.0 + 0.0j]))
-        return base - 1j * self.g * (fwd + np.conj(self.u) * suf)
+        # B_i = c(B_{i+1} + v_{i+1} m_{i+1}) as the bidiagonal solve
+        # B_i − c B_{i+1} = c v_{i+1} m_{i+1}
+        bwd = np.zeros(self.n, dtype=complex)
+        bwd[:-1] = (self.c * self.v * m)[1:]
+        bwd = ztbsv(1, self.band, bwd, diag=1, overwrite_x=1)
+        return base - 1j * self.g * (fwd + self.w * bwd)
 
 
 def effective_drive(model_tag: str, params: ModelParams,
@@ -202,24 +202,16 @@ def _site_maps(m, z, a, detunings, delta, r):
 def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     """Exact solve of (I/δ − J(y)) x = r for the chain RHS, in O(N).
 
-    The drive is α_i = Ω/2 − i g (F_i + w_i B_i) with the forward prefix
-    sum F_{i+1} = F_i + m_i, F_0 = 0, and a backward suffix sum
-    B_{i−1} = c (B_i + v_i m_i), B_{N−1} = 0: c = 1, v = u, w = ū (BWM),
-    c = r, v = w = 1 (EAM), c = 0 (UWM, or EAM at r = 0).  With each site
-    block solved in closed form (`_site_maps`), dm_i is a real-linear map
-    of (dF_i, dB_i), and the recurrences become a 4N real system in the
-    unknowns (dF_i, dB_i), stored site by site.  Each recurrence row spans
-    six columns; placing the rows of F_{i+1} and B_{i−1} next to site i's
-    unknowns gives bandwidth 3 on either side, and one banded LU (with
-    partial pivoting) solves it.
+    With each site block solved in closed form (`_site_maps`), dm_i is a
+    real-linear map of (dF_i, dB_i), the increments of the drive's prefix
+    and suffix sums (`_DrivePlan`), and their recurrences become a 4N real
+    system in the unknowns (dF_i, dB_i), stored site by site.  Each
+    recurrence row spans six columns; placing the rows of F_{i+1} and
+    B_{i−1} next to site i's unknowns gives bandwidth 3 on either side, and
+    one banded LU (with partial pivoting) solves it.
     """
     n, g = plan.n, plan.g
-    if plan.tag == "BWM":
-        c, v, w = 1.0, plan.u, np.conj(plan.u)
-    elif plan.tag == "EAM":
-        c, v, w = plan.r, 1.0, 1.0
-    else:
-        c, v, w = 0.0, 0.0, 0.0
+    c, v, w = plan.c, plan.v, plan.w
     cv = np.broadcast_to(c * v, (n,))[1:]
     gw = -1j * g * np.broadcast_to(w, (n,))
     col = 4 * np.arange(n)           # Re dF_i; dB_i sits at col + 2

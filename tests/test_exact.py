@@ -321,12 +321,19 @@ def _cell(tag, n, beta, s0, eta, detuning, xi_delta):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cell", _CELLS)
 def test_one_pass_superoperator_equals_the_kron_sum(tag, n, cell):
-    from _complex_oracle import kron_superoperator
-    gen = build_generator(tag, *_cell(tag, n, *cell))
+    from _complex_oracle import kron_superoperator, reference_generator
+    p, chain = _cell(tag, n, *cell)
+    gen = build_generator(tag, p, chain)
     L = gen.superoperator()
     ref = kron_superoperator(gen)
     norm = float(abs(ref).sum(axis=1).max())
     assert abs(L - ref).max() <= 1e-15 * norm
+    # the channel table builds the generator the per-model branches built;
+    # DM's two cascades cancel exactly
+    old = reference_generator(tag, p, chain)
+    assert abs(L - kron_superoperator(old)).max() <= 1e-15 * norm
+    if tag == "DM":
+        assert gen.H.tobytes() == old.H.tobytes()
     dim = 2 ** n
     rng = np.random.default_rng(n)
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -338,10 +345,16 @@ def test_one_pass_superoperator_equals_the_kron_sum(tag, n, cell):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cell", _CELLS)
 def test_real_iteration_matches_the_complex_one(tag, n, cell):
-    from _complex_oracle import reference_steady_state
+    from _complex_oracle import reference_flux_report, reference_steady_state
     p, chain = _cell(tag, n, *cell)
-    rho = exact_steady_state(tag, p, chain).rho
+    state = exact_steady_state(tag, p, chain)
+    rho = state.rho
     assert np.max(np.abs(rho - reference_steady_state(tag, p, chain))) <= 1e-13
+    flux, ref = flux_report(state, p, chain), reference_flux_report(state, p,
+                                                                    chain)
+    assert flux.keys() == ref.keys()
+    for key, value in ref.items():
+        assert abs(flux[key] - value) <= 1e-14 * ref["flux_in"], key
 
 
 def test_near_degenerate_unique_kernel_meets_the_gate_on_both_paths():

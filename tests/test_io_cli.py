@@ -261,6 +261,18 @@ def test_profile_csv_is_jobs_invariant(argv, tmp_path):
                (tmp_path / f"j2_{table}.csv").read_bytes()
 
 
+def test_figure_csv_is_jobs_invariant(tmp_path):
+    # fig3's ensembles map their realizations over the process pool
+    for jobs in ("1", "2"):
+        assert main(["fig", "fig3", "--N", "20", "--M", "2", "--jobs", jobs,
+                     "--out", str(tmp_path / f"j{jobs}")]) == 0
+    one, two = tmp_path / "j1", tmp_path / "j2"
+    csvs = sorted(p.name for p in one.glob("*.csv"))
+    assert csvs == sorted(p.name for p in two.glob("*.csv")) and csvs
+    for name in csvs:
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
 def test_json_sweep_rows_are_the_csv_lines(tmp_path):
     argv = ["sweep", "--model", "BWM", "--axis", "s0=lin:1..3:2", "--N", "9",
             "--beta", "0.05", "--eta", "0.1", "--out"]

@@ -15,6 +15,7 @@ from cascadia import (ModelParams, RampSpec, SolverOptions,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
 from cascadia.meanfield import MeanFieldSolution, _DrivePlan, _make_rhs
+from cascadia.params import spiral_phases
 from cascadia.steady import STEADY_RESIDUAL, SteadyResult, pseudo_transient
 
 
@@ -90,6 +91,36 @@ def test_attenuated_drive_is_the_backward_sum(n, eta):
     assert np.max(np.abs(a - expected)) <= 1e-13 * scale
     if r == 0.0:
         assert np.array_equal(a, effective_drive("UWM", p, None, m))
+
+
+def _cumsum_backward(m, u):
+    # Σ_{j>i} u_j ū_i m_j as a reversed cumulative sum of u·m: the
+    # reference the bidiagonal solve replaced for the BWM
+    suf = np.cumsum((u * m)[::-1])[::-1]
+    return np.conj(u) * np.concatenate((suf[1:], [0.0 + 0.0j]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 2000])
+def test_phased_drive_is_the_backward_sum(n):
+    p = _params(min(0.5, 1.0 / n), 2.0, n, eta=0.1, seed=n)
+    chain = build_chain(p)
+    u = spiral_phases(chain)
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=n) * 0.2 + 1j * rng.normal(size=n) * 0.2
+    m[rng.random(n) < 0.1] = 0.0
+    g = p.gamma_1d / 2.0
+    fwd = np.concatenate(([0.0j], np.cumsum(m)[:-1]))
+    a = effective_drive("BWM", p, chain, m)
+
+    # bit for bit the reversed cumulative sum's result
+    bwd = _cumsum_backward(m, u)
+    assert np.array_equal(a, 0.5 * p.rabi - 1j * g * (fwd + bwd))
+    # and the direct O(N²) sum Σ_{j>i} ū_i u_j m_j to rounding
+    direct = np.array([np.conj(u[i]) * (u[i + 1:] @ m[i + 1:])
+                       for i in range(n)])
+    expected = 0.5 * p.rabi - 1j * g * (fwd + direct)
+    scale = 1.0 + g * np.sum(np.abs(m))
+    assert np.max(np.abs(a - expected)) <= 1e-13 * scale
 
 
 def test_drive_rejects_wrong_length():

@@ -167,7 +167,7 @@ def test_chain_solve_matches_dense_jacobian(model, eta, xi, detuning):
     chain = build_chain(p, xi_delta=xi) if model == "BWM" else None
     plan = _DrivePlan(model, p, chain)
     if model == "EAM" and eta > 1.0:
-        assert plan.r == 0.0  # the kernel underflows: no backward channel
+        assert plan.c == 0.0  # the kernel underflows: no backward channel
     det = chain.detunings if xi > 0.0 else None
     if detuning != 0.0:
         det = np.full(n, detuning)
