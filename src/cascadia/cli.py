@@ -175,16 +175,10 @@ def _spec_from_args(args) -> SweepSpec:
 
     axes = []
     for a in base.get("axes", []):
-        if isinstance(a, str):  # grammar form, same as --axis
-            axes.append(_parse_axis(a))
-        elif isinstance(a, dict):
-            try:
-                axes.append(Axis(**a))
-            except TypeError:
-                raise SpecError(f"spec file axis {a!r}: expected keys "
-                                "name/kind/lo/hi/n")
-        else:
-            raise SpecError(f"spec file axis {a!r}: expected a string or object")
+        if not isinstance(a, str):  # the grammar form only, as --axis
+            raise SpecError(f"spec file axis {a!r}: expected a string "
+                            "name=log|lin:lo..hi:n")
+        axes.append(_parse_axis(a))
     if args.axis:
         axes = [_parse_axis(t) for t in args.axis]
     for name, default in _DEFAULTS.items():

@@ -15,15 +15,15 @@ as ground truth by the test suite; nothing here scales past a handful of
 emitters and nothing here is approximate.
 
 All four models share the driven-qubit part and differ only in the
-guided channels, each a kernel K_jl on the sites (`_guided_channels`).
-In the spiral gauge the right-going channel has unit weights and the
-left-going channel carries phases v_j = e^{−2ik₀ z_j}:
+left-going guided channel, the triple (c, v, w) of `params.left_channel`.
+Each guided channel is a kernel K_il on the sites; in the spiral gauge
 
     right  (Γ₁D/2)·𝟙 for every model
-    left   BWM (Γ₁D/2)·v v̄ᵀ; EAM (Γ₁D/2)·e^{−2(ηπ)²|i−j|} (its ensemble
-           average, a real positive Kac kernel); DM (Γ₁D/2)·𝟙 (Bragg
-           limit: with the right channel, Γ₁D·D[J⁻]); UWM none, its
-           backward emission (Γ₁D/2 per site) becomes local loss
+    left   (Γ₁D/2)·w_i c^{|i−l|} v_l: the chain's phases ū_i u_l (BWM,
+           u = e^{2ik₀z}), their ensemble average e^{−2(ηπ)²|i−l|} (EAM, a
+           real positive Kac kernel), 𝟙 (DM, the Bragg limit: with the
+           right channel, Γ₁D·D[J⁻]); the UWM has none, and its backward
+           emission (Γ₁D/2 per site) becomes local loss
     loss   γ·I
 
 A cascaded channel with kernel K and upstream order ≺ adds
@@ -44,8 +44,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionCap, NonConvergence, NumericalInstability
-from .params import (EmitterChain, ModelParams, attenuation_kernel,
-                     left_output_weights, spiral_phases)
+from .params import (EmitterChain, ModelParams, left_channel,
+                     output_saturations, site_detunings)
 
 __all__ = ["DensityState", "exact_steady_state", "exact_observables",
            "flux_report", "build_generator"]
@@ -145,25 +145,18 @@ class _Generator:
             shape=(dim * dim, dim * dim))
 
 
-def _guided_channels(model_tag: str, params: ModelParams,
-                     chain: Optional[EmitterChain]):
-    """The (right, left) guided-channel kernels K_jl of one model; left is
-    None for the UWM, which has no left-going channel."""
+def _left_kernel(model_tag: str, params: ModelParams,
+                 chain: Optional[EmitterChain]) -> Optional[np.ndarray]:
+    """K_il = (Γ₁D/2)·w_i c^{|i−l|} v_l of the model's left channel (c, v, w)
+    (`params.left_channel`); None for the UWM, which has none."""
+    channel = left_channel(model_tag, params, chain)
+    if channel is None:
+        return None
+    c, v, w = channel
     n = params.n_emitters
-    g = params.gamma_1d / 2.0
-    right = g * np.ones((n, n))
-    if model_tag == "UWM":
-        return right, None
-    if model_tag == "DM":
-        return right, g * np.ones((n, n))
-    if model_tag == "EAM":
-        return right, g * attenuation_kernel(params.eta, n)
-    if model_tag == "BWM":
-        if chain is None:
-            raise ValueError("BWM requires a chain realization")
-        v = np.conj(spiral_phases(chain))  # e^{−2ik₀z}
-        return right, g * np.outer(v, np.conj(v))
-    raise ValueError(f"unknown model tag {model_tag!r}")
+    hop = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    wv = np.multiply.outer(np.broadcast_to(w, (n,)), np.broadcast_to(v, (n,)))
+    return (params.gamma_1d / 2.0) * (wv * c ** hop)
 
 
 def build_generator(model_tag: str, params: ModelParams,
@@ -177,18 +170,18 @@ def build_generator(model_tag: str, params: ModelParams,
     n = params.n_emitters
     if n > _MAX_N:
         raise DimensionCap(f"exact solver capped at N = {_MAX_N} (got {n})")
-    right, left = _guided_channels(model_tag, params, chain)
+    g = params.gamma_1d / 2.0
+    right = g * np.ones((n, n))
+    left = _left_kernel(model_tag, params, chain)
     if left is None:  # the backward emission leaves as local loss
-        left = (params.gamma_1d / 2.0) * np.eye(n)
+        left = g * np.eye(n)
     sm = _site_ops(n)
     sp = [s.conj().T for s in sm]
-    num = [sp[i] @ sm[i] for i in range(n)]
 
     H = sum((params.rabi / 2.0) * (sm[i] + sp[i]) for i in range(n))
-    if chain is not None and np.any(chain.detunings != 0.0):
-        H = H - sum(chain.detunings[i] * num[i] for i in range(n))
-    elif params.detuning != 0.0:
-        H = H - sum(params.detuning * num[i] for i in range(n))
+    det = site_detunings(params, chain)
+    if det is not None:
+        H = H - sum(det[i] * (sp[i] @ sm[i]) for i in range(n))
 
     # −(i/2)(A − Aᴴ) per cascaded channel, A = Σ_{l≺j} K_jl σ⁺_jσ⁻_l: the
     # right channel runs in site order, the left in reverse (a diagonal
@@ -334,24 +327,17 @@ def exact_observables(state: DensityState, params: ModelParams,
     sigma_minus = singles[:n]
     sigma_z = singles[2 * n:].real
 
-    g = params.gamma_1d / 2.0
-    beta = params.beta
     Jev = np.sum(sigma_minus)
     JpJm = float(np.sum(pairs[("+", "-")]).real)
-    a_right = 0.5 * params.rabi - 1j * g * Jev
-    s_ie = 8.0 * beta ** 2 * (JpJm - abs(Jev) ** 2)
-
-    w = left_output_weights(state.model_tag, params, chain)
-    a_left = 0.0 + 0.0j
-    if w is not None:
-        a_left = -1j * g * sum(w[j] * sigma_minus[j] for j in range(n))
-
+    s_ie = 8.0 * params.beta ** 2 * (JpJm - abs(Jev) ** 2)
+    s_right, s_left = output_saturations(state.model_tag, params, chain,
+                                         sigma_minus)
     return {
         "sigma_minus": sigma_minus,
         "sigma_z": sigma_z,
         "pairs": pairs,
-        "s_out_right": float(8.0 * abs(a_right) ** 2),
-        "s_out_left": float(8.0 * abs(a_left) ** 2),
+        "s_out_right": s_right,
+        "s_out_left": s_left,
         "s_ie": float(s_ie),
     }
 
@@ -365,12 +351,13 @@ def flux_report(state: DensityState, params: ModelParams,
     backward emission.  `defect` is input minus the sum; a correct
     generator at a converged state leaves only rounding dust.
 
-    The left channel's total is its kernel sum Σ_ij K^L_ij ⟨σ⁺_iσ⁻_j⟩
-    (`_guided_channels`), its coherent part (Γ₁D/2)|Σ_j w_j ⟨σ⁻_j⟩|² with
-    the head weights of `left_output_weights`, and `left_inelastic` the
-    remainder.  For the rank-one kernels (BWM, DM) that remainder is the
-    inelastic flux; for the full-rank EAM kernel it also carries the
-    ensemble-diffuse flux.
+    Each channel's coherent flux is its output saturation over 8·Γ₁D/2
+    (`exact_observables`), and the right channel's inelastic flux is s_ie
+    over the same.  The left channel's total is its kernel sum
+    Σ_ij K^L_ij ⟨σ⁺_iσ⁻_j⟩ (`_left_kernel`), and `left_inelastic` the
+    remainder after its coherent part.  For the rank-one kernels (BWM, DM)
+    that remainder is the inelastic flux; for the full-rank EAM kernel it
+    also carries the ensemble-diffuse flux.
     """
     obs = exact_observables(state, params, chain)
     g1d = params.gamma_1d
@@ -378,28 +365,19 @@ def flux_report(state: DensityState, params: ModelParams,
     if g1d == 0.0:
         raise ValueError("flux accounting needs gamma_1d > 0")
 
-    m = obs["sigma_minus"]
-    pm = obs["pairs"][("+", "-")]
     n_i = 0.5 * (1.0 + obs["sigma_z"])  # ⟨σ⁺σ⁻⟩ same-site
-
     flux_in = params.rabi ** 2 / (2.0 * g1d)
-    a_in = params.rabi / np.sqrt(2.0 * g1d)
-
-    # right channel: a_out = a_in − i√g J⁻ with unit weights
-    Jev = np.sum(m)
-    JpJm = float(np.sum(pm).real)  # Σ_ij ⟨σ⁺_iσ⁻_j⟩ incl. diagonal
-    right_coherent = abs(a_in - 1j * np.sqrt(g) * Jev) ** 2
-    right_inelastic = g * (JpJm - abs(Jev) ** 2)
+    right_coherent = obs["s_out_right"] / (8.0 * g)
+    right_inelastic = obs["s_ie"] / (8.0 * g)
+    left_coherent = obs["s_out_left"] / (8.0 * g)
 
     loss_gamma = params.gamma_loss * float(np.sum(n_i))
-    loss_backward = left_total = left_coherent = 0.0
-    _, left = _guided_channels(state.model_tag, params, chain)
+    loss_backward = left_total = 0.0
+    left = _left_kernel(state.model_tag, params, chain)
     if left is None:  # UWM: the backward emission is lost
         loss_backward = g * float(np.sum(n_i))
     else:
-        left_total = float(np.real(np.sum(left * pm)))
-        w = left_output_weights(state.model_tag, params, chain)
-        left_coherent = g * abs(np.sum(w * m)) ** 2
+        left_total = float(np.real(np.sum(left * obs["pairs"][("+", "-")])))
     left_inelastic = left_total - left_coherent
 
     total_out = (right_coherent + right_inelastic + left_total

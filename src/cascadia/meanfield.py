@@ -13,10 +13,10 @@ with all model structure in the effective drive α_i:
     DM    α_i = Ω/2 − i(Γ₁D/2) Σ_{j≠i} ⟨σ⁻_j⟩   (= (N−1)⟨σ⁻⟩ when uniform)
 
 All drive sums are evaluated in O(N): forward sums are exclusive cumulative
-sums, the EAM backward kernel is a first-order linear recurrence, solved as
-a unit upper-bidiagonal system by the BLAS banded triangular solve
-(`ztbsv`), and BWM backward phases factorize as u_j ū_i with
-u_j = e^{4πi z_j} (positions in λ).
+sums, and each backward sum is the first-order linear recurrence of the
+model's left channel (`params.left_channel`; BWM phases factorize as
+u_j ū_i with u_j = e^{4πi z_j}, positions in λ), solved as a unit
+upper-bidiagonal system by the BLAS banded triangular solve (`ztbsv`).
 The same recurrences, with the prefix and suffix sums as unknowns, make the
 exact Jacobian solve of every Newton step one banded linear solve
 (`_make_solve`), also O(N).
@@ -33,17 +33,15 @@ from scipy.linalg import solve_banded
 from scipy.linalg.blas import ztbsv
 
 from .errors import NonConvergence
-from .params import (EmitterChain, ModelParams, averaged_phase_factor,
-                     left_output_weights, spiral_phases)
+from .params import (EmitterChain, ModelParams, left_channel,
+                     output_saturations, site_detunings)
 from .steady import RampSpec, SolverOptions, newton_step, pseudo_transient
 
 __all__ = [
-    "MODEL_TAGS", "MeanFieldSolution", "FieldObservables",
+    "MeanFieldSolution", "FieldObservables",
     "effective_drive", "solve_steady_state", "field_observables",
     "uwm_saturation_recursion", "uwm_cascade_fixed_point", "solve_collective",
 ]
-
-MODEL_TAGS = ("BWM", "EAM", "DM", "UWM")
 
 
 @dataclass(frozen=True)
@@ -76,30 +74,18 @@ class _DrivePlan:
 
     A chain model's drive is α_i = Ω/2 − i g (F_i + w_i B_i), g = Γ₁D/2,
     with the forward prefix sum F_{i+1} = F_i + m_i, F_0 = 0, and the
-    backward suffix sum B_{i−1} = c (B_i + v_i m_i), B_{N−1} = 0.  The
-    model's left channel is the triple (c, v, w): c = 1, v = u, w = ū
-    (BWM, u_j = e^{2ik₀z_j}), c = r, v = w = 1 (EAM, r = e^{−2(ηπ)²}), and
-    c = 0 (UWM, or EAM at r = 0) for no backward sum.
+    backward suffix sum B_{i−1} = c (B_i + v_i m_i), B_{N−1} = 0, where
+    (c, v, w) is the model's left channel (`params.left_channel`).  The
+    UWM, which has none, takes c = 0: no backward sum.
     """
 
     def __init__(self, model_tag: str, params: ModelParams,
                  chain: Optional[EmitterChain]):
-        if model_tag not in MODEL_TAGS:
-            raise ValueError(f"unknown model tag {model_tag!r}")
+        channel = left_channel(model_tag, params, chain)
         self.tag = model_tag
         self.n = params.n_emitters
         self.g = params.gamma_1d / 2.0  # Γ₁D/2
-        self.c, self.v, self.w = 0.0, 0.0, 0.0
-        if model_tag == "BWM":
-            if chain is None:
-                raise ValueError("BWM requires a chain realization")
-            if len(chain) != self.n:
-                raise ValueError("chain length does not match n_emitters")
-            u = spiral_phases(chain)
-            self.c, self.v, self.w = 1.0, u, np.conj(u)
-        elif model_tag == "EAM":
-            self.c, self.v, self.w = (averaged_phase_factor(params.eta, 1),
-                                      1.0, 1.0)
+        self.c, self.v, self.w = channel or (0.0, 0.0, 0.0)
         # superdiagonal −c of the unit upper-bidiagonal band (the diagonal
         # row is not read: ztbsv runs with diag=1)
         self.band = np.full((2, self.n), -self.c, dtype=complex)
@@ -355,11 +341,7 @@ def solve_steady_state(model_tag: str, params: ModelParams,
             converged=missed is None, residual=residual, model_tag="DM")
 
     plan = _DrivePlan(model_tag, params, chain)
-    det = None
-    if chain is not None and np.any(chain.detunings != 0.0):
-        det = chain.detunings
-    elif params.detuning != 0.0:
-        det = np.full(n, params.detuning)
+    det = site_detunings(params, chain)
     rhs = _make_rhs(plan, det)
 
     if model_tag == "UWM" and det is None:
@@ -448,32 +430,20 @@ def solve_collective(feedback: float, s0: float,
 
 def field_observables(solution: MeanFieldSolution, params: ModelParams,
                       chain: Optional[EmitterChain] = None) -> FieldObservables:
-    """Coherent output saturations from the input–output relations.
-
-    Right-going output (spiral gauge, forward phases absorbed):
-        α_out^R = Ω/2 − i(Γ₁D/2) Σ_j ⟨σ⁻_j⟩              (all models)
-    Left-going output at the chain head:
-        BWM  weights e^{2ik₀(z_j−z_1)};  EAM  weights e^{−2(ηπ)²(j−1)};
-        DM   unit weights;  UWM  exactly zero.
-    Saturations are s = 8|α|²/Γ_tot² so an empty chain returns s₀ on the right.
-    """
+    """Coherent output saturations from the input–output relations
+    (`params.output_saturations`): s = 8|α|²/Γ_tot², so an empty chain
+    returns s₀ on the right."""
     if not solution.converged:
         raise ValueError("field_observables requires a converged solution")
-    m = solution.sigma_minus
-    g = params.gamma_1d / 2.0
     # params.rabi must match the drive the solution was computed at; after a
     # ramp, pass params rebuilt with rabi = √(s0_end/2).
-    s_profile = 8.0 * np.abs(solution.alpha) ** 2
-
-    a_right = 0.5 * params.rabi - 1j * g * np.sum(m)
-    w = left_output_weights(solution.model_tag, params, chain)
-    a_left = 0.0 + 0.0j if w is None else -1j * g * np.sum(w * m)
-
+    s_right, s_left = output_saturations(solution.model_tag, params, chain,
+                                         solution.sigma_minus)
     return FieldObservables(
         alpha_profile=solution.alpha,
-        s_profile=s_profile,
-        s_out_right=float(8.0 * np.abs(a_right) ** 2),
-        s_out_left=float(8.0 * np.abs(a_left) ** 2),
+        s_profile=8.0 * np.abs(solution.alpha) ** 2,
+        s_out_right=s_right,
+        s_out_left=s_left,
     )
 
 

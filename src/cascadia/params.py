@@ -1,4 +1,5 @@
-"""Core domain types: normalized parameters, derived quantities, chains.
+"""Core domain types: normalized parameters, derived quantities, chains,
+and the model table (`left_channel`) that every solver layer reads.
 
 Units: Γ_tot = 1 and v_g = 1 throughout.  All rates (Γ₁D, γ, Ω, Δ, ξ_Δ)
 are in units of Γ_tot, positions in units of λ, times in units of 1/Γ_tot.
@@ -194,26 +195,71 @@ def spiral_phases(chain: EmitterChain) -> np.ndarray:
     return np.exp(4j * np.pi * np.mod(chain.positions, 0.5))
 
 
-def attenuation_kernel(eta: float, n: int) -> np.ndarray:
-    """EAM backward pair weights e^{−2(ηπ)²|i−j|} on n sites (a real,
-    positive Kac kernel), the ensemble average of u_j ū_i."""
-    hop = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return np.exp(-2.0 * (eta * np.pi) ** 2 * hop)
+MODEL_TAGS = ("BWM", "EAM", "DM", "UWM")
 
 
-def left_output_weights(model_tag: str, params: ModelParams,
-                        chain: EmitterChain | None) -> np.ndarray | None:
-    """Weights w_j of the left-output operator Σ_j w_j σ⁻_j at the chain
-    head: e^{2ik₀(z_j−z_1)} (BWM), e^{−2(ηπ)²(j−1)} (EAM), 1 (DM); None
-    for the UWM, which has no left-going channel."""
+def left_channel(model_tag: str, params: ModelParams,
+                 chain: EmitterChain | None) -> tuple | None:
+    """The left-going channel of a model, the one place the four differ.
+
+    Returns the triple (c, v, w) of the backward suffix sum
+    B_{i−1} = c (B_i + v_i m_i), B_N = 0, which site i reads as w_i B_i:
+    site i hears site j > i with weight w_i c^{j−i} v_j.
+
+        BWM  (1, u, ū), u_j = e^{2ik₀z_j}: the chain's exact phases
+        EAM  (r, 1, 1), r = e^{−2(ηπ)²}: their ensemble average
+        DM   (1, 1, 1): the Bragg limit
+        UWM  None: no left-going channel (the cascaded limit)
+
+    Refuses an unknown tag, a chain whose length is not n_emitters, and a
+    BWM without its chain.
+    """
+    if model_tag not in MODEL_TAGS:
+        raise ValueError(f"unknown model tag {model_tag!r}")
+    if chain is not None and len(chain) != params.n_emitters:
+        raise ValueError(f"chain length {len(chain)} does not match "
+                         f"n_emitters = {params.n_emitters}")
     if model_tag == "UWM":
         return None
-    if model_tag == "DM":
-        return np.ones(params.n_emitters)
     if model_tag == "EAM":
-        return (averaged_phase_factor(params.eta, 1)
-                ** np.arange(params.n_emitters))
-    if chain is None:  # BWM
-        raise ValueError("BWM output weights require the chain")
+        return averaged_phase_factor(params.eta, 1), 1.0, 1.0
+    if model_tag == "DM":
+        return 1.0, 1.0, 1.0
+    if chain is None:
+        raise ValueError("BWM phases require the chain")
     u = spiral_phases(chain)
-    return u * np.conj(u[0])
+    return 1.0, u, np.conj(u)
+
+
+def site_detunings(params: ModelParams,
+                   chain: EmitterChain | None) -> np.ndarray | None:
+    """Δ_i per site: the chain's if any is nonzero, else Δ everywhere, else
+    None (resonant)."""
+    if chain is not None and np.any(chain.detunings != 0.0):
+        return chain.detunings
+    if params.detuning != 0.0:
+        return np.full(params.n_emitters, params.detuning)
+    return None
+
+
+def output_saturations(model_tag: str, params: ModelParams,
+                       chain: EmitterChain | None,
+                       sigma_minus: np.ndarray) -> tuple[float, float]:
+    """Coherent output saturations (s_right, s_left), s = 8|α_out|²/Γ_tot².
+
+    Input–output relations in the spiral gauge (forward phases absorbed):
+        α_out^R = Ω/2 − i(Γ₁D/2) Σ_j ⟨σ⁻_j⟩
+        α_out^L = −i(Γ₁D/2) Σ_j c^{j−1} v_j w_1 ⟨σ⁻_j⟩
+    at the chain head, with (c, v, w) the model's `left_channel`; the UWM
+    has no left output.  An empty chain returns s₀ on the right.
+    """
+    m = sigma_minus
+    g = params.gamma_1d / 2.0
+    channel = left_channel(model_tag, params, chain)
+    a_right = 0.5 * params.rabi - 1j * g * np.sum(m)
+    s_left = 0.0
+    if channel is not None:
+        c, v, w = channel
+        head = c ** np.arange(params.n_emitters) * v * np.ravel(w)[0]
+        s_left = float(8.0 * np.abs(-1j * g * np.sum(head * m)) ** 2)
+    return float(8.0 * np.abs(a_right) ** 2), s_left

@@ -14,6 +14,11 @@ Hermitian symmetrization.
 `flux_report` as they were before each model became one table of guided-channel
 kernels: one branch per model, the cascades written out pair by pair, and the
 flux split per model.  They are kept verbatim but for their names.
+
+`reference_guided_channels`, `attenuation_kernel` and `left_output_weights`
+are the per-model kernels and left-output head weights as they were before
+every layer derived them from one left-channel triple
+(`cascadia.params.left_channel`), kept verbatim but for the first one's name.
 """
 
 from __future__ import annotations
@@ -28,8 +33,54 @@ from cascadia.errors import DimensionCap, NonConvergence
 from cascadia.exact import (_INVERSE_STEPS, _MAX_N, _RESIDUAL_MAX, _TAU_NORMS,
                             DensityState, _Generator, _site_ops,
                             exact_observables)
-from cascadia.params import (EmitterChain, ModelParams, attenuation_kernel,
-                             left_output_weights, spiral_phases)
+from cascadia.params import (EmitterChain, ModelParams, averaged_phase_factor,
+                             spiral_phases)
+
+
+def attenuation_kernel(eta: float, n: int) -> np.ndarray:
+    """EAM backward pair weights e^{−2(ηπ)²|i−j|} on n sites (a real,
+    positive Kac kernel), the ensemble average of u_j ū_i."""
+    hop = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.exp(-2.0 * (eta * np.pi) ** 2 * hop)
+
+
+def left_output_weights(model_tag: str, params: ModelParams,
+                        chain: EmitterChain | None) -> np.ndarray | None:
+    """Weights w_j of the left-output operator Σ_j w_j σ⁻_j at the chain
+    head: e^{2ik₀(z_j−z_1)} (BWM), e^{−2(ηπ)²(j−1)} (EAM), 1 (DM); None
+    for the UWM, which has no left-going channel."""
+    if model_tag == "UWM":
+        return None
+    if model_tag == "DM":
+        return np.ones(params.n_emitters)
+    if model_tag == "EAM":
+        return (averaged_phase_factor(params.eta, 1)
+                ** np.arange(params.n_emitters))
+    if chain is None:  # BWM
+        raise ValueError("BWM output weights require the chain")
+    u = spiral_phases(chain)
+    return u * np.conj(u[0])
+
+
+def reference_guided_channels(model_tag: str, params: ModelParams,
+                              chain: Optional[EmitterChain]):
+    """The (right, left) guided-channel kernels K_jl of one model; left is
+    None for the UWM, which has no left-going channel."""
+    n = params.n_emitters
+    g = params.gamma_1d / 2.0
+    right = g * np.ones((n, n))
+    if model_tag == "UWM":
+        return right, None
+    if model_tag == "DM":
+        return right, g * np.ones((n, n))
+    if model_tag == "EAM":
+        return right, g * attenuation_kernel(params.eta, n)
+    if model_tag == "BWM":
+        if chain is None:
+            raise ValueError("BWM requires a chain realization")
+        v = np.conj(spiral_phases(chain))  # e^{−2ik₀z}
+        return right, g * np.outer(v, np.conj(v))
+    raise ValueError(f"unknown model tag {model_tag!r}")
 
 
 def kron_superoperator(gen) -> sparse.csr_matrix:

@@ -64,7 +64,8 @@ def integrate_ramp(rhs_t: Callable, y0: np.ndarray, t_ramp: float,
 
 
 def integrate_to_steady(rhs: Callable, y0: np.ndarray,
-                        opts: IntegrationOptions) -> SteadyResult:
+                        opts: IntegrationOptions,
+                        jac: Optional[Callable] = None) -> SteadyResult:
     """Integrate dy/dt = rhs(t, y) until max|rhs| < steady_state_residual.
 
     Time is consumed in growing chunks (25 → 400 Γ_tot⁻¹) with a residual
@@ -72,10 +73,15 @@ def integrate_to_steady(rhs: Callable, y0: np.ndarray,
     interpolation while still detecting convergence early.  Returns a
     flagged (converged=False) result at t_max rather than raising, so sweep
     drivers can record unresolved cells.  NaN/Inf aborts hard.
+
+    `jac(t, y)`, if given, is handed to the integrator in place of its
+    finite-difference Jacobians; it steers only the implicit (LSODA)
+    iterations, and the explicit DOP853 would warn on it.
     """
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y)
     method = _pick_method(y.size)
+    extra = {} if jac is None else {"jac": jac}
     t, chunk = 0.0, 25.0
     residual = float(np.max(np.abs(rhs(t, y)))) if y.size else 0.0
     if residual < opts.steady_state_residual:
@@ -84,7 +90,7 @@ def integrate_to_steady(rhs: Callable, y0: np.ndarray,
     while t < opts.t_max:
         t_next = min(t + chunk, opts.t_max)
         sol = solve_ivp(rhs, (t, t_next), y, method=method,
-                        rtol=opts.rel_tol, atol=opts.abs_tol)
+                        rtol=opts.rel_tol, atol=opts.abs_tol, **extra)
         if not sol.success:
             raise NumericalInstability(f"integration failed: {sol.message}")
         y = sol.y[:, -1]

@@ -1,5 +1,7 @@
 """Few-emitter master-equation oracle: invariants, limits, flux accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,9 @@ def test_total_flux_is_conserved(tag, n, eta):
 def _integrated(tag, p, chain):
     """Steady state by integrating dρ/dt from |g…g⟩ to max|dρ/dt| < 1e-12:
     the reference for the inverse iteration on unique and degenerate
-    kernels alike."""
+    kernels alike.  The RHS is `apply`; the integrator is also handed the
+    exact (constant) Jacobian of that linear RHS, since finite-difference
+    Jacobians at this rounding floor make LSODA's step count chaotic."""
     gen = build_generator(tag, p, chain)
     dim = 2 ** p.n_emitters
     rho0 = np.zeros((dim, dim), dtype=complex)
@@ -174,10 +178,12 @@ def _integrated(tag, p, chain):
         drho = gen.apply(rho)
         return np.concatenate((drho.real.ravel(), drho.imag.ravel()))
 
+    L = gen.superoperator().toarray()
+    J = np.block([[L.real, -L.imag], [L.imag, L.real]])
     opts = IntegrationOptions(steady_state_residual=1e-12, rel_tol=1e-10,
                               abs_tol=1e-12)
     y0 = np.concatenate((rho0.real.ravel(), rho0.imag.ravel()))
-    res = integrate_to_steady(rhs, y0, opts)
+    res = integrate_to_steady(rhs, y0, opts, jac=lambda t, y: J)
     rho = (res.y[:dim * dim] + 1j * res.y[dim * dim:]).reshape(dim, dim)
     return 0.5 * (rho + rho.conj().T)
 
@@ -288,18 +294,56 @@ def test_observables_equal_operator_traces():
         assert np.max(np.abs(M - np.array(ref))) < 1e-14
 
 
-def test_bwm_outputs_need_the_chain():
-    # the left-output phases come from the positions: without a chain the
-    # exact and mean-field observables refuse alike
-    p = _params(0.1, 1.0, 3, eta=0.1)
-    chain = build_chain(p)
-    state = exact_steady_state("BWM", p, chain)
-    with pytest.raises(ValueError, match="require the chain"):
-        exact_observables(state, p)
-    with pytest.raises(ValueError, match="require the chain"):
-        flux_report(state, p)
-    with pytest.raises(ValueError, match="require the chain"):
-        field_observables(solve_steady_state("BWM", p, chain), p)
+_P3 = _params(0.1, 1.0, 3, eta=0.1)
+_CHAIN3 = build_chain(_P3)
+# four detuned sites for the three-site model
+_LONG_CHAIN = build_chain(_params(0.1, 1.0, 4, eta=0.1), xi_delta=0.5)
+
+
+def _exact_state(tag="BWM"):
+    return replace(exact_steady_state("BWM", _P3, _CHAIN3), model_tag=tag)
+
+
+def _field_solution(tag="BWM"):
+    return replace(solve_steady_state("BWM", _P3, _CHAIN3), model_tag=tag)
+
+
+# every layer reads the model tag and the chain through params.left_channel,
+# so each refuses them alike: a BWM without the chain (its left-output
+# phases come from the positions), an unknown tag, and a chain whose length
+# is not n_emitters
+_REFUSED = {
+    "exact-outputs-without-chain": (
+        lambda: exact_observables(_exact_state(), _P3), "require the chain"),
+    "flux-without-chain": (
+        lambda: flux_report(_exact_state(), _P3), "require the chain"),
+    "field-outputs-without-chain": (
+        lambda: field_observables(_field_solution(), _P3),
+        "require the chain"),
+    "exact-outputs-unknown-tag": (
+        lambda: exact_observables(_exact_state("XWM"), _P3, _CHAIN3),
+        "unknown model tag"),
+    "field-outputs-unknown-tag": (
+        lambda: field_observables(_field_solution("XWM"), _P3, _CHAIN3),
+        "unknown model tag"),
+    "mean-field-EAM-long-chain": (
+        lambda: solve_steady_state("EAM", _P3, _LONG_CHAIN), "chain length"),
+    "mean-field-UWM-long-chain": (
+        lambda: solve_steady_state("UWM", _P3, _LONG_CHAIN), "chain length"),
+    "exact-EAM-long-chain": (
+        lambda: exact_steady_state("EAM", _P3, _LONG_CHAIN), "chain length"),
+    "exact-UWM-long-chain": (
+        lambda: exact_steady_state("UWM", _P3, _LONG_CHAIN), "chain length"),
+    "exact-BWM-long-chain": (
+        lambda: exact_steady_state("BWM", _P3, _LONG_CHAIN), "chain length"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_models_and_chains_are_checked_in_one_place(case):
+    call, message = _REFUSED[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # --- real one-pass path against the complex kron-sum path ---------------------
@@ -321,7 +365,11 @@ def _cell(tag, n, beta, s0, eta, detuning, xi_delta):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cell", _CELLS)
 def test_one_pass_superoperator_equals_the_kron_sum(tag, n, cell):
-    from _complex_oracle import kron_superoperator, reference_generator
+    from _complex_oracle import (kron_superoperator, left_output_weights,
+                                 reference_generator,
+                                 reference_guided_channels)
+    from cascadia.exact import _left_kernel
+    from cascadia.params import output_saturations
     p, chain = _cell(tag, n, *cell)
     gen = build_generator(tag, p, chain)
     L = gen.superoperator()
@@ -339,6 +387,23 @@ def test_one_pass_superoperator_equals_the_kron_sum(tag, n, cell):
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     assert (np.max(np.abs(L @ rho.ravel() - gen.apply(rho).ravel()))
             <= 1e-14 * norm * np.max(np.abs(rho)))
+    # the left-channel triple gives the per-model left kernels, exactly but
+    # for the EAM's r^|i−l| in place of e^{−2(ηπ)²|i−l|}
+    left = _left_kernel(tag, p, chain)
+    _, ref_left = reference_guided_channels(tag, p, chain)
+    if ref_left is None:
+        assert left is None
+    elif tag == "EAM":
+        assert np.all(np.abs(left - ref_left) <= 2.0 * np.spacing(ref_left))
+    else:
+        assert left.tobytes() == ref_left.tobytes()
+    # ... and the per-model head weights, checked bit for bit through the
+    # left output they weight
+    m = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = left_output_weights(tag, p, chain)
+    ref_s_left = 0.0 if w is None else float(
+        8.0 * np.abs(-1j * (p.gamma_1d / 2.0) * np.sum(w * m)) ** 2)
+    assert output_saturations(tag, p, chain, m)[1] == ref_s_left
 
 
 @pytest.mark.parametrize("tag", ["UWM", "DM", "EAM", "BWM"])

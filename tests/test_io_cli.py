@@ -394,6 +394,19 @@ def test_spec_file_field_not_a_number_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("axis", [
+    {"name": "bogus", "kind": "cubic", "lo": 1, "hi": 2, "n": 3},
+    {"name": "s0", "kind": "log", "lo": -1, "hi": 2, "n": 3}])
+def test_spec_file_axis_object_exit_2(axis, tmp_path, capsys):
+    # axes are grammar strings only, each checked as --axis is
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"model": "UWM", "axes": [axis]}))
+    rc = main(["sweep", "--spec", str(f), "--out", str(tmp_path / "y")])
+    assert rc == 2
+    assert "expected a string" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+
 def test_fig7_profile_is_the_ce2_table(tmp_path):
     rc = main(["fig", "fig7", "--sites", "6", "--s0", "2",
                "--out", str(tmp_path / "f7")])
