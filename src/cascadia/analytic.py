@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .errors import NoPhysicalRoot
 
@@ -35,52 +36,19 @@ __all__ = [
 def lambert_w0(log_x):
     """Principal Lambert-W branch, taking the argument in log domain.
 
-    Solves w + ln w = log_x for w ≥ 0, i.e. w = W(e^{log_x}).  The log-domain
-    input matters: the profile argument s₀e^{s₀−D} overflows double precision
-    already for s₀ ≳ 700 while its logarithm stays modest.  Halley iteration
-    on g(w) = w + ln w − log_x; relative accuracy ~1e−14.
+    Returns w = W(e^{log_x}), the solution w ≥ 0 of w + ln w = log_x: this
+    is the Wright ω function, evaluated by `scipy.special.wrightomega`
+    (Lawrence, Corless & Jeffrey, ACM TOMS 38, art. 20 (2012)).  The
+    log-domain input matters: the profile argument s₀e^{s₀−D} overflows
+    double precision already for s₀ ≳ 700 while its logarithm stays modest.
 
     Accepts scalars or arrays; log_x = −inf maps to W(0) = 0.
     """
     L = np.asarray(log_x, dtype=float)
     if np.isnan(L).any():
         raise ValueError("lambert_w0: NaN argument")
-    scalar = L.ndim == 0
-    L = np.atleast_1d(L).copy()
-    w = np.empty_like(L)
-
-    finite = L > -np.inf
-    w[~finite] = 0.0
-
-    # seeds: asymptotic for large L, series-flavored elsewhere
-    big = finite & (L > 2.0)
-    mid = finite & ~big & (L > -2.0)
-    low = finite & (L <= -2.0)
-    w[big] = L[big] - np.log(L[big])
-    w[mid] = np.log1p(np.exp(L[mid]))
-    w[low] = np.exp(L[low])
-
-    # w = e^L ≤ 1e-16: the seed equals W(e^L) = e^L(1 − e^L + …) to double
-    # precision, and 1/w² in the Halley step would overflow
-    act = finite & (w > 1e-16)
-    for _ in range(100):
-        if not act.any():
-            break
-        wa = w[act]
-        g = wa + np.log(wa) - L[act]
-        gp = 1.0 + 1.0 / wa
-        gpp = -1.0 / wa ** 2
-        dw = 2.0 * g * gp / (2.0 * gp ** 2 - g * gpp)
-        wn = wa - dw
-        bad = ~(wn > 0.0)  # overshoot into w ≤ 0: damp instead
-        wn[bad] = 0.5 * wa[bad]
-        w[act] = wn
-        done = np.abs(dw) <= 1e-16 * (1.0 + np.abs(wn))
-        sub = act.copy()
-        sub[act] = done & ~bad
-        act &= ~sub
-
-    return float(w[0]) if scalar else w
+    w = wrightomega(L)
+    return float(w) if L.ndim == 0 else w
 
 
 def uwm_saturation(s0: float, D):

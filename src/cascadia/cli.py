@@ -151,6 +151,12 @@ def _check_fields(model: str, cfg: dict):
         raise SpecError(f"field beta = {cfg['beta']!r}: must lie in [0, 1/2]")
     if min(cfg[k] for k in ("s0", "eta", "xi", "d_max", "seed", "stream")) < 0:
         raise SpecError("fields s0, eta, xi, d_max, seed, stream must be >= 0")
+    if model != "DOPPLER" and cfg["xi"] != 0.0:
+        raise SpecError(f"field xi = {cfg['xi']!r}: only DOPPLER has a "
+                        "Doppler width")
+    if model in ("EAM", "DM") and not float(cfg["k0"]).is_integer():
+        raise SpecError(f"field k0 = {cfg['k0']!r}: {model} is a "
+                        "Bragg-lattice limit, k0 must be a whole number")
 
 
 def _spec_from_args(args) -> SweepSpec:

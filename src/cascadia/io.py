@@ -15,7 +15,6 @@ types).  Sweep workers call `csv_lines` on their own cells, and
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -29,11 +28,10 @@ from .meanfield import MeanFieldSolution
 from .params import ModelParams
 
 __all__ = ["fmt17", "csv_lines", "write_csv", "write_json", "MEANFIELD_PROFILE_COLS",
-           "meanfield_profile_rows", "write_meanfield_csv", "CE2_PROFILE_COLS",
-           "ce2_profile_rows", "write_cumulant_pair_csv",
-           "ENSEMBLE_PROFILE_COLS", "ensemble_profile_rows",
-           "write_ensemble_csv", "DOPPLER_PROFILE_COLS",
-           "doppler_profile_rows", "write_doppler_csv"]
+           "meanfield_profile_rows", "CE2_PROFILE_COLS", "ce2_profile_rows",
+           "write_cumulant_pair_csv", "ENSEMBLE_PROFILE_COLS",
+           "ensemble_profile_rows", "DOPPLER_PROFILE_COLS",
+           "doppler_profile_rows"]
 
 
 def fmt17(x) -> str:
@@ -111,11 +109,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _sidecar(path: Path) -> Path:
-    return path.with_suffix(".json") if path.suffix == ".csv" \
-        else Path(str(path) + ".json")
-
-
 MEANFIELD_PROFILE_COLS = ("site", "D_i", "re_sigma_minus", "im_sigma_minus",
                           "sigma_z", "re_alpha", "im_alpha", "s_i")
 
@@ -132,22 +125,6 @@ def meanfield_profile_rows(params: ModelParams,
     cols = zip(m.real.tolist(), m.imag.tolist(), solution.sigma_z.tolist(),
                a.real.tolist(), a.imag.tolist(), s)
     return [[i + 1, 4.0 * beta * (i + 1), *c] for i, c in enumerate(cols)]
-
-
-def write_meanfield_csv(path, params: ModelParams,
-                        solution: MeanFieldSolution) -> Path:
-    """`MEANFIELD_PROFILE_COLS` profile plus a JSON sidecar (params,
-    residual, converged)."""
-    path = Path(path)
-    write_csv(path, MEANFIELD_PROFILE_COLS,
-              meanfield_profile_rows(params, solution))
-    write_json(_sidecar(path), {
-        "params": {f.name: getattr(params, f.name) for f in fields(params)},
-        "model": solution.model_tag,
-        "residual": solution.residual,
-        "converged": solution.converged,
-    })
-    return path
 
 
 def write_cumulant_pair_csv(path, sol: CumulantSolution) -> Path:
@@ -184,22 +161,6 @@ def ensemble_profile_rows(params: ModelParams, report: EnsembleReport) -> list:
             for i, c in enumerate(cols)]
 
 
-def write_ensemble_csv(path, params: ModelParams,
-                       report: EnsembleReport) -> Path:
-    """`ENSEMBLE_PROFILE_COLS` profile plus a JSON sidecar
-    (eta, M, seed, excluded_count)."""
-    path = Path(path)
-    write_csv(path, ENSEMBLE_PROFILE_COLS,
-              ensemble_profile_rows(params, report))
-    write_json(_sidecar(path), {
-        "eta": report.eta,
-        "M": report.n_realizations,
-        "seed": params.seed,
-        "excluded_count": report.excluded,
-    })
-    return path
-
-
 DOPPLER_PROFILE_COLS = ("D", "s", "s_over_s0")
 
 
@@ -207,11 +168,3 @@ def doppler_profile_rows(p: DopplerParams, profile: np.ndarray) -> list:
     """One row per depth sample in the `DOPPLER_PROFILE_COLS` layout."""
     s0 = p.s0 if p.s0 > 0 else 1.0
     return [[D, s, s / s0] for D, s in profile.tolist()]
-
-
-def write_doppler_csv(path, p: DopplerParams, profile: np.ndarray) -> Path:
-    """`DOPPLER_PROFILE_COLS` plus the endpoint transmission s(D_max)/s0,
-    repeated down the column."""
-    rows = doppler_profile_rows(p, profile)
-    return write_csv(path, DOPPLER_PROFILE_COLS + ("transmission",),
-                     [row + [rows[-1][2]] for row in rows])

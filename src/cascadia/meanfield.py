@@ -310,8 +310,11 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     `opts.ramp` first settles the state at s0_start, then continues it
     quasi-statically along the drive ramp s0_start → s0_end (see
     `RampSpec`); the returned solution then corresponds to drive
-    ramp.s0_end, not params.rabi.  DM is its one-site collective system
-    (as in `solve_collective`), broadcast to the N sites.  Resonant UWM has
+    ramp.s0_end, not params.rabi.  A DM whose sites share one detuning
+    (`params.site_detunings`) is solved as its one-site collective system
+    (as in `solve_collective`), broadcast to the N sites: a solve strategy,
+    not another model.  A DM with per-site detunings takes the chain path
+    with its (1, 1, 1) left channel.  Resonant UWM has
     a unique steady state and returns the cascade fixed point in closed
     form.
     A continuation that runs out of steps, on the ramp or at the final
@@ -325,23 +328,26 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     if opts.ramp is not None:
         omega_end = math.sqrt(opts.ramp.s0_end / 2.0)
 
-    if model_tag == "DM":
-        # one collective site with b = 2β(N−1), broadcast to N sites
+    # built first: it checks the tag and the chain for every model, DM too
+    plan = _DrivePlan(model_tag, params, chain)
+    det = site_detunings(params, chain)
+
+    if model_tag == "DM" and (det is None or np.ptp(det) == 0.0):
+        # every site alike: one collective site with b = 2β(N−1),
+        # broadcast to N sites
         y0 = None
         if initial is not None:
             y0 = _pack(np.asarray(initial.sigma_minus[:1], dtype=complex),
                        np.asarray(initial.sigma_z[:1], dtype=float))
         plan = _DrivePlan.collective(2.0 * params.beta * (n - 1))
-        y, residual, missed = _settle_collective(plan, params.detuning, y0,
-                                                 omega_end, opts.ramp)
+        y, residual, missed = _settle_collective(
+            plan, 0.0 if det is None else det[0], y0, omega_end, opts.ramp)
         m, z = _unpack(y, 1)
         return MeanFieldSolution(
             sigma_minus=np.repeat(m, n), sigma_z=np.repeat(z, n),
             alpha=np.repeat(plan.alpha(m, omega_end), n),
             converged=missed is None, residual=residual, model_tag="DM")
 
-    plan = _DrivePlan(model_tag, params, chain)
-    det = site_detunings(params, chain)
     rhs = _make_rhs(plan, det)
 
     if model_tag == "UWM" and det is None:

@@ -211,14 +211,20 @@ def left_channel(model_tag: str, params: ModelParams,
         DM   (1, 1, 1): the Bragg limit
         UWM  None: no left-going channel (the cascaded limit)
 
-    Refuses an unknown tag, a chain whose length is not n_emitters, and a
-    BWM without its chain.
+    Refuses an unknown tag, a chain whose length is not n_emitters, a BWM
+    without its chain, and an EAM or DM off the Bragg lattice (a mean
+    spacing k0_spacing that is not a whole number of λ/2, where the
+    backward phases would not average to the real c above).
     """
     if model_tag not in MODEL_TAGS:
         raise ValueError(f"unknown model tag {model_tag!r}")
     if chain is not None and len(chain) != params.n_emitters:
         raise ValueError(f"chain length {len(chain)} does not match "
                          f"n_emitters = {params.n_emitters}")
+    if model_tag in ("EAM", "DM") and \
+            not float(params.k0_spacing).is_integer():
+        raise ValueError(f"{model_tag} is a Bragg-lattice limit: k0_spacing "
+                         f"= {params.k0_spacing!r} must be a whole number")
     if model_tag == "UWM":
         return None
     if model_tag == "EAM":

@@ -1,6 +1,7 @@
 """Closed-form results: Lambert-W transmission, Dicke cubic, saturation limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def test_lambert_w0_special_points():
 def test_lambert_w0_round_trip(w):
     # w + ln w = ln(w e^w); the log-domain form never overflows
     assert lambert_w0(w + math.log(w)) == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("log_x", [1e155, 1e300])
+def test_lambert_w0_huge_argument(log_x):
+    # w ≈ log_x: w + ln w = log_x to rounding, without an overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = lambert_w0(log_x)
+        ws = lambert_w0(np.array([log_x, 1.0]))
+    assert w + math.log(w) == pytest.approx(log_x, rel=1e-15)
+    assert ws[0] == w and ws[1] == 1.0
 
 
 def test_lambert_w0_vectorized_and_strict():

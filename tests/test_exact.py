@@ -298,6 +298,8 @@ _P3 = _params(0.1, 1.0, 3, eta=0.1)
 _CHAIN3 = build_chain(_P3)
 # four detuned sites for the three-site model
 _LONG_CHAIN = build_chain(_params(0.1, 1.0, 4, eta=0.1), xi_delta=0.5)
+# a mean spacing of λ/4: off the Bragg lattice that EAM and DM assume
+_P3_OFF_BRAGG = _params(0.1, 1.0, 3, eta=0.1, k0_spacing=0.5)
 
 
 def _exact_state(tag="BWM"):
@@ -310,8 +312,8 @@ def _field_solution(tag="BWM"):
 
 # every layer reads the model tag and the chain through params.left_channel,
 # so each refuses them alike: a BWM without the chain (its left-output
-# phases come from the positions), an unknown tag, and a chain whose length
-# is not n_emitters
+# phases come from the positions), an unknown tag, a chain whose length is
+# not n_emitters, and an EAM or DM off the Bragg lattice
 _REFUSED = {
     "exact-outputs-without-chain": (
         lambda: exact_observables(_exact_state(), _P3), "require the chain"),
@@ -336,6 +338,18 @@ _REFUSED = {
         lambda: exact_steady_state("UWM", _P3, _LONG_CHAIN), "chain length"),
     "exact-BWM-long-chain": (
         lambda: exact_steady_state("BWM", _P3, _LONG_CHAIN), "chain length"),
+    "mean-field-DM-long-chain": (
+        lambda: solve_steady_state("DM", _P3, _LONG_CHAIN), "chain length"),
+    "exact-DM-long-chain": (
+        lambda: exact_steady_state("DM", _P3, _LONG_CHAIN), "chain length"),
+    "mean-field-EAM-off-Bragg": (
+        lambda: solve_steady_state("EAM", _P3_OFF_BRAGG), "Bragg-lattice"),
+    "mean-field-DM-off-Bragg": (
+        lambda: solve_steady_state("DM", _P3_OFF_BRAGG), "Bragg-lattice"),
+    "exact-EAM-off-Bragg": (
+        lambda: exact_steady_state("EAM", _P3_OFF_BRAGG), "Bragg-lattice"),
+    "exact-DM-off-Bragg": (
+        lambda: exact_steady_state("DM", _P3_OFF_BRAGG), "Bragg-lattice"),
 }
 
 

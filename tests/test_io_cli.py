@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from cascadia import (DopplerParams, ModelParams, build_chain, doppler_profile,
                       run_ensemble, solve_ce2, solve_steady_state)
 from cascadia.cli import _DEFAULTS, _eval_cell, _grid_tasks, main
-from cascadia.io import (CE2_PROFILE_COLS, ce2_profile_rows, csv_lines, fmt17,
-                         write_csv, write_cumulant_pair_csv, write_doppler_csv,
-                         write_ensemble_csv, write_meanfield_csv)
+from cascadia.io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
+                         ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
+                         ce2_profile_rows, csv_lines, doppler_profile_rows,
+                         ensemble_profile_rows, fmt17, meanfield_profile_rows,
+                         write_csv, write_cumulant_pair_csv)
 
 
 # --- float round-trip formatting -----------------------------------------------
@@ -83,18 +85,14 @@ def _read_csv(path):
 def test_meanfield_writer(tmp_path):
     p = ModelParams.from_beta(beta=0.1, s0=2.0, n_emitters=4)
     sol = solve_steady_state("UWM", p)
-    out = write_meanfield_csv(tmp_path / "mf.csv", p, sol)
+    out = write_csv(tmp_path / "mf.csv", MEANFIELD_PROFILE_COLS,
+                    meanfield_profile_rows(p, sol))
     header, rows = _read_csv(out)
     assert header == ["site", "D_i", "re_sigma_minus", "im_sigma_minus",
                       "sigma_z", "re_alpha", "im_alpha", "s_i"]
     assert len(rows) == 4
     assert [r[0] for r in rows] == ["1", "2", "3", "4"]
     assert float(rows[0][4]) == sol.sigma_z[0]
-
-    meta = json.loads((tmp_path / "mf.json").read_text())
-    assert meta["model"] == "UWM"
-    assert meta["converged"] is True
-    assert meta["params"]["n_emitters"] == 4
 
 
 def test_cumulant_pair_writer(tmp_path):
@@ -111,25 +109,23 @@ def test_cumulant_pair_writer(tmp_path):
 def test_ensemble_writer(tmp_path):
     p = ModelParams.from_beta(beta=0.05, s0=2.0, n_emitters=10, eta=0.03)
     rep = run_ensemble(p, M=2)
-    out = write_ensemble_csv(tmp_path / "ens.csv", p, rep)
+    out = write_csv(tmp_path / "ens.csv", ENSEMBLE_PROFILE_COLS,
+                    ensemble_profile_rows(p, rep))
     header, rows = _read_csv(out)
     assert header == ["site", "D_i", "mean_diff", "variance"]
     assert len(rows) == 10
-    meta = json.loads((tmp_path / "ens.json").read_text())
-    assert meta["eta"] == 0.03
-    assert meta["excluded_count"] == 0
 
 
 def test_doppler_writer(tmp_path):
     dp = DopplerParams(xi_delta=1.0, s0=5.0, d_max=20.0)
     prof = doppler_profile(dp)
-    out = write_doppler_csv(tmp_path / "dop.csv", dp, prof)
+    out = write_csv(tmp_path / "dop.csv", DOPPLER_PROFILE_COLS,
+                    doppler_profile_rows(dp, prof))
     header, rows = _read_csv(out)
-    assert header == ["D", "s", "s_over_s0", "transmission"]
-    # the endpoint transmission is repeated down the column
-    t_col = {r[3] for r in rows}
-    assert len(t_col) == 1
+    assert header == ["D", "s", "s_over_s0"]
+    # s/s0 runs from 1 at the input to the transmission at the far end
     assert float(rows[0][2]) == 1.0
+    assert float(rows[-1][2]) == prof[-1, 1] / 5.0
 
 
 # --- sweep driver -----------------------------------------------------------------
@@ -169,8 +165,8 @@ def test_sweep_at_the_eam_phase_boundary_resolves(tmp_path):
 
 
 def test_sweep_profile_matches_meanfield_writer(tmp_path):
-    # one BWM cell: the sweep's profile rows are the writer's rows behind
-    # the axis column, in the same 17-digit text
+    # one BWM cell: the sweep's profile rows are `meanfield_profile_rows`
+    # behind the axis column, in the same 17-digit text
     rc = main(["sweep", "--model", "BWM", "--axis", "eta=lin:0.05..0.05:1",
                "--N", "12", "--beta", "0.05", "--s0", "2.0", "--seed", "4",
                "--out", str(tmp_path / "cell")])
@@ -181,9 +177,9 @@ def test_sweep_profile_matches_meanfield_writer(tmp_path):
                               seed=4)
     chain = build_chain(p, stream=0)
     sol = solve_steady_state("BWM", p, chain)
-    wheader, wrows = _read_csv(write_meanfield_csv(tmp_path / "mf.csv", p, sol))
-    assert header == ["eta"] + wheader
-    assert [r[1:] for r in rows] == wrows
+    assert header == ["eta", *MEANFIELD_PROFILE_COLS]
+    assert [r[1:] for r in rows] == [[fmt17(x) for x in row]
+                                     for row in meanfield_profile_rows(p, sol)]
     assert all(float(r[0]) == 0.05 for r in rows)
 
 
@@ -209,10 +205,10 @@ def test_sweep_profile_matches_doppler_writer(tmp_path):
     header, rows = _read_csv(tmp_path / "cell_profile.csv")
 
     dp = DopplerParams(xi_delta=1.0, s0=10.0, d_max=20.0)
-    wheader, wrows = _read_csv(write_doppler_csv(tmp_path / "dop.csv", dp,
-                                                 doppler_profile(dp)))
-    assert header == ["s_tilde"] + wheader[:3]
-    assert [r[1:] for r in rows] == [r[:3] for r in wrows]
+    assert header == ["s_tilde", *DOPPLER_PROFILE_COLS]
+    assert [r[1:] for r in rows] == [
+        [fmt17(x) for x in row]
+        for row in doppler_profile_rows(dp, doppler_profile(dp))]
 
 
 def test_doppler_sweep_default_depth(tmp_path):
@@ -355,10 +351,30 @@ def test_spec_file_with_overrides(tmp_path):
     ["fig", "fig4", "--N", "0"],                                   # no emitters
     ["fig", "fig4", "--N", "10", "--beta", "-0.1"],                # beta range
     ["fig", "fig7", "--sites", "0"],                               # no sites
+    # a field the model would ignore: its cells would equal the default's
+    ["sweep", "--model", "EAM", "--axis", "s0=lin:1..2:2",
+     "--xi", "0.5"],                                               # no Doppler
+    ["sweep", "--model", "EAM", "--axis", "s0=lin:1..2:2",
+     "--k0", "0.5"],                                               # off Bragg
+    ["sweep", "--model", "DM", "--axis", "s0=lin:1..2:2",
+     "--k0", "1.5"],                                               # off Bragg
 ])
 def test_spec_errors_exit_2(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("model,flag,field", [
+    ("EAM", "--xi", "xi"), ("UWM", "--xi", "xi"), ("BWM", "--xi", "xi"),
+    ("EAM", "--k0", "k0"), ("DM", "--k0", "k0")])
+def test_ignored_field_is_refused_by_name(model, flag, field, tmp_path,
+                                          capsys):
+    rc = main(["sweep", "--model", model, "--axis", "s0=lin:1..2:2",
+               "--N", "4", "--beta", "0.05", flag, "0.5",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"field {field} = 0.5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_model_is_an_argparse_error(tmp_path):

@@ -14,7 +14,8 @@ from cascadia import (ModelParams, RampSpec, SolverOptions,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
-from cascadia.meanfield import MeanFieldSolution, _DrivePlan, _make_rhs
+from cascadia.meanfield import (MeanFieldSolution, _DrivePlan, _make_rhs,
+                                _make_solve, _settle, _settle_collective)
 from cascadia.params import spiral_phases
 from cascadia.steady import STEADY_RESIDUAL, SteadyResult, pseudo_transient
 
@@ -193,6 +194,41 @@ def test_collective_entry_points_take_one_path(s0, s0_start):
         ramp=RampSpec(s0_start, s0, 400.0)))
     assert sol.converged
     assert m == sol.sigma_minus[0] and z == sol.sigma_z[0]
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.3])
+@pytest.mark.parametrize("with_chain", [False, True])
+def test_uniform_dm_is_one_collective_site(detuning, with_chain):
+    # every site alike (no chain, or a chain without a detuning spread):
+    # the bits of the one-site collective settle, broadcast to N sites
+    p = _params(0.005, 2.0, 200, detuning=detuning)
+    chain = build_chain(p) if with_chain else None
+    y, residual, missed = _settle_collective(
+        _DrivePlan.collective(2.0 * p.beta * 199), detuning, None, p.rabi,
+        None)
+    sol = solve_steady_state("DM", p, chain)
+    assert missed is None and sol.converged and sol.residual == residual
+    assert np.all(sol.sigma_minus == y[0] + 1j * y[1])
+    assert np.all(sol.sigma_z == y[2])
+
+
+@pytest.mark.parametrize("n,beta", [(3, 0.2), (200, 0.005)])
+def test_detuned_dm_takes_the_chain_path(n, beta):
+    # per-site detunings break the permutation symmetry: the DM is solved
+    # on the chain with its (1, 1, 1) left channel, as the exact DM is
+    p = _params(beta, 2.0, n, seed=3)
+    chain = build_chain(p, xi_delta=0.5)
+    plan, det = _DrivePlan("DM", p, chain), chain.detunings
+    y0 = np.concatenate((np.zeros(2 * n), -np.ones(n)))
+    y, _, missed = _settle(_make_rhs(plan, det), _make_solve(plan, det), y0,
+                           p.rabi, None)
+    sol = solve_steady_state("DM", p, chain)
+    assert missed is None and sol.converged
+    assert np.max(np.abs(sol.sigma_minus - (y[:n] + 1j * y[n:2 * n]))) <= 1e-12
+    assert np.max(np.abs(sol.sigma_z - y[2 * n:])) <= 1e-12
+    # the detunings move the state off the chainless collective one
+    assert np.max(np.abs(sol.sigma_z - solve_steady_state("DM", p).sigma_z)) \
+        > 1e-3
 
 
 def test_collective_failure_names_the_cell(monkeypatch):
