@@ -15,10 +15,11 @@ Figure flags that are not given take the figure's defaults; the ones given
 are checked as a sweep cell's fields are.
 
 Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
-3 a grid cell hit a numerical instability.  Non-converged cells are
-recorded in the manifest ("unresolved") and left out of the tables, not
-fatal; so are a figure's unconverged solves and ensembles (fig4 lists its
-scatter's under "scatter_unresolved").
+3 a grid cell hit a numerical instability.  Every solver raises
+NonConvergence when a steady state is not reached; a cell or a figure's
+solve or ensemble that raises it is recorded in the manifest
+("unresolved"; fig4's scatter under "scatter_unresolved") and left out of
+the tables, not fatal.
 """
 
 from __future__ import annotations
@@ -287,9 +288,6 @@ def _eval_cell(task: dict) -> dict:
             chain = (build_chain(params, stream=cfg["stream"])
                      if model == "BWM" else None)
             sol = solve_steady_state(model, params, chain)
-            if not sol.converged:
-                out["status"] = "unresolved"
-                return out
             obs = field_observables(sol, params, chain)
             rows = partial(meanfield_profile_rows, params, sol)
             out["scalar"] = prefix + [obs.s_out_right, obs.s_out_left,
@@ -392,8 +390,9 @@ def _fig2(args, manifest: dict) -> List[str]:
         for s0 in s0s:
             params = ModelParams.from_beta(beta=beta, s0=float(s0),
                                            n_emitters=n)
-            sol = solve_steady_state(model, params)
-            if not sol.converged:
+            try:
+                sol = solve_steady_state(model, params)
+            except NonConvergence:
                 unresolved.append([("model", model), ("s0", float(s0))])
                 continue
             rows.extend((model, s0, site, D, z) for site, D, _, _, z, *_

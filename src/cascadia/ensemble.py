@@ -76,8 +76,9 @@ def process_map(fn, items, jobs: int) -> list:
 
 def _one_realization(params: ModelParams, mu: int):
     chain = build_chain(params, stream=mu)
-    sol = solve_steady_state("BWM", params, chain)
-    if not sol.converged:
+    try:
+        sol = solve_steady_state("BWM", params, chain)
+    except NonConvergence:
         return None, (np.nan, np.nan)
     out = field_observables(sol, params, chain)
     return sol.sigma_z, (out.s_out_right, out.s_out_left)
@@ -90,7 +91,8 @@ def run_ensemble(params: ModelParams, M: int = 20,
 
     jobs > 1 distributes realizations over processes (default: the
     CASCADIA_JOBS environment variable, else serial).  Statistics are
-    identical either way.  An unconverged reference, or M unconverged
+    identical either way.  A realization that raises NonConvergence is
+    excluded (a NaN row); a reference that raises it, or M excluded
     realizations, raise NonConvergence.
     """
     if M < 1:
@@ -98,11 +100,7 @@ def run_ensemble(params: ModelParams, M: int = 20,
     if jobs is None:
         jobs = env_jobs(1)
 
-    avg = solve_steady_state("EAM", params)
-    if not avg.converged:
-        raise NonConvergence("disorder-averaged reference did not converge: "
-                             f"residual {avg.residual:.2e}")
-    z_avg = avg.sigma_z
+    z_avg = solve_steady_state("EAM", params).sigma_z
 
     results = process_map(partial(_one_realization, params), range(M), jobs)
 

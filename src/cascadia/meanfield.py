@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.blas import ztbsv
 
-from .errors import NonConvergence
 from .params import (EmitterChain, ModelParams, left_channel,
                      output_saturations, site_detunings)
 from .steady import RampSpec, SolverOptions, newton_step, pseudo_transient
@@ -49,7 +48,6 @@ class MeanFieldSolution:
     sigma_minus: np.ndarray  # ⟨σ⁻_i⟩, complex
     sigma_z: np.ndarray      # ⟨σᶻ_i⟩, real
     alpha: np.ndarray        # effective drives α_i at the final state
-    converged: bool
     residual: float          # max-norm of the RHS at the final state
     model_tag: str
 
@@ -106,6 +104,8 @@ class _DrivePlan:
             return base - 1j * self.g * (np.sum(m) - m)
         fwd = np.cumsum(m)
         fwd = np.concatenate(([0.0 + 0.0j], fwd[:-1]))  # Σ_{j<i}
+        if self.c == 0.0:  # no left channel (UWM, or an EAM whose r underflows)
+            return base - 1j * self.g * fwd
         # B_i = c(B_{i+1} + v_{i+1} m_{i+1}) as the bidiagonal solve
         # B_i − c B_{i+1} = c v_{i+1} m_{i+1}
         bwd = np.zeros(self.n, dtype=complex)
@@ -258,7 +258,7 @@ _RAMP_STEP = 10.0
 
 
 def _settle(rhs, solve, y0: np.ndarray, omega: float,
-            ramp: Optional[RampSpec]):
+            ramp: Optional[RampSpec], cell: tuple):
     """Continue pseudo-transiently into the steady state at drive `omega`,
     then take one exact Newton step under the branch guard.  `solve` is
     the model's exact Jacobian solve, solve(y, omega, δ, r).
@@ -268,11 +268,13 @@ def _settle(rhs, solve, y0: np.ndarray, omega: float,
     k = 0 … K − 1, K = ⌈t_ramp/_RAMP_STEP⌉, each warm-started from the
     last, before the settle at `omega`.  Stage k = 0 settles at s0_start;
     from the ground state at s₀ = 0 or from a finished warm start it
-    returns at once.  Returns (y, residual, missed): `missed` is None on
-    success, else the stage that ran out of steps ("ramp step k of K at
-    s₀ = …" or "steady state"), with its last state and that state's
-    residual at `omega`.
+    returns at once.  Returns `newton_step`'s (y, residual).  A stage that
+    runs out of steps raises NonConvergence("{model} {stage} not reached
+    at {where}: residual …"), where `cell` is (model, where) and the stage
+    is "ramp step k of K at s₀ = …" or "steady state".
     """
+    model, where = cell
+
     def at(w):
         return (lambda y: rhs(y, w)), (lambda y, delta, r: solve(y, w, delta, r))
 
@@ -281,18 +283,14 @@ def _settle(rhs, solve, y0: np.ndarray, omega: float,
         k_steps = math.ceil(ramp.t_ramp / _RAMP_STEP)
         for k in range(k_steps):
             s0 = ramp.s0_at(k * ramp.t_ramp / k_steps)
-            res = pseudo_transient(*at(math.sqrt(s0 / 2.0)), y)
-            y = res.y
-            if not res.converged:
-                return (y, float(np.max(np.abs(rhs(y, omega)))),
-                        f"ramp step {k} of {k_steps} at s₀ = {s0:g}")
+            y = pseudo_transient(
+                *at(math.sqrt(s0 / 2.0)), y, f"{model} ramp step {k} of "
+                f"{k_steps} at s₀ = {s0:g} not reached at {where}")
 
     rhs0, solve0 = at(omega)
-    res = pseudo_transient(rhs0, solve0, y)
-    if not res.converged:
-        return res.y, res.residual, "steady state"
-    y, residual = newton_step(rhs0, solve0, res.y)
-    return y, residual, None
+    y = pseudo_transient(rhs0, solve0, y,
+                         f"{model} steady state not reached at {where}")
+    return newton_step(rhs0, solve0, y)
 
 
 def solve_steady_state(model_tag: str, params: ModelParams,
@@ -306,7 +304,8 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     Starts from the ground state (⟨σ⁻⟩ = 0, ⟨σᶻ⟩ = −1) unless `initial`
     (warm start for branch continuation) is given, and follows the
     relaxation from there into its basin (`steady.pseudo_transient`), so a
-    multistable model lands on the branch the dynamics selects.
+    multistable model lands on the branch the dynamics selects.  A warm
+    start of another length than N is refused (ValueError).
     `opts.ramp` first settles the state at s0_start, then continues it
     quasi-statically along the drive ramp s0_start → s0_end (see
     `RampSpec`); the returned solution then corresponds to drive
@@ -314,23 +313,27 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     (`params.site_detunings`) is solved as its one-site collective system
     (as in `solve_collective`), broadcast to the N sites: a solve strategy,
     not another model.  A DM with per-site detunings takes the chain path
-    with its (1, 1, 1) left channel.  Resonant UWM has
-    a unique steady state and returns the cascade fixed point in closed
-    form.
+    with its (1, 1, 1) left channel.  Resonant UWM has a unique steady
+    state and returns the cascade fixed point in closed form.
     A continuation that runs out of steps, on the ramp or at the final
-    drive, is never continued past: it returns a flagged (converged=False)
-    partial result whose residual is that of the returned state at the
-    final drive.
+    drive, is never continued past: it raises NonConvergence naming the
+    model, N, β, the final s₀, the stage and the residual reached.  A
+    returned solution has always reached `STEADY_RESIDUAL`.
     """
     opts = opts or SolverOptions()
     n = params.n_emitters
     omega_end = params.rabi
     if opts.ramp is not None:
         omega_end = math.sqrt(opts.ramp.s0_end / 2.0)
+    cell = (model_tag, f"N = {n}, β = {params.beta:g}, "
+                       f"s₀ = {2.0 * omega_end ** 2:g}")
 
     # built first: it checks the tag and the chain for every model, DM too
     plan = _DrivePlan(model_tag, params, chain)
     det = site_detunings(params, chain)
+    if initial is not None and initial.sigma_minus.shape != (n,):
+        raise ValueError(f"initial state has {initial.sigma_minus.size} "
+                         f"sites but n_emitters = {n}")
 
     if model_tag == "DM" and (det is None or np.ptp(det) == 0.0):
         # every site alike: one collective site with b = 2β(N−1),
@@ -340,13 +343,14 @@ def solve_steady_state(model_tag: str, params: ModelParams,
             y0 = _pack(np.asarray(initial.sigma_minus[:1], dtype=complex),
                        np.asarray(initial.sigma_z[:1], dtype=float))
         plan = _DrivePlan.collective(2.0 * params.beta * (n - 1))
-        y, residual, missed = _settle_collective(
-            plan, 0.0 if det is None else det[0], y0, omega_end, opts.ramp)
+        y, residual = _settle_collective(
+            plan, 0.0 if det is None else det[0], y0, omega_end, opts.ramp,
+            cell)
         m, z = _unpack(y, 1)
         return MeanFieldSolution(
             sigma_minus=np.repeat(m, n), sigma_z=np.repeat(z, n),
             alpha=np.repeat(plan.alpha(m, omega_end), n),
-            converged=missed is None, residual=residual, model_tag="DM")
+            residual=residual, model_tag="DM")
 
     rhs = _make_rhs(plan, det)
 
@@ -354,22 +358,19 @@ def solve_steady_state(model_tag: str, params: ModelParams,
         fp = uwm_cascade_fixed_point(2.0 * omega_end ** 2, params.beta, n)
         y = _pack(fp.sigma_minus, fp.sigma_z)
         residual = float(np.max(np.abs(rhs(y, omega_end))))
-        converged = True
     else:
         if initial is not None:
             y0 = _pack(np.asarray(initial.sigma_minus, dtype=complex),
                        np.asarray(initial.sigma_z, dtype=float))
         else:
             y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
-        y, residual, missed = _settle(rhs, _make_solve(plan, det), y0,
-                                      omega_end, opts.ramp)
-        converged = missed is None
+        y, residual = _settle(rhs, _make_solve(plan, det), y0, omega_end,
+                              opts.ramp, cell)
 
     m, z = _unpack(y, n)
     alpha = plan.alpha(m, omega_end)
     return MeanFieldSolution(sigma_minus=m, sigma_z=z.copy(), alpha=alpha,
-                             converged=converged, residual=residual,
-                             model_tag=model_tag)
+                             residual=residual, model_tag=model_tag)
 
 
 # --- collective (permutation-symmetric) reduction ---------------------------
@@ -396,14 +397,14 @@ def _collective_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
 
 def _settle_collective(plan: _DrivePlan, detuning: float,
                        y0: Optional[np.ndarray], omega: float,
-                       ramp: Optional[RampSpec]):
+                       ramp: Optional[RampSpec], cell: tuple):
     """`_settle` on the one-site collective system of `plan`
     (`_DrivePlan.collective`), from y0 (the ground state if None)."""
     det = None if detuning == 0.0 else np.full(1, detuning)
     if y0 is None:
         y0 = np.array([0.0, 0.0, -1.0])
     return _settle(_make_rhs(plan, det), _collective_solve(plan, det), y0,
-                   omega, ramp)
+                   omega, ramp, cell)
 
 
 def solve_collective(feedback: float, s0: float,
@@ -421,13 +422,10 @@ def solve_collective(feedback: float, s0: float,
     NonConvergence naming the stage, b, s₀ and s0_start.
     """
     ramp = None if s0_start is None else RampSpec(s0_start, s0, 400.0)
-    y, residual, missed = _settle_collective(
-        _DrivePlan.collective(feedback), 0.0, None, math.sqrt(s0 / 2.0), ramp)
-    if missed is not None:
-        start = "none" if s0_start is None else f"{s0_start:g}"
-        raise NonConvergence(
-            f"collective {missed} not reached at b = {feedback:g}, "
-            f"s₀ = {s0:g}, s0_start = {start}: residual {residual:.2e}")
+    start = "none" if s0_start is None else f"{s0_start:g}"
+    y, _ = _settle_collective(
+        _DrivePlan.collective(feedback), 0.0, None, math.sqrt(s0 / 2.0), ramp,
+        ("collective", f"b = {feedback:g}, s₀ = {s0:g}, s0_start = {start}"))
     return y[0] + 1j * y[1], y[2]
 
 
@@ -439,8 +437,6 @@ def field_observables(solution: MeanFieldSolution, params: ModelParams,
     """Coherent output saturations from the input–output relations
     (`params.output_saturations`): s = 8|α|²/Γ_tot², so an empty chain
     returns s₀ on the right."""
-    if not solution.converged:
-        raise ValueError("field_observables requires a converged solution")
     # params.rabi must match the drive the solution was computed at; after a
     # ramp, pass params rebuilt with rabi = √(s0_end/2).
     s_right, s_left = output_saturations(solution.model_tag, params, chain,

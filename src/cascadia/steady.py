@@ -16,7 +16,9 @@ sequence of drives, each warm-started from the last.  `newton_step` then
 takes one exact Newton step to round-off, kept only if it moves the state
 by less than 1e-5 of its scale and lowers the residual, so a finish can
 sharpen a state but never move it to another branch.  Every steady state
-must reach the max-norm residual `STEADY_RESIDUAL`.  CE2 needs no
+must reach the max-norm residual `STEADY_RESIDUAL`.  One that does not
+raises `NonConvergence` naming what was solved and the residual reached,
+as in every solver layer; there is no partial result.  CE2 needs no
 continuation: its steady state is unique and `cumulant.solve_ce2` solves
 it exactly, site by site.
 
@@ -32,10 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalInstability
+from .errors import NonConvergence, NumericalInstability
 
-__all__ = ["RampSpec", "STEADY_RESIDUAL", "SolverOptions", "SteadyResult",
-           "newton_step", "pseudo_transient"]
+__all__ = ["RampSpec", "STEADY_RESIDUAL", "SolverOptions", "newton_step",
+           "pseudo_transient"]
 
 _EPS = float(np.finfo(float).eps)
 # the max-norm residual every steady state must reach: the pseudo-transient
@@ -88,14 +90,6 @@ class SolverOptions:
     ramp: Optional[RampSpec] = None
 
 
-@dataclass
-class SteadyResult:
-    y: np.ndarray
-    t: float          # pseudo-time Σδ of the accepted ΨTC steps
-    residual: float   # max-norm of the RHS at y
-    converged: bool   # residual < STEADY_RESIDUAL
-
-
 def _check_finite(y: np.ndarray):
     if not np.isfinite(y).all():
         raise NumericalInstability("non-finite state")
@@ -132,8 +126,8 @@ def _implicit_step(fun: Callable, solve: Callable, yk: np.ndarray,
     return None
 
 
-def pseudo_transient(fun: Callable, solve: Callable,
-                     y0: np.ndarray) -> SteadyResult:
+def pseudo_transient(fun: Callable, solve: Callable, y0: np.ndarray,
+                     what: str) -> np.ndarray:
     """Steady state of dy/dt = fun(y) by pseudo-transient continuation.
 
     `solve(y, δ, r)` returns the x with (I/δ − J(y)) x = r, J the exact
@@ -151,16 +145,17 @@ def pseudo_transient(fun: Callable, solve: Callable,
 
     The loop stops once the residual is below `STEADY_RESIDUAL` and a step
     fails to halve it, or at the inner solves' floor `_PTC_FLOOR`, from
-    where one Newton step (`newton_step`) reaches round-off.  After `_PTC_STEPS` steps it returns the last state flagged
-    converged=False rather than raising, so sweep drivers can record
-    unresolved cells.  `t` of the result is the pseudo-time Σδ of the
-    accepted steps.
+    where one Newton step (`newton_step`) reaches round-off, and returns
+    the state.  A state still above `STEADY_RESIDUAL` after `_PTC_STEPS`
+    steps raises NonConvergence("{what}: residual …"): `what` names the
+    model, the cell and the stage, and sweep drivers catch it to record
+    the cell as unresolved.
     """
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y)
     fy = fun(y)
     residual = _max_abs(fy)
-    t, delta = 0.0, 1.0
+    delta = 1.0
     for _ in range(_PTC_STEPS):
         f_tol = max(1e-4 * residual, _PTC_FLOOR)
         if residual <= f_tol:  # at the floor: nothing left to solve
@@ -171,15 +166,16 @@ def pseudo_transient(fun: Callable, solve: Callable,
             continue
         rk = residual
         y, fy = step
-        residual, t = _max_abs(fy), t + delta
+        residual = _max_abs(fy)
         if residual < STEADY_RESIDUAL and residual > 0.5 * rk:
             break
         if residual >= rk:
             delta *= 2.0
         elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
             delta *= min(max(rk / residual, 2.0), 16.0)
-    return SteadyResult(y=y, t=t, residual=residual,
-                        converged=residual < STEADY_RESIDUAL)
+    if not residual < STEADY_RESIDUAL:
+        raise NonConvergence(f"{what}: residual {residual:.2e}")
+    return y
 
 
 def newton_step(fun: Callable, solve: Callable, y: np.ndarray):

@@ -25,7 +25,6 @@ from scipy.integrate import solve_ivp
 
 from cascadia.doppler import DopplerParams, averaged_cross_section
 from cascadia.errors import NumericalInstability
-from cascadia.steady import SteadyResult
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,14 @@ class IntegrationOptions:
     rel_tol: float = 1e-10
     steady_state_residual: float = 1e-9
     t_max: float = 1e4
+
+
+@dataclass
+class IntegratedState:
+    y: np.ndarray
+    t: float          # integrated time
+    residual: float   # max-norm of the RHS at y
+    converged: bool   # residual < steady_state_residual
 
 
 def _pick_method(ndof: int) -> str:
@@ -65,7 +72,7 @@ def integrate_ramp(rhs_t: Callable, y0: np.ndarray, t_ramp: float,
 
 def integrate_to_steady(rhs: Callable, y0: np.ndarray,
                         opts: IntegrationOptions,
-                        jac: Optional[Callable] = None) -> SteadyResult:
+                        jac: Optional[Callable] = None) -> IntegratedState:
     """Integrate dy/dt = rhs(t, y) until max|rhs| < steady_state_residual.
 
     Time is consumed in growing chunks (25 → 400 Γ_tot⁻¹) with a residual
@@ -85,7 +92,7 @@ def integrate_to_steady(rhs: Callable, y0: np.ndarray,
     t, chunk = 0.0, 25.0
     residual = float(np.max(np.abs(rhs(t, y)))) if y.size else 0.0
     if residual < opts.steady_state_residual:
-        return SteadyResult(y=y, t=t, residual=residual, converged=True)
+        return IntegratedState(y=y, t=t, residual=residual, converged=True)
 
     while t < opts.t_max:
         t_next = min(t + chunk, opts.t_max)
@@ -98,10 +105,10 @@ def integrate_to_steady(rhs: Callable, y0: np.ndarray,
         t = t_next
         residual = float(np.max(np.abs(rhs(t, y))))
         if residual < opts.steady_state_residual:
-            return SteadyResult(y=y, t=t, residual=residual, converged=True)
+            return IntegratedState(y=y, t=t, residual=residual, converged=True)
         chunk = min(chunk * 2.0, 400.0)
 
-    return SteadyResult(y=y, t=t, residual=residual, converged=False)
+    return IntegratedState(y=y, t=t, residual=residual, converged=False)
 
 
 _EPS = float(np.finfo(float).eps)

@@ -11,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadia import (DopplerParams, ModelParams, build_chain, doppler_profile,
-                      run_ensemble, solve_ce2, solve_steady_state)
+from cascadia import (DopplerParams, ModelParams, RampSpec, SolverOptions,
+                      build_chain, doppler_profile, run_ensemble, solve_ce2,
+                      solve_steady_state)
 from cascadia.cli import _DEFAULTS, _eval_cell, _grid_tasks, main
+from cascadia.errors import NonConvergence
 from cascadia.io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
                          ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
                          ce2_profile_rows, csv_lines, doppler_profile_rows,
                          ensemble_profile_rows, fmt17, meanfield_profile_rows,
                          write_csv, write_cumulant_pair_csv)
+from cascadia.steady import pseudo_transient
 
 
 # --- float round-trip formatting -----------------------------------------------
@@ -469,6 +472,55 @@ def test_figures_list_unconverged_solves(tmp_path, monkeypatch):
     assert len(man["scatter_unresolved"]) == 24
     _, rows = _read_csv(tmp_path / "f4" / "realization_scatter.csv")
     assert rows == []
+
+
+def test_unreached_steady_states_raise_in_every_layer(tmp_path, monkeypatch):
+    # one convention: a mean-field solve that misses raises NonConvergence
+    # naming the model, the cell, the stage and the residual, and each
+    # consumer records the miss instead of reading a flag
+    monkeypatch.setattr("cascadia.steady._PTC_STEPS", 2)
+    p = ModelParams.from_beta(beta=0.005, s0=38.0, n_emitters=1000, seed=3)
+    cell = r"not reached at N = 1000, β = 0\.005, s₀ = 38: residual \S+$"
+    with pytest.raises(NonConvergence, match=r"^BWM steady state " + cell):
+        solve_steady_state("BWM", p, build_chain(p))
+    with pytest.raises(NonConvergence, match=r"^DM steady state " + cell):
+        solve_steady_state("DM", p)
+    with pytest.raises(NonConvergence, match=r"^EAM ramp step 1 of 40 at "
+                                             r"s₀ = 0\.95 " + cell):
+        solve_steady_state("EAM", p, opts=SolverOptions(
+            ramp=RampSpec(0.0, 38.0, 400.0)))
+    with pytest.raises(NonConvergence, match=r"^EAM steady state " + cell):
+        run_ensemble(p, M=2, jobs=1)
+
+    # a sweep lists its missed cell as unresolved and exits 0
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--model", "EAM", "--axis", "s0=lin:0..38:2",
+               "--N", "1000", "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    man = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    assert man["unresolved"] == [[["s0", 38.0]]]
+    _, rows = _read_csv(tmp_path / "sweep_scalars.csv")
+    assert [float(r[0]) for r in rows] == [0.0]
+
+    # a single missed realization is excluded as a NaN row: the reference
+    # settles on the first call, realization μ on call μ + 2
+    monkeypatch.undo()
+    calls = []
+
+    def second_realization_misses(fun, solve, y0, what):
+        calls.append(what)
+        if len(calls) == 3:
+            raise NonConvergence(f"{what}: residual 1")
+        return pseudo_transient(fun, solve, y0, what)
+
+    monkeypatch.setattr("cascadia.meanfield.pseudo_transient",
+                        second_realization_misses)
+    rep = run_ensemble(ModelParams.from_beta(beta=0.005, s0=20.0,
+                                             n_emitters=200, eta=0.05),
+                       M=3, jobs=1)
+    assert rep.excluded == 1 and len(calls) == 4
+    assert np.isnan(rep.per_realization_outputs[1]).all()
+    assert np.isfinite(rep.per_realization_outputs[[0, 2]]).all()
 
 
 def test_console_script_entry_point(tmp_path):

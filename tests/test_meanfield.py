@@ -1,7 +1,6 @@
 """Mean-field steady states across the four propagation models."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +13,10 @@ from cascadia import (ModelParams, RampSpec, SolverOptions,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
-from cascadia.meanfield import (MeanFieldSolution, _DrivePlan, _make_rhs,
-                                _make_solve, _settle, _settle_collective)
+from cascadia.meanfield import (_DrivePlan, _make_rhs, _make_solve, _settle,
+                                _settle_collective)
 from cascadia.params import spiral_phases
-from cascadia.steady import STEADY_RESIDUAL, SteadyResult, pseudo_transient
+from cascadia.steady import pseudo_transient
 
 
 def _params(beta, s0, n, **kw):
@@ -142,7 +141,6 @@ def test_single_emitter_closed_form(tag):
     p = _params(0.25, 2.0, 1)
     chain = build_chain(p) if tag == "BWM" else None
     sol = solve_steady_state(tag, p, chain=chain)
-    assert sol.converged
     alpha = 0.5 * p.rabi
     m_ref = -2j * alpha / (1.0 + 8.0 * alpha ** 2)
     assert sol.sigma_z[0] == pytest.approx(-1.0 / 3.0, abs=1e-10)
@@ -162,7 +160,6 @@ def test_dicke_matches_cubic_root():
     # b = 2β(N−1) = 10 exactly → effective depth 20 in the cubic
     p = _params(0.0025, 10.0, 2001)
     sol = solve_steady_state("DM", p)
-    assert sol.converged
     r = dicke_steady_states(20.0, 10.0)
     assert sol.sigma_z[0] == pytest.approx(r.roots[0], abs=1e-8)
     assert np.ptp(sol.sigma_z) == 0.0  # permutation symmetry is exact
@@ -192,7 +189,6 @@ def test_collective_entry_points_take_one_path(s0, s0_start):
                             s0_start=s0_start)
     sol = solve_steady_state("DM", p, opts=SolverOptions(
         ramp=RampSpec(s0_start, s0, 400.0)))
-    assert sol.converged
     assert m == sol.sigma_minus[0] and z == sol.sigma_z[0]
 
 
@@ -203,11 +199,11 @@ def test_uniform_dm_is_one_collective_site(detuning, with_chain):
     # the bits of the one-site collective settle, broadcast to N sites
     p = _params(0.005, 2.0, 200, detuning=detuning)
     chain = build_chain(p) if with_chain else None
-    y, residual, missed = _settle_collective(
+    y, residual = _settle_collective(
         _DrivePlan.collective(2.0 * p.beta * 199), detuning, None, p.rabi,
-        None)
+        None, ("DM", "N = 200"))
     sol = solve_steady_state("DM", p, chain)
-    assert missed is None and sol.converged and sol.residual == residual
+    assert sol.residual == residual
     assert np.all(sol.sigma_minus == y[0] + 1j * y[1])
     assert np.all(sol.sigma_z == y[2])
 
@@ -220,10 +216,9 @@ def test_detuned_dm_takes_the_chain_path(n, beta):
     chain = build_chain(p, xi_delta=0.5)
     plan, det = _DrivePlan("DM", p, chain), chain.detunings
     y0 = np.concatenate((np.zeros(2 * n), -np.ones(n)))
-    y, _, missed = _settle(_make_rhs(plan, det), _make_solve(plan, det), y0,
-                           p.rabi, None)
+    y, _ = _settle(_make_rhs(plan, det), _make_solve(plan, det), y0, p.rabi,
+                   None, ("DM", f"N = {n}"))
     sol = solve_steady_state("DM", p, chain)
-    assert missed is None and sol.converged
     assert np.max(np.abs(sol.sigma_minus - (y[:n] + 1j * y[n:2 * n]))) <= 1e-12
     assert np.max(np.abs(sol.sigma_z - y[2 * n:])) <= 1e-12
     # the detunings move the state off the chainless collective one
@@ -231,11 +226,24 @@ def test_detuned_dm_takes_the_chain_path(n, beta):
         > 1e-3
 
 
+@pytest.mark.parametrize("tag", ["EAM", "DM"])
+def test_warm_start_must_match_the_chain_length(tag):
+    # a 3-site state cannot warm-start a 4-site chain: refused before any
+    # solve, naming both lengths (DM would otherwise start from site 1)
+    warm = solve_steady_state(tag, _params(0.05, 2.0, 3))
+    with pytest.raises(ValueError, match=r"initial state has 3 sites but "
+                                         r"n_emitters = 4"):
+        solve_steady_state(tag, _params(0.05, 2.0, 4), initial=warm)
+
+
+def _miss(fun, y, what):
+    """The NonConvergence `pseudo_transient` raises when it misses at y."""
+    return NonConvergence(f"{what}: residual {np.max(np.abs(fun(y))):.2e}")
+
+
 def test_collective_failure_names_the_cell(monkeypatch):
-    def missed(fun, solve, y0):
-        y = np.asarray(y0, dtype=float)
-        return SteadyResult(y=y, t=0.0, residual=float(np.max(np.abs(fun(y)))),
-                            converged=False)
+    def missed(fun, solve, y0, what):
+        raise _miss(fun, np.asarray(y0, dtype=float), what)
 
     monkeypatch.setattr("cascadia.meanfield.pseudo_transient", missed)
     with pytest.raises(NonConvergence, match=r"b = 10, s₀ = 36\.5, "
@@ -252,12 +260,12 @@ def test_collective_start_settle_must_converge(monkeypatch):
     # ramped over
     calls = []
 
-    def first_misses(fun, solve, y0):
-        res = pseudo_transient(fun, solve, y0)
-        calls.append(res.converged)
+    def first_misses(fun, solve, y0, what):
+        y = pseudo_transient(fun, solve, y0, what)
+        calls.append(True)
         if len(calls) == 1:
-            res = replace(res, converged=False)
-        return res
+            raise _miss(fun, y, what)
+        return y
 
     monkeypatch.setattr("cascadia.meanfield.pseudo_transient", first_misses)
     with pytest.raises(NonConvergence, match=r"ramp step 0 of 40 at s₀ = 1 "
@@ -275,12 +283,12 @@ def test_missed_ramp_step_is_reported(monkeypatch):
     # ramped over
     calls = []
 
-    def third_misses(fun, solve, y0):
-        res = pseudo_transient(fun, solve, y0)
-        calls.append(res.converged)
+    def third_misses(fun, solve, y0, what):
+        y = pseudo_transient(fun, solve, y0, what)
+        calls.append(True)
         if len(calls) == 3:
-            res = replace(res, converged=False)
-        return res
+            raise _miss(fun, y, what)
+        return y
 
     monkeypatch.setattr("cascadia.meanfield.pseudo_transient", third_misses)
     with pytest.raises(NonConvergence, match=r"ramp step 2 of 40 at s₀ = \S+ "
@@ -292,15 +300,13 @@ def test_missed_ramp_step_is_reported(monkeypatch):
 
     calls.clear()
     p = _params(0.0025, 36.5, 2001)
-    sol = solve_steady_state("DM", p, opts=SolverOptions(
-        ramp=RampSpec(0.0, 36.5, 400.0)))
-    assert calls == [True, True, True] and not sol.converged
-    y = np.array([sol.sigma_minus[0].real, sol.sigma_minus[0].imag,
-                  sol.sigma_z[0]])
-    rhs = _make_rhs(_DrivePlan.collective(10.0), None)
-    assert sol.residual == float(np.max(np.abs(
-        rhs(y, math.sqrt(36.5 / 2.0)))))
-    assert sol.residual >= STEADY_RESIDUAL
+    with pytest.raises(NonConvergence, match=r"^DM ramp step 2 of 40 at "
+                                             r"s₀ = \S+ not reached at "
+                                             r"N = 2001, β = 0\.0025, "
+                                             r"s₀ = 36\.5: residual \S+$"):
+        solve_steady_state("DM", p, opts=SolverOptions(
+            ramp=RampSpec(0.0, 36.5, 400.0)))
+    assert calls == [True, True, True]
 
 
 # --- model-limit equivalences -------------------------------------------------
@@ -356,16 +362,6 @@ def test_bragg_chain_reflects_weak_drive():
     # linear-response mirror: R = (2βN)²/(1+2β(N−1))² ≈ 0.70 here
     assert out.s_out_left / 1e-4 > 0.5
     assert out.s_out_right / 1e-4 < 0.05
-
-
-def test_observables_require_convergence():
-    p = _params(0.1, 1.0, 3)
-    broken = MeanFieldSolution(
-        sigma_minus=np.zeros(3, dtype=complex), sigma_z=-np.ones(3),
-        alpha=np.zeros(3, dtype=complex), converged=False, residual=1.0,
-        model_tag="UWM")
-    with pytest.raises(ValueError):
-        field_observables(broken, p)
 
 
 # --- discrete recursion -------------------------------------------------------
