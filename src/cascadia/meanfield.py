@@ -18,8 +18,8 @@ model's left channel (`params.left_channel`; BWM phases factorize as
 u_j ū_i with u_j = e^{4πi z_j}, positions in λ), solved as a unit
 upper-bidiagonal system by the BLAS banded triangular solve (`ztbsv`).
 The same recurrences, with the prefix and suffix sums as unknowns, make the
-exact Jacobian solve of every Newton step one banded linear solve
-(`_make_solve`), also O(N).
+exact Jacobian solve of every Newton step one O(N) banded LU, written in
+`dgbsv`'s band storage one band row per run of blocks (`_make_solve`).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.blas import ztbsv
+from scipy.linalg.lapack import dgbsv
 
 from .params import (EmitterChain, ModelParams, left_channel,
                      output_saturations, site_detunings)
@@ -193,34 +193,26 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     and suffix sums (`_DrivePlan`), and their recurrences become a 4N real
     system in the unknowns (dF_i, dB_i), stored site by site.  Each
     recurrence row spans six columns; placing the rows of F_{i+1} and
-    B_{i−1} next to site i's unknowns gives bandwidth 3 on either side, and
-    one banded LU (with partial pivoting) solves it.
+    B_{i−1} next to site i's unknowns gives bandwidth 3 on either side.
+    A run of 2×2 blocks sits at a fixed rows − cols, so each of its entries
+    is one band row of `dgbsv`'s storage (a[i, j] at ab[6 + i − j, j], rows
+    0–2 for the fill-in) at column stride 4, and one banded LU with partial
+    pivoting solves it.
     """
     n, g = plan.n, plan.g
     c, v, w = plan.c, plan.v, plan.w
     cv = np.broadcast_to(c * v, (n,))[1:]
     gw = -1j * g * np.broadcast_to(w, (n,))
-    col = 4 * np.arange(n)           # Re dF_i; dB_i sits at col + 2
-    rows_f = np.maximum(col - 2, 0)  # the equation for F_i
-    rows_b = col + 4                 # the equation for B_i
-    rows_b[-1] = 4 * n - 2
+    end = 4 * n - 4  # the last site's first column
 
-    def block(rows, cols):
-        # band-storage positions of the real 2×2 block at rows/cols (+0, +1)
-        return [(3 + rows + dr - cols - dc, cols + dc)
-                for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1))]
-
-    def put(ab, where, p, q):
-        # the real 2×2 block of x ↦ p x + q x̄
-        for pos, e in zip(where, ((p + q).real, (q - p).imag,
-                                  (p + q).imag, (p - q).real)):
-            ab[pos] = e
-
-    band = np.zeros((7, 4 * n))  # the identity part, copied per solve
-    put(band, block(rows_f, col), 1.0, 0.0)
-    put(band, block(rows_b, col + 2), 1.0, 0.0)
-    f_prev = block(rows_f[1:], col[:-1]), block(rows_f[1:], col[:-1] + 2)
-    b_next = block(rows_b[:-1], col[1:]), block(rows_b[:-1], col[1:] + 2)
+    def put(ab, diff, start, stop, p, q):
+        # the real 2×2 block of x ↦ p x + q x̄ at rows − cols = diff, for
+        # the sites whose first block column runs start, start + 4, … < stop
+        for dr, dc, op, x, y in ((0, 0, np.add, p.real, q.real),
+                                 (0, 1, np.subtract, q.imag, p.imag),
+                                 (1, 0, np.add, p.imag, q.imag),
+                                 (1, 1, np.subtract, p.real, q.real)):
+            op(x, y, out=ab[6 + diff + dr - dc, start + dc:stop:4])
 
     def solve(y, omega, delta, r):
         m, z = _unpack(y, n)
@@ -229,20 +221,28 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
         # dm_i = A_i dF_i + W_i dB_i + q_i as (P, Q) pairs
         ap, aq = -1j * g * tp, 1j * g * tq
         wp, wq = gw * tp, np.conj(gw) * tq
-        ab, rhs = band.copy(), np.zeros(4 * n)
+        ab, rhs = np.zeros((10, 4 * n), order="F"), np.zeros(4 * n)
+        # identity: F_0, B_{N−1} on the diagonal, F_i 2 rows above, B_i 2 below
+        ab[6, :2] = ab[6, end + 2:] = 1.0
+        ab[4, 4::4] = ab[4, 5::4] = 1.0
+        ab[8, 2:end:4] = ab[8, 3:end:4] = 1.0
         # dF_i − (1 + A_{i−1}) dF_{i−1} − W_{i−1} dB_{i−1} = q_{i−1}
-        put(ab, f_prev[0], -1.0 - ap[:-1], -aq[:-1])
-        put(ab, f_prev[1], -wp[:-1], -wq[:-1])
-        rhs[rows_f[1:]], rhs[rows_f[1:] + 1] = q[:-1].real, q[:-1].imag
+        put(ab, 2, 0, end, -1.0 - ap[:-1], -aq[:-1])
+        put(ab, 0, 2, end, -wp[:-1], -wq[:-1])
+        rhs[2:end:4], rhs[3:end:4] = q[:-1].real, q[:-1].imag
         # dB_i − c dB_{i+1} − cv_{i+1} (A dF + W dB)_{i+1} = cv_{i+1} q_{i+1}
-        put(ab, b_next[0], -cv * ap[1:], -cv * aq[1:])
-        put(ab, b_next[1], -c - cv * wp[1:], -cv * wq[1:])
+        put(ab, 0, 4, None, -cv * ap[1:], -cv * aq[1:])
+        put(ab, -2, 6, None, -c - cv * wp[1:], -cv * wq[1:])
         back = cv * q[1:]
-        rhs[rows_b[:-1]], rhs[rows_b[:-1] + 1] = back.real, back.imag
+        rhs[4::4], rhs[5::4] = back.real, back.imag
         # a non-finite system gives a non-finite x, which the caller
         # refuses as it refuses a singular one
-        x = solve_banded((3, 3), ab, rhs, check_finite=False).reshape(n, 4)
-        da = -1j * g * ((x[:, 0] + 1j * x[:, 1]) + w * (x[:, 2] + 1j * x[:, 3]))
+        _, _, x, info = dgbsv(3, 3, ab, rhs, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular band: U({info}, {info}) = 0")
+        if info < 0:
+            raise ValueError(f"dgbsv: illegal value in argument {-info}")
+        da = -1j * g * ((x[0::4] + 1j * x[1::4]) + w * (x[2::4] + 1j * x[3::4]))
         dm = tp * da + tq * np.conj(da) + q
         return np.concatenate((dm.real, dm.imag, dz(da, dm)))
 

@@ -28,6 +28,7 @@ caller).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,6 +40,7 @@ from .errors import NonConvergence, NumericalInstability
 __all__ = ["RampSpec", "STEADY_RESIDUAL", "SolverOptions", "newton_step",
            "pseudo_transient"]
 
+_log = logging.getLogger("cascadia")
 _EPS = float(np.finfo(float).eps)
 # the max-norm residual every steady state must reach: the pseudo-transient
 # loop of mean-field and the collective system, and the `build_rhs`
@@ -187,7 +189,10 @@ def newton_step(fun: Callable, solve: Callable, y: np.ndarray):
     and moves the state by less than 1e-5 relative to its scale:
     multistable models (DM, BWM) must not hop branches while being
     sharpened.  From a continued state it lands on the rounding floor.  A
-    state already within 4·eps is returned as is.
+    state already within 4·eps is returned as is.  A refused step is logged
+    at DEBUG on the "cascadia" logger with its reason: a singular solve, a
+    non-finite result, a move of 1e-5 of the scale or more, or no drop in
+    the residual.
     """
     y = np.asarray(y, dtype=float)
     fy = fun(y)
@@ -197,10 +202,19 @@ def newton_step(fun: Callable, solve: Callable, y: np.ndarray):
     try:
         ynew = y + solve(y, math.inf, fy)
     except np.linalg.LinAlgError:
+        _log.debug("Newton finish refused: singular Jacobian solve")
         return y, residual
-    if (np.isfinite(ynew).all()
-            and _max_abs(ynew - y) / (1.0 + _max_abs(y)) < 1e-5):
-        rnew = _max_abs(fun(ynew))
-        if rnew < residual:
-            return ynew, rnew
-    return y, residual
+    if not np.isfinite(ynew).all():
+        _log.debug("Newton finish refused: non-finite result")
+        return y, residual
+    move = _max_abs(ynew - y) / (1.0 + _max_abs(y))
+    if not move < 1e-5:
+        _log.debug("Newton finish refused: move %.2e of the state's scale "
+                   "is not below 1e-5", move)
+        return y, residual
+    rnew = _max_abs(fun(ynew))
+    if not rnew < residual:
+        _log.debug("Newton finish refused: residual %.2e did not drop "
+                   "below %.2e", rnew, residual)
+        return y, residual
+    return ynew, rnew

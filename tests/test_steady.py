@@ -4,6 +4,8 @@ Jacobian solves against dense Jacobians, round-off residuals, the
 closed-form UWM path, and branch selection in the Dicke window by
 quasi-static ramps against the integrated ramps they replaced."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -17,6 +19,7 @@ from cascadia.meanfield import (_DrivePlan, _collective_solve, _make_rhs,
                                 _make_solve, solve_collective)
 from cascadia.steady import STEADY_RESIDUAL, newton_step, pseudo_transient
 
+from _banded_reference import make_solve as reference_solve
 from _time_integration import (IntegrationOptions, integrate_ramp,
                                integrate_to_steady, newton_finish, small_move)
 
@@ -156,14 +159,13 @@ def _assert_solves(fun, solve, y):
         assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("model,eta,xi,detuning", [
-    ("BWM", 0.1, 0.0, 0.0), ("BWM", 0.1, 0.8, 0.0), ("EAM", 0.1, 0.0, 0.0),
-    ("EAM", 20.0, 0.0, 0.0), ("UWM", 0.0, 0.0, 0.6)])
-def test_chain_solve_matches_dense_jacobian(model, eta, xi, detuning):
-    n = 7
+def _chain_case(model, n, eta, xi, detuning):
+    """Params, chain, drive plan and site detunings of a chain solve: BWM
+    and DM draw a chain, with per-site detunings of spread ξ; `detuning`
+    shifts every site."""
     p = ModelParams.from_beta(beta=0.1, s0=5.0, n_emitters=n, eta=eta,
                               seed=2, detuning=detuning)
-    chain = build_chain(p, xi_delta=xi) if model == "BWM" else None
+    chain = build_chain(p, xi_delta=xi) if model in ("BWM", "DM") else None
     plan = _DrivePlan(model, p, chain)
     if model == "EAM" and eta > 1.0:
         assert plan.c == 0.0  # the kernel underflows: no backward channel
@@ -173,6 +175,18 @@ def test_chain_solve_matches_dense_jacobian(model, eta, xi, detuning):
     rng = np.random.default_rng(1)
     y = np.concatenate((0.3 * rng.normal(size=2 * n),
                         -0.5 + 0.3 * rng.normal(size=n)))
+    return p, chain, plan, det, y
+
+
+_CHAIN_CASES = [("BWM", 0.1, 0.0, 0.0), ("BWM", 0.1, 0.8, 0.0),
+                ("EAM", 0.1, 0.0, 0.0), ("EAM", 20.0, 0.0, 0.0),
+                ("UWM", 0.0, 0.0, 0.6), ("DM", 0.0, 0.8, 0.0)]
+
+
+def _assert_chain_solve(model, n, eta, xi, detuning):
+    # the detuned DM runs the chain path with its (1, 1, 1) channel, while
+    # fun takes the public all-to-all drive
+    p, chain, plan, det, y = _chain_case(model, n, eta, xi, detuning)
 
     def fun(v):
         m, z = _unpack(v, n)
@@ -185,6 +199,62 @@ def test_chain_solve_matches_dense_jacobian(model, eta, xi, detuning):
 
     solve = _make_solve(plan, det)
     _assert_solves(fun, lambda v, d, r: solve(v, p.rabi, d, r), y)
+
+
+@pytest.mark.parametrize("model,eta,xi,detuning", _CHAIN_CASES)
+def test_chain_solve_matches_dense_jacobian(model, eta, xi, detuning):
+    _assert_chain_solve(model, 7, eta, xi, detuning)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("model,eta,xi,detuning", _CHAIN_CASES)
+def test_short_chain_solve_matches_dense_jacobian(model, eta, xi, detuning,
+                                                  n):
+    # the first and last sites of every strided run of the band
+    _assert_chain_solve(model, n, eta, xi, detuning)
+
+
+@pytest.mark.parametrize("delta", [0.7, 4.0, np.inf])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 200])
+@pytest.mark.parametrize("model,eta,xi,detuning", _CHAIN_CASES)
+def test_chain_solve_matches_the_fancy_index_assembly(model, eta, xi,
+                                                      detuning, n, delta):
+    # the band written in place in dgbsv's layout against the index-array
+    # assembly and solve_banded it replaced: the same numbers reach the
+    # same LAPACK routine, so the solves agree bit for bit
+    p, _, plan, det, y = _chain_case(model, n, eta, xi, detuning)
+    r = np.random.default_rng(n).normal(size=3 * n)
+    x = _make_solve(plan, det)(y, p.rabi, delta, r)
+    assert np.array_equal(x, reference_solve(plan, det)(y, p.rabi, delta, r))
+
+
+@pytest.mark.parametrize("info,exc", [(5, np.linalg.LinAlgError),
+                                      (-4, ValueError)])
+def test_banded_solve_status(monkeypatch, info, exc):
+    # dgbsv's status: info > 0 (a zero pivot in U) is a singular solve,
+    # which the continuation counts as a missed step and the finish
+    # refuses; info < 0 (an illegal argument) is a defect and propagates
+    def status(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
+        return ab, np.zeros(b.size, dtype=np.int32), b, info
+
+    monkeypatch.setattr("cascadia.meanfield.dgbsv", status)
+    p, chain, plan, _, y = _chain_case("BWM", 7, 0.1, 0.0, 0.0)
+    solve = _make_solve(plan, None)
+    with pytest.raises(exc):
+        solve(y, p.rabi, 0.7, np.ones(21))
+    fun = _rhs("BWM", p, chain)
+    at = lambda v, d, r: solve(v, p.rabi, d, r)
+    if info > 0:
+        assert np.array_equal(newton_step(fun, at, y)[0], y)
+        with pytest.raises(NonConvergence, match=r"^singular: residual"):
+            pseudo_transient(fun, at, y, "singular")
+        with pytest.raises(NonConvergence, match=r"^BWM steady state not "):
+            solve_steady_state("BWM", p, chain)
+    else:
+        with pytest.raises(ValueError, match="illegal"):
+            newton_step(fun, at, y)
+        with pytest.raises(ValueError, match="illegal"):
+            solve_steady_state("BWM", p, chain)
 
 
 @pytest.mark.parametrize("detuning", [0.0, 0.8])
@@ -269,6 +339,39 @@ def test_newton_step_accepts_and_rejects():
     y, r = newton_step(fun, singular, y0)
     assert np.array_equal(y, y0)
     assert r == float(np.max(np.abs(fun(y0))))
+
+
+def test_refused_finish_is_logged(caplog):
+    # each reason for keeping the state is one DEBUG record on the
+    # "cascadia" logger; the state and its residual stay as they were
+    def fun(v):
+        return v ** 2 - 2.0
+
+    def singular(v, delta, r):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    y0 = np.array([1.41421356, -1.41421356])
+    solves = {
+        "singular Jacobian solve": singular,
+        "non-finite result": lambda v, d, r: np.full_like(v, np.inf),
+        "move 1.17e+00 of the state's scale": lambda v, d, r: 2.0 * v,
+        "did not drop": lambda v, d, r: 1e-8 * v,
+    }
+    for reason, solve in solves.items():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cascadia"):
+            y, r = newton_step(fun, solve, y0)
+        assert np.array_equal(y, y0)
+        assert r == float(np.max(np.abs(fun(y0))))
+        [record] = caplog.records
+        assert record.name == "cascadia" and record.levelno == logging.DEBUG
+        assert record.getMessage().startswith("Newton finish refused: ")
+        assert reason in record.getMessage()
+    # an accepted finish logs nothing
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cascadia"):
+        newton_step(fun, lambda v, d, r: -r / (2.0 * v), y0)
+    assert not caplog.records
 
 
 def test_singular_or_non_finite_inner_solve_is_a_missed_step():
