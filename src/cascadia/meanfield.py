@@ -91,9 +91,11 @@ class _DrivePlan:
     @classmethod
     def collective(cls, b: float) -> "_DrivePlan":
         """The one-site collective system α = Ω/2 − i(b/2)⟨σ⁻⟩: DM with
-        every site equal at b = 2β(N−1)."""
+        every site equal at b = 2β(N−1).  Its `alpha` takes one site's
+        Python complex as well as an array, and g is a Python float, so
+        the scalar arithmetic of `_collective_system` stays in Python."""
         plan = cls.__new__(cls)
-        plan.tag, plan.n, plan.g = "collective", 1, b / 2.0
+        plan.tag, plan.n, plan.g = "collective", 1, float(b) / 2.0
         return plan
 
     def alpha(self, m: np.ndarray, omega: float) -> np.ndarray:
@@ -135,26 +137,33 @@ def _unpack(y: np.ndarray, n: int):
     return y[:n] + 1j * y[n:2 * n], y[2 * n:]
 
 
+def _bloch(m, z, a, detunings):
+    """The Bloch equations of each site at drive `a`, (dm/dt, dz/dt), on
+    arrays of sites or on one site's Python scalars (see `_site_maps`)."""
+    dm = 1j * a * z - 0.5 * m
+    if detunings is not None:
+        dm += 1j * detunings * m
+    dz = -4.0 * (a.conjugate() * m).imag - (1.0 + z)
+    return dm, dz
+
+
 def _make_rhs(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     n = plan.n
 
     def rhs(y, omega):
         m, z = _unpack(y, n)
-        a = plan.alpha(m, omega)
-        dm = 1j * a * z - 0.5 * m
-        if detunings is not None:
-            dm += 1j * detunings * m
-        dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
+        dm, dz = _bloch(m, z, plan.alpha(m, omega), detunings)
         return np.concatenate((dm.real, dm.imag, dz))
 
     return rhs
 
 
-def _site_maps(m, z, a, detunings, delta, r):
+def _site_maps(m, z, a, detunings, delta, r_m, r_z):
     """Closed-form solve of each site's backward-Euler block.
 
     The block (I/δ − J) x = r of site i, with its drive perturbation dα_i
-    held as a parameter, is 3×3 real in (Re dm_i, Im dm_i, dz_i).  Writing
+    held as a parameter, is 3×3 real in (Re dm_i, Im dm_i, dz_i); r comes
+    unpacked into its complex and real parts (r_m, r_z).  Writing
     a real-linear map of a complex number as x ↦ P x + Q x̄, eliminating
     dz_i leaves M dm_i = K dα_i + c with M = (κ + 2|α|²/ε, −2α²/ε),
     K = (iz + 2αm̄/ε, −2αm/ε), c = r_m + iα r_z/ε, κ = 1/δ + ½ − iΔ and
@@ -162,25 +171,31 @@ def _site_maps(m, z, a, detunings, delta, r):
     and dz(dα, dm) recovers the population part.  det M = |mp|² − |mq|² is
     formed as |κ|² + 4 Re(κ)|α|²/ε: on a diverging Newton iterate the two
     |α|⁴ terms of the squares swamp it.
+
+    The chains call it on arrays of sites, the one-site collective system
+    (`_collective_system`) on Python scalars: complex m, a and r_m, float
+    z and r_z, and a float or None detuning.  Each operation means the
+    same on both, so conjugates and parts are methods and every square is
+    a product: a Python float raises OverflowError from `**` where an
+    array returns inf.
     """
-    n = m.size
     inv = 1.0 / delta
     eps = inv + 1.0
     kap = inv + 0.5 if detunings is None else inv + 0.5 - 1j * detunings
-    a2 = np.abs(a) ** 2
+    a2 = a.real * a.real + a.imag * a.imag
     mp, mq = kap + 2.0 * a2 / eps, -2.0 * a * a / eps
-    norm = np.abs(kap) ** 2 + 4.0 * kap.real * a2 / eps  # ≥ Re(κ)² > 0
-    ip, iq = np.conj(mp) / norm, -mq / norm    # M⁻¹
-    kp, kq = 1j * z + 2.0 * a * np.conj(m) / eps, -2.0 * a * m / eps
-    tp = ip * kp + iq * np.conj(kq)
-    tq = ip * kq + iq * np.conj(kp)
-    r_m, r_z = r[:n] + 1j * r[n:2 * n], r[2 * n:]
+    # ≥ Re(κ)² > 0
+    norm = kap.real * kap.real + kap.imag * kap.imag + 4.0 * kap.real * a2 / eps
+    ip, iq = mp.conjugate() / norm, -mq / norm    # M⁻¹
+    kp, kq = 1j * z + 2.0 * a * m.conjugate() / eps, -2.0 * a * m / eps
+    tp = ip * kp + iq * kq.conjugate()
+    tq = ip * kq + iq * kp.conjugate()
     c = r_m + 1j * a * r_z / eps
-    q = ip * c + iq * np.conj(c)
+    q = ip * c + iq * c.conjugate()
 
     def dz(da, dm):
-        return (r_z - 4.0 * np.imag(np.conj(da) * m)
-                - 4.0 * np.imag(np.conj(a) * dm)) / eps
+        return (r_z - 4.0 * (da.conjugate() * m).imag
+                - 4.0 * (a.conjugate() * dm).imag) / eps
 
     return tp, tq, q, dz
 
@@ -217,7 +232,7 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     def solve(y, omega, delta, r):
         m, z = _unpack(y, n)
         a = plan.alpha(m, omega)
-        tp, tq, q, dz = _site_maps(m, z, a, detunings, delta, r)
+        tp, tq, q, dz = _site_maps(m, z, a, detunings, delta, *_unpack(r, n))
         # dm_i = A_i dF_i + W_i dB_i + q_i as (P, Q) pairs
         ap, aq = -1j * g * tp, 1j * g * tq
         wp, wq = gw * tp, np.conj(gw) * tq
@@ -376,35 +391,55 @@ def solve_steady_state(model_tag: str, params: ModelParams,
 # --- collective (permutation-symmetric) reduction ---------------------------
 
 
-def _collective_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
-    """Exact solve of (I/δ − J(y)) x = r for the one-site collective
-    system (`_DrivePlan.collective`): the site block of `_site_maps`
-    closed by its own feedback dα = −i g dm."""
+def _collective_system(plan: _DrivePlan, detuning: Optional[float]):
+    """The RHS and the exact solve of (I/δ − J(y)) x = r of the one-site
+    collective system (`_DrivePlan.collective`), on Python scalars.
+
+    Each unpacks the state (Re m, Im m, z) into one complex and one float
+    and states its equations through `_bloch` and `_site_maps`, as the
+    chains do on arrays; the solve closes the site block by its own
+    feedback dα = −i g dm.  A zero determinant of that 2×2 real solve
+    raises LinAlgError, as a singular chain band does: a Python scalar
+    would raise ZeroDivisionError where an array returns inf."""
     g = plan.g
 
+    def unpack(v):
+        re, im, z = v.tolist()
+        return complex(re, im), z
+
+    def rhs(y, omega):
+        m, z = unpack(y)
+        dm, dz = _bloch(m, z, plan.alpha(m, omega), detuning)
+        return np.array((dm.real, dm.imag, dz))
+
     def solve(y, omega, delta, r):
-        m = y[:1] + 1j * y[1:2]
-        a = plan.alpha(m, omega)
-        tp, tq, q, dz = _site_maps(m, y[2:], a, detunings, delta, r)
+        m, z = unpack(y)
+        tp, tq, q, dz = _site_maps(m, z, plan.alpha(m, omega), detuning,
+                                   delta, *unpack(r))
         # (1 − T∘(−ig)) dm = q, inverted as a map x ↦ p x + q x̄
         lp, lq = 1.0 + 1j * g * tp, -1j * g * tq
-        dm = (np.conj(lp) * q - lq * np.conj(q)) / (np.abs(lp) ** 2
-                                                    - np.abs(lq) ** 2)
-        return np.concatenate((dm.real, dm.imag, dz(-1j * g * dm, dm)))
+        det = (lp.real * lp.real + lp.imag * lp.imag
+               - (lq.real * lq.real + lq.imag * lq.imag))
+        if det == 0.0:
+            raise np.linalg.LinAlgError("singular one-site block")
+        dm = (lp.conjugate() * q - lq * q.conjugate()) / det
+        return np.array((dm.real, dm.imag, dz(-1j * g * dm, dm)))
 
-    return solve
+    return rhs, solve
 
 
 def _settle_collective(plan: _DrivePlan, detuning: float,
                        y0: Optional[np.ndarray], omega: float,
                        ramp: Optional[RampSpec], cell: tuple):
     """`_settle` on the one-site collective system of `plan`
-    (`_DrivePlan.collective`), from y0 (the ground state if None)."""
-    det = None if detuning == 0.0 else np.full(1, detuning)
+    (`_DrivePlan.collective`), from y0 (the ground state if None), with
+    its equations on Python scalars (`_collective_system`): the drive and
+    the detuning are taken as Python floats."""
     if y0 is None:
         y0 = np.array([0.0, 0.0, -1.0])
-    return _settle(_make_rhs(plan, det), _collective_solve(plan, det), y0,
-                   omega, ramp, cell)
+    rhs, solve = _collective_system(
+        plan, None if detuning == 0.0 else float(detuning))
+    return _settle(rhs, solve, y0, float(omega), ramp, cell)
 
 
 def solve_collective(feedback: float, s0: float,

@@ -2,7 +2,8 @@
 the band in LAPACK's own layout: the reference the in-place assembly is
 tested against.
 
-`make_solve` is the former body of `meanfield._make_solve`, kept verbatim:
+`make_solve` is the former body of `meanfield._make_solve`, kept verbatim
+but for the site block's call, which now takes the unpacked right-hand side:
 it scatters each real 2×2 block into `scipy.linalg.solve_banded`'s (7, 4N)
 storage through precomputed index arrays, copies the identity part per
 solve, and lets `solve_banded` copy the band into `dgbsv`'s layout.  Both
@@ -52,7 +53,7 @@ def make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     def solve(y, omega, delta, r):
         m, z = _unpack(y, n)
         a = plan.alpha(m, omega)
-        tp, tq, q, dz = _site_maps(m, z, a, detunings, delta, r)
+        tp, tq, q, dz = _site_maps(m, z, a, detunings, delta, *_unpack(r, n))
         # dm_i = A_i dF_i + W_i dB_i + q_i as (P, Q) pairs
         ap, aq = -1j * g * tp, 1j * g * tq
         wp, wq = gw * tp, np.conj(gw) * tq

@@ -7,7 +7,8 @@ import pytest
 from scipy.signal import lfilter
 
 from cascadia import (ModelParams, RampSpec, SolverOptions,
-                      averaged_phase_factor, build_chain, dicke_cubic,
+                      averaged_phase_factor, build_chain,
+                      dicke_bistability_window, dicke_cubic,
                       dicke_steady_states, effective_drive, field_observables,
                       solve_collective, solve_steady_state,
                       uwm_cascade_fixed_point, uwm_saturation,
@@ -224,6 +225,34 @@ def test_detuned_dm_takes_the_chain_path(n, beta):
     # the detunings move the state off the chainless collective one
     assert np.max(np.abs(sol.sigma_z - solve_steady_state("DM", p).sigma_z)) \
         > 1e-3
+
+
+@pytest.mark.parametrize("n,beta,s0,s0_start", [
+    (3, 0.2, 2.0, None), (3, 0.5, 6.0, 0.0),
+    (50, 0.2, 40.0, None), (50, 0.2, 200.0, None),
+    (50, 0.2, 95.0, 0.0), (50, 0.2, 95.0, 240.0)])
+def test_uniform_dm_matches_the_chain_path(n, beta, s0, s0_start):
+    # the one-site collective settle on Python scalars against the N-site
+    # chain path with DM's (1, 1, 1) channel: outside the bistable window
+    # (none at N = 3; s₀ ≈ 74…118 at N = 50), and on ramps into it from
+    # the ground state and from the saturated steady state at s0_start
+    p = _params(beta, s0, n)
+    window = dicke_bistability_window(4.0 * beta * (n - 1))
+    assert (window.s_minus < s0 < window.s_plus) == (n == 50 and s0 == 95.0)
+    plan = _DrivePlan("DM", p, None)
+    assert (plan.c, plan.v, plan.w) == (1.0, 1.0, 1.0)
+    ramp = None if s0_start is None else RampSpec(s0_start, s0, 400.0)
+    start, y0 = None, np.concatenate((np.zeros(2 * n), -np.ones(n)))
+    if s0_start:
+        start = solve_steady_state("DM", _params(beta, s0_start, n))
+        y0 = np.concatenate((start.sigma_minus.real, start.sigma_minus.imag,
+                             start.sigma_z))
+    y, _ = _settle(_make_rhs(plan, None), _make_solve(plan, None), y0,
+                   p.rabi, ramp, ("DM", f"N = {n}"))
+    sol = solve_steady_state("DM", p, opts=SolverOptions(ramp=ramp),
+                             initial=start)
+    assert np.max(np.abs(sol.sigma_minus - (y[:n] + 1j * y[n:2 * n]))) <= 1e-12
+    assert np.max(np.abs(sol.sigma_z - y[2 * n:])) <= 1e-12
 
 
 @pytest.mark.parametrize("tag", ["EAM", "DM"])

@@ -15,9 +15,10 @@ from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       effective_drive, solve_steady_state,
                       uwm_cascade_fixed_point)
 from cascadia.errors import NonConvergence
-from cascadia.meanfield import (_DrivePlan, _collective_solve, _make_rhs,
-                                _make_solve, solve_collective)
-from cascadia.steady import STEADY_RESIDUAL, newton_step, pseudo_transient
+from cascadia.meanfield import (_bloch, _collective_system, _DrivePlan,
+                                _make_solve, _site_maps, solve_collective)
+from cascadia.steady import (STEADY_RESIDUAL, _implicit_step, newton_step,
+                             pseudo_transient)
 
 from _banded_reference import make_solve as reference_solve
 from _time_integration import (IntegrationOptions, integrate_ramp,
@@ -268,9 +269,71 @@ def test_collective_solve_matches_dense_jacobian(detuning):
         dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
         return np.array([dm.real, dm.imag, dz])
 
-    solve = _collective_solve(_DrivePlan.collective(b), detuning)
+    _, solve = _collective_system(_DrivePlan.collective(b), detuning)
     _assert_solves(fun, lambda v, d, r: solve(v, omega, d, r),
                    np.array([0.1, -0.2, -0.4]))
+
+
+def _random_sites(seed, n, detuned):
+    rng = np.random.default_rng(seed)
+
+    def cplx(scale):
+        return scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    m, z, a = cplx(0.3), rng.uniform(-1.0, 1.0, n), cplx(2.0)
+    det = rng.normal(0.0, 0.8, n) if detuned else None
+    return m, z, a, det, cplx(1.0), rng.normal(size=n), cplx(0.1), cplx(0.1)
+
+
+@pytest.mark.parametrize("delta", [0.7, np.inf])
+@pytest.mark.parametrize("detuned", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_site_equations_on_scalars_match_arrays(seed, detuned, delta):
+    # the chains evaluate the Bloch equations and the site block on arrays,
+    # the one-site collective system on Python scalars: site i on scalars
+    # must give element i of the array evaluation.  numpy's complex product
+    # rounds differently from Python's, so they agree to rounding, relative
+    # to each quantity's max-norm over the sites (tp is a difference of
+    # larger products on strongly driven sites)
+    m, z, a, det, r_m, r_z, da, dm = _random_sites(seed, 16, detuned)
+    tp, tq, q, dz = _site_maps(m, z, a, det, delta, r_m, r_z)
+    arrays = (tp, tq, q, dz(da, dm)) + _bloch(m, z, a, det)
+    for i in range(m.size):
+        det_i = None if det is None else float(det[i])
+        *maps, dz_i = _site_maps(complex(m[i]), float(z[i]), complex(a[i]),
+                                 det_i, delta, complex(r_m[i]), float(r_z[i]))
+        scalars = (*maps, dz_i(complex(da[i]), complex(dm[i])),
+                   *_bloch(complex(m[i]), float(z[i]), complex(a[i]), det_i))
+        assert [type(x) for x in scalars] == [complex] * 3 + [float, complex,
+                                                              float]
+        for x, arr in zip(scalars, arrays):
+            assert abs(x - arr[i]) <= 1e-14 * np.max(np.abs(arr))
+
+
+@pytest.mark.parametrize("detuning", [None, 0.3])
+def test_diverging_one_site_start_is_a_missed_step(detuning):
+    # |⟨σ⁻⟩| ~ 1e160 squares past the float range: on Python scalars a
+    # power would raise OverflowError where an array gives inf, so every
+    # square is a product and the step ends as a miss, not a traceback
+    rhs, solve = _collective_system(_DrivePlan.collective(10.0), detuning)
+    y = np.array([1e160, -1e160, -1.0])
+    fun = lambda v: rhs(v, 2.0)
+    assert _implicit_step(fun, lambda v, d, r: solve(v, 2.0, d, r), y,
+                          fun(y), 1.0, 1e-10) is None
+
+
+def test_singular_one_site_block_is_a_missed_step():
+    # at ⟨σ⁻⟩ = 0, ⟨σᶻ⟩ = ½, Ω = 0, δ = 2 and b = 4 the feedback solve's
+    # determinant |lp|² − |lq|² is exactly 0: a LinAlgError, as a singular
+    # chain band gives, which the continuation takes as a missed step
+    # (Python scalars would raise ZeroDivisionError)
+    rhs, solve = _collective_system(_DrivePlan.collective(4.0), None)
+    y = np.array([0.0, 0.0, 0.5])
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(y, 0.0, 2.0, np.ones(3))
+    fun = lambda v: rhs(v, 0.0)
+    assert _implicit_step(fun, lambda v, d, r: solve(v, 0.0, d, r), y,
+                          fun(y), 2.0, 1e-10) is None
 
 
 def test_continuation_survives_an_exact_zero_residual():
@@ -286,8 +349,8 @@ def test_continuation_survives_an_exact_zero_residual():
 def test_collective_continuation_matches_integration():
     # DM at N = 200, a cell where the collective residual can land on 0.0
     p = ModelParams.from_beta(beta=0.005, s0=56.0, n_emitters=200)
-    rhs = _make_rhs(_DrivePlan.collective(2.0 * p.beta * (p.n_emitters - 1)),
-                    None)
+    rhs, _ = _collective_system(
+        _DrivePlan.collective(2.0 * p.beta * (p.n_emitters - 1)), None)
     sol = solve_steady_state("DM", p)
     y = _integrated_settle(lambda y: rhs(y, p.rabi), np.array([0.0, 0.0, -1.0]))
     assert abs(sol.sigma_minus[0] - (y[0] + 1j * y[1])) <= 1e-10
@@ -472,7 +535,7 @@ def _integrated_collective_ramp(b, s0, s0_start, t_ramp=400.0):
     s0_start, integrate the ramp s0_start → s0 over t_ramp, settle at s0
     and take the Newton finish under the branch guard."""
     plan = _DrivePlan.collective(b)
-    rhs, solve = _make_rhs(plan, None), _collective_solve(plan, None)
+    rhs, solve = _collective_system(plan, None)
 
     def settle(y, s):
         w = np.sqrt(s / 2.0)
