@@ -9,10 +9,16 @@ modes need one.  The iteration converges to the state |g…g⟩ relaxes to,
 so unique and degenerate kernels (β = ½ leaves no loss, and dark states
 give several steady states) take the same path.  L is assembled in one
 pass and iterated in the real coordinates of Hermitian ρ, where it is a
-real matrix: a solve takes ~0.04 s at N = 5 (~0.03 s of it the LU) and
-~1.4 s and ~135 MB at N = 6 (2-core x86, OPENBLAS_NUM_THREADS=1).  Used
-as ground truth by the test suite; nothing here scales past a handful of
-emitters and nothing here is approximate.
+real matrix.  Where the generator commutes with T(ρ) = PρᵀP, P = ⊗σᶻ
+(a resonant drive and real kernels: the UWM, DM and EAM; Buča & Prosen,
+New J. Phys. 14, 073007 (2012)), only the (4ᴺ + 2ᴺ)/2 coordinates of
+T's +1 sector, which holds |g…g⟩, are iterated, with bit-identical
+states.  A solve then takes ~0.015 s at N = 5 (~0.01 s of it the LU)
+and ~0.5 s and ~105 MB at N = 6; the BWM and detuned cells iterate all
+4ᴺ coordinates, ~0.07 s for the BWM at N = 5 (2-core x86,
+OPENBLAS_NUM_THREADS=1).  Used as ground truth by the test suite;
+nothing here scales past a handful of emitters and nothing here is
+approximate.
 
 All four models share the driven-qubit part and differ only in the
 left-going guided channel, the triple (c, v, w) of `params.left_channel`.
@@ -64,7 +70,7 @@ _TAU_NORMS = (1e3, 1e6, 1e9)
 _INVERSE_STEPS = 50
 # the largest ‖dρ/dt‖_F accepted as a steady state
 _RESIDUAL_MAX = 1e-10
-# the largest |Im U L Uᴴ|/‖L‖_∞ taken for rounding of a real L_r
+# the largest |H − Hᴴ|/‖L‖_∞ and |K − Kᴴ|/‖L‖_∞ taken for rounding
 _HERMITIAN_DUST = 1e-13
 
 
@@ -78,14 +84,19 @@ class DensityState:
     rho: np.ndarray
     model_tag: str
     # how `exact_steady_state` got it: back-solves of the inverse
-    # iteration, the last shift τ‖L‖_∞, and the gated ‖dρ/dt‖_F
+    # iteration, the last shift τ‖L‖_∞, the gated ‖dρ/dt‖_F, and the
+    # number of real coordinates iterated (4ᴺ, or (4ᴺ + 2ᴺ)/2 on the
+    # transpose-parity sector)
     solves: int = 0
     tau_norm: float = float("nan")
     residual: float = float("nan")
+    unknowns: int = 0
 
 
-def _site_ops(n: int):
-    """σ⁻_i in the 2ⁿ-dimensional product space, site 1 slowest factor."""
+@lru_cache(maxsize=_MAX_N)
+def _site_ops(n: int) -> np.ndarray:
+    """σ⁻_i in the 2ⁿ-dimensional product space, site 1 slowest factor,
+    stacked as a read-only (n, 2ⁿ, 2ⁿ) array."""
     sm1 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g⟩⟨e|
     eye = np.eye(2, dtype=complex)
     ops = []
@@ -94,7 +105,20 @@ def _site_ops(n: int):
         for k in range(n):
             op = np.kron(op, sm1 if k == i else eye)
         ops.append(op)
+    ops = np.array(ops)
+    ops.flags.writeable = False
     return ops
+
+
+@lru_cache(maxsize=_MAX_N)
+def _parity(dim: int) -> np.ndarray:
+    """The diagonal p of P = ⊗σᶻ on the dim basis states (σᶻ|e⟩ = |e⟩):
+    p_a = ±1 by the parity of a's ground factors; read-only."""
+    p = np.ones(1)
+    while p.size < dim:
+        p = np.kron(p, [1.0, -1.0])
+    p.flags.writeable = False
+    return p
 
 
 class _Generator:
@@ -106,7 +130,7 @@ class _Generator:
         self.sm = sm
         self.sp = [s.conj().T for s in sm]
         n = len(sm)
-        K = sum(kernels)
+        self.K = K = sum(kernels)
         # S_j = Σ_l K_jl σ⁻_l and G = Σ_j σ⁺_j S_j
         self.S = [sum(K[j, l] * sm[l] for l in range(n)) for j in range(n)]
         self.G = sum(self.sp[j] @ self.S[j] for j in range(n))
@@ -196,10 +220,34 @@ def build_generator(model_tag: str, params: ModelParams,
     return _Generator(H, [right, params.gamma_loss * np.eye(n), left], sm)
 
 
-def _hermitian_coordinates(dim: int) -> sparse.csr_matrix:
+def _parity_symmetric(gen: _Generator) -> bool:
+    """Whether T(ρ) = PρᵀP, P = ⊗σᶻ, commutes with gen's L.
+
+    It does exactly when Kᵀ = K and PHᵀP = −H: then T maps −i[H, ρ] to
+    −i[H, T(ρ)], and the dissipator of T(ρ) is T of the dissipator of ρ.
+    For Hermitian H and K that is a real K and PH̄P = −H: a resonant drive
+    (real, one spin flipped) and cascades with real kernels (imaginary, two
+    spins flipped), as in the UWM, DM and EAM.  A detuning (real, no flip)
+    or the BWM's chain phases in K break it.  Tested exactly, not to a
+    tolerance, so the sector is taken only where it holds bit for bit.
+    """
+    p = _parity(gen.H.shape[0])
+    return (np.array_equal(gen.K, gen.K.T)
+            and np.array_equal(np.multiply.outer(p, p) * gen.H.T, -gen.H))
+
+
+@lru_cache(maxsize=4 * _MAX_N)
+def _hermitian_coordinates(dim: int, sector: bool):
     """The unitary U with x = U·vec(ρ) = (ρ_aa, √2 Re ρ_ab, √2 Im ρ_ab):
     a over all dim basis states, then a < b in row-major order.  x is real
-    where ρ is Hermitian, and Uᴴx is Hermitian for every real x."""
+    where ρ is Hermitian, and Uᴴx is Hermitian for every real x.
+
+    With `sector`, only the rows of the +1 sector of T(ρ) = PρᵀP
+    (`_parity`), in the same order: on Hermitian ρ, T(ρ)_ab = p_a p_b ρ̄_ab,
+    so the sector keeps every ρ_aa, Re ρ_ab where p_a p_b = 1 and Im ρ_ab
+    where p_a p_b = −1, (4ᴺ + 2ᴺ)/2 of the 4ᴺ coordinates, and Uᴴx
+    satisfies T(ρ) = ρ for every real x.  Returns U and Uᴴ as read-only
+    sparse matrices."""
     a, b = np.triu_indices(dim, 1)
     diag = np.arange(dim) * (dim + 1)
     upper, lower = a * dim + b, b * dim + a
@@ -210,7 +258,16 @@ def _hermitian_coordinates(dim: int) -> sparse.csr_matrix:
     cols = np.concatenate((diag, upper, lower, upper, lower))
     vals = np.concatenate((np.ones(dim), np.full(2 * a.size, s),
                            np.full(a.size, -1j * s), np.full(a.size, 1j * s)))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
+    U = sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
+    if sector:
+        p = _parity(dim)
+        even = p[a] == p[b]
+        U = U[np.concatenate((np.ones(dim, dtype=bool), even, ~even))]
+    Uh = U.conj().T
+    for M in (U, Uh):
+        for arr in (M.data, M.indices, M.indptr):
+            arr.flags.writeable = False
+    return U, Uh
 
 
 def _inverse_iteration(gen: _Generator, cell: str):
@@ -218,9 +275,17 @@ def _inverse_iteration(gen: _Generator, cell: str):
 
     L_r = U L Uᴴ is L in the real Hermitian coordinates x of ρ
     (`_hermitian_coordinates`): a Lindbladian maps Hermitian ρ to Hermitian
-    dρ/dt, so L_r is real, and an imaginary part above rounding means the
-    generator `cell` names does not preserve Hermiticity
-    (NumericalInstability).  U is unitary, so ‖L_r x‖₂ = ‖Lρ‖_F.
+    dρ/dt, so L_r is real where H and the summed kernel K are Hermitian,
+    and a skew part of either above rounding means the generator `cell`
+    names does not preserve Hermiticity (NumericalInstability).  U is
+    unitary, so ‖L_r x‖₂ = ‖Lρ‖_F.
+
+    Where T(ρ) = PρᵀP commutes with L (`_parity_symmetric`), L_r is block
+    diagonal over T's ±1 sectors, and |g…g⟩ lies in the +1 sector, so the
+    iterate never leaves it: x runs over that sector's (4ᴺ + 2ᴺ)/2
+    coordinates alone, with the same shifts, back-solves and gates.  The
+    LU of the full I − τL_r is block diagonal too, and the states are
+    bit-identical to the full-space iteration's.
 
     I − τL is nonsingular for every τ > 0, as Re λ(L) ≤ 0, and each
     back-solve multiplies a mode of L by 1/(1 − τλ): the kernel part of ρ
@@ -229,24 +294,25 @@ def _inverse_iteration(gen: _Generator, cell: str):
     sparse LU) and iterated until a back-solve fails to halve ‖Lρ‖_F: at
     round-off, or where the slowest mode decays too slowly for this
     shift, and then the next shift continues from the best iterate.
-    At N = 5 the real LU has ~0.32M nonzeros and takes ~0.03 s; the
-    complex LU of I − τL on vec(ρ) had ~0.47M and took ~0.09 s (2-core
-    x86, OPENBLAS_NUM_THREADS=1).  Returns (best ρ, back-solves, last t).
+    At N = 5 the real LU of the sector has ~0.16M nonzeros and takes
+    ~0.01 s, against ~0.32M and ~0.02 s on all 4ᴺ coordinates (2-core
+    x86, OPENBLAS_NUM_THREADS=1).  Returns (best ρ, back-solves, last t,
+    the number of real unknowns iterated).
     """
     dim = gen.H.shape[0]
     L = gen.superoperator()
     norm = float(abs(L).sum(axis=1).max())
-    U = _hermitian_coordinates(dim)
-    Uh = U.conj().T
-    Lc = U @ L @ Uh
-    dust = float(np.abs(Lc.data.imag).max(initial=0.0))
-    if dust > _HERMITIAN_DUST * norm:
+    skew = max(float(np.abs(M - M.conj().T).max()) for M in (gen.H, gen.K))
+    if skew > _HERMITIAN_DUST * norm:
         raise NumericalInstability(
             f"{cell}: the generator does not preserve Hermiticity "
-            f"(|Im U L Uᴴ| up to {dust:.2e}, ‖L‖_∞ = {norm:.2e})")
-    Lr = Lc.real
-    eye = sparse.identity(dim * dim, format="csr")
-    best = np.zeros(dim * dim)
+            f"(|H − Hᴴ| or |K − Kᴴ| up to {skew:.2e}, "
+            f"‖L‖_∞ = {norm:.2e})")
+    U, Uh = _hermitian_coordinates(dim, _parity_symmetric(gen))
+    Lr = (U @ L @ Uh).real
+    unknowns = Lr.shape[0]
+    eye = sparse.identity(unknowns, format="csr")
+    best = np.zeros(unknowns)
     best[dim - 1] = 1.0  # |g…g⟩: ground is the last basis state
     best_r, solves = np.inf, 0
     for tau_norm in _TAU_NORMS:
@@ -265,7 +331,7 @@ def _inverse_iteration(gen: _Generator, cell: str):
             prev = r
         if best_r <= _RESIDUAL_MAX:
             break
-    return (Uh @ best).reshape(dim, dim), solves, tau_norm
+    return (Uh @ best).reshape(dim, dim), solves, tau_norm, unknowns
 
 
 def exact_steady_state(model_tag: str, params: ModelParams,
@@ -282,7 +348,7 @@ def exact_steady_state(model_tag: str, params: ModelParams,
     gen = build_generator(model_tag, params, chain)
     cell = (f"exact {model_tag} steady state at N = {params.n_emitters}, "
             f"β = {params.beta:g}, s₀ = {params.derive().s0:g}")
-    rho, solves, tau_norm = _inverse_iteration(gen, cell)
+    rho, solves, tau_norm, unknowns = _inverse_iteration(gen, cell)
     frob = float(np.linalg.norm(gen.apply(rho)))
     if frob > _RESIDUAL_MAX:
         raise NonConvergence(
@@ -291,7 +357,7 @@ def exact_steady_state(model_tag: str, params: ModelParams,
             f"(τ‖L‖_∞ up to {tau_norm:g})")
     rho = 0.5 * (rho + rho.conj().T)  # Uᴴx is Hermitian; this keeps it so
     return DensityState(rho=rho, model_tag=model_tag, solves=solves,
-                        tau_norm=tau_norm, residual=frob)
+                        tau_norm=tau_norm, residual=frob, unknowns=unknowns)
 
 
 # --- observables ------------------------------------------------------------
@@ -301,7 +367,7 @@ def exact_steady_state(model_tag: str, params: ModelParams,
 def _pauli_stack(n: int) -> np.ndarray:
     """σ⁻_i, σ⁺_i, σᶻ_i for i = 1…n, stacked in that order as a read-only
     (3n, 2ⁿ, 2ⁿ) array."""
-    sm = np.array(_site_ops(n))
+    sm = _site_ops(n)
     sp = sm.conj().transpose(0, 2, 1)
     ops = np.concatenate((sm, sp, 2.0 * (sp @ sm) - np.eye(2 ** n)))
     ops.flags.writeable = False

@@ -1,6 +1,7 @@
 """Few-emitter master-equation oracle: invariants, limits, flux accounting."""
 
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -436,6 +437,114 @@ def test_real_iteration_matches_the_complex_one(tag, n, cell):
         assert abs(flux[key] - value) <= 1e-14 * ref["flux_in"], key
 
 
+# --- the transpose-parity sector -------------------------------------------------
+
+# resonant cells of the symmetric models: plain, nearly lossless and
+# lossless with a degenerate kernel, and a long EAM kernel
+_SYMMETRIC = [(0.1, 1.0, 0.1), (0.49, 2.0, 0.01), (0.5, 0.5, 0.0),
+              (0.2, 3.0, 0.3)]
+
+
+def _parity(n):
+    """The diagonal of P = ⊗σᶻ, σᶻ = diag(1, −1) on (|e⟩, |g⟩)."""
+    return reduce(np.kron, [np.array([1.0, -1.0])] * n, np.ones(1))
+
+
+def _transpose_parity(n):
+    """T(ρ) = PρᵀP, P = ⊗σᶻ, as a sparse matrix on row-major vec(ρ)."""
+    from scipy import sparse
+    p, dim = _parity(n), 2 ** n
+    a, b = np.divmod(np.arange(dim * dim), dim)
+    return sparse.csr_matrix((p[a] * p[b], (a * dim + b, b * dim + a)),
+                             shape=(dim * dim,) * 2)
+
+
+def _commutator(gen):
+    L = gen.superoperator()
+    T = _transpose_parity(len(gen.sm))
+    return float(abs(T @ L - L @ T).max())
+
+
+@pytest.mark.parametrize("tag", ["UWM", "DM", "EAM"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("beta,s0,eta", _SYMMETRIC)
+def test_transpose_parity_commutes_with_resonant_generators(tag, n, beta, s0,
+                                                            eta):
+    from cascadia.exact import _parity_symmetric
+    gen = build_generator(tag, _params(beta, s0, n, eta=eta, seed=7), None)
+    assert _commutator(gen) == 0.0
+    assert _parity_symmetric(gen)
+
+
+@pytest.mark.parametrize("tag", ["UWM", "DM", "EAM", "BWM"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chain_phases_and_detunings_break_transpose_parity(tag, n):
+    from cascadia.exact import _parity_symmetric
+    cells = [_CELLS[1]] + ([_CELLS[0]] if tag == "BWM" else [])
+    for cell in cells:  # the detuned cell, and the BWM's chain phases
+        gen = build_generator(tag, *_cell(tag, n, *cell))
+        assert _commutator(gen) > 1e-6  # far above rounding
+        assert not _parity_symmetric(gen)
+
+
+def test_a_complex_kernel_alone_breaks_transpose_parity():
+    # a Hermitian kernel with imaginary entries beside DM's H, which keeps
+    # PHᵀP = −H: the dissipator alone breaks the symmetry, and the
+    # predicate sees it
+    from cascadia.exact import _Generator, _parity_symmetric, _site_ops
+    p = _params(0.2, 2.0, 3)
+    K = p.gamma_1d * np.ones((3, 3)) + 0.1j * np.triu(np.ones((3, 3)), 1)
+    gen = _Generator(build_generator("DM", p, None).H, [K + K.conj().T],
+                     _site_ops(3))
+    assert _commutator(gen) > 1e-6
+    assert not _parity_symmetric(gen)
+
+
+@pytest.mark.parametrize("tag", ["UWM", "DM", "EAM"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("beta,s0,eta", _SYMMETRIC)
+def test_symmetric_states_are_transpose_parity_even(tag, n, beta, s0, eta):
+    state = exact_steady_state(tag, _params(beta, s0, n, eta=eta, seed=7))
+    p = _parity(n)
+    assert np.array_equal(state.rho, np.multiply.outer(p, p) * state.rho.T)
+    assert state.unknowns == (4 ** n + 2 ** n) // 2
+
+
+# slow modes (see the slow-modes test) that the first shift misses: the
+# ones DM and EAM reach at τ‖L‖_∞ = 1e6 and at 1e9, as (tag, n, β, s₀, η)
+_SLOW = [("DM", 3, 0.49, 100.0, 0.0), ("DM", 4, 0.49, 1.0, 0.0),
+         ("EAM", 4, 0.5, 0.5, 0.003), ("DM", 4, 0.49999, 3.0, 0.0),
+         ("DM", 5, 0.49999, 0.5, 0.0), ("EAM", 3, 0.5, 3.0, 0.001),
+         ("EAM", 4, 0.49999, 100.0, 0.001)]
+_SECTOR_CELLS = ([(tag, n, *cell) for tag in ("UWM", "DM", "EAM")
+                  for n in (1, 2, 3, 4, 5) for cell in _CELLS]
+                 + [(tag, n, beta, s0, eta, 0.0, 0.0)
+                    for tag, n, beta, s0, eta in _SLOW])
+
+
+@pytest.mark.parametrize("tag,n,beta,s0,eta,detuning,xi_delta", _SECTOR_CELLS)
+def test_sector_iteration_equals_the_full_space_one(monkeypatch, tag, n, beta,
+                                                    s0, eta, detuning,
+                                                    xi_delta):
+    p, chain = _cell(tag, n, beta, s0, eta, detuning, xi_delta)
+    state = exact_steady_state(tag, p, chain)
+    monkeypatch.setattr("cascadia.exact._parity_symmetric", lambda gen: False)
+    full = exact_steady_state(tag, p, chain)
+    assert state.rho.tobytes() == full.rho.tobytes()
+    assert ((state.solves, state.tau_norm, state.residual)
+            == (full.solves, full.tau_norm, full.residual))
+    assert full.unknowns == 4 ** n
+    assert state.unknowns == (4 ** n if detuning else (4 ** n + 2 ** n) // 2)
+
+
+def test_slow_cells_reach_both_large_shifts():
+    from cascadia.exact import _TAU_NORMS
+    shifts = {exact_steady_state(tag, _params(beta, s0, n, eta=eta,
+                                              seed=7)).tau_norm
+              for tag, n, beta, s0, eta in _SLOW}
+    assert shifts == set(_TAU_NORMS[1:])
+
+
 def test_near_degenerate_unique_kernel_meets_the_gate_on_both_paths():
     # a unique kernel close to degenerate (it needs the shift 1e9): rounding
     # moves the two paths' states apart by ~1e-10 along its slowest mode,
@@ -469,14 +578,44 @@ def test_non_hermitian_generator_is_refused(monkeypatch):
         exact_steady_state("DM", p)
 
 
+@pytest.mark.parametrize("part", ["H", "K"])
+def test_non_hermitian_generator_with_the_symmetry_is_refused(monkeypatch,
+                                                              part):
+    # a skew part that keeps T(ρ) = PρᵀP commuting with L, iσˣ₁ in H (odd
+    # and symmetric) or i on the diagonal of K (symmetric): the sector's
+    # block of U L Uᴴ need not show it, so H and K are checked themselves
+    from cascadia.errors import NumericalInstability
+    from cascadia.exact import _Generator, _parity_symmetric, _site_ops
+    p = _params(0.2, 2.0, 2)
+    real = build_generator("DM", p, None)
+    sm = _site_ops(2)
+    H = real.H
+    kernels = [p.gamma_1d * np.ones((2, 2)), p.gamma_loss * np.eye(2)]
+    if part == "H":
+        H = H + 0.3j * (sm[0] + sm[0].conj().T)
+    else:
+        kernels.append(0.3j * np.eye(2))
+    gen = _Generator(H, kernels, sm)
+    assert _parity_symmetric(gen)
+    monkeypatch.setattr("cascadia.exact.build_generator", lambda *args: gen)
+    with pytest.raises(NumericalInstability,
+                       match=r"DM .*N = 2, β = 0\.2, s₀ = 2.*Hermiticity"):
+        exact_steady_state("DM", p)
+
+
 def test_state_reports_how_it_was_solved():
     from cascadia.exact import _RESIDUAL_MAX, _TAU_NORMS, DensityState
     bare = DensityState(rho=np.eye(2) / 2, model_tag="UWM")
     assert bare.solves == 0 and np.isnan(bare.tau_norm)
-    assert np.isnan(bare.residual)
+    assert np.isnan(bare.residual) and bare.unknowns == 0
     p = _params(0.2, 2.0, 3)
     state = exact_steady_state("UWM", p)
     assert state.solves > 0 and state.tau_norm == _TAU_NORMS[0]
+    # the resonant UWM iterates the transpose-parity sector, (4³ + 2³)/2
+    # real coordinates; the BWM's chain phases leave all 4³
+    assert state.unknowns == 36
+    p_bwm = _params(0.2, 2.0, 3, eta=0.1, seed=7)
+    assert exact_steady_state("BWM", p_bwm, build_chain(p_bwm)).unknowns == 64
     assert state.residual == pytest.approx(_residual("UWM", p, None,
                                                      state.rho), rel=1e-6)
     assert state.residual <= _RESIDUAL_MAX

@@ -73,6 +73,16 @@ _BRAGG_FOLD = [("BWM", 1000, s0, 0.0) for s0 in (36.0, 37.0, 38.0, 40.0)]
 _LONG_CHAINS = [(m, 2000, s0, 0.05) for m in ("BWM", "EAM") for s0 in (1.8, 75.0)]
 
 
+def _assert_continuation_matches_integration(model, p, chain):
+    n = p.n_emitters
+    sol = solve_steady_state(model, p, chain)
+    y = _integrated_settle(_rhs(model, p, chain),
+                           np.concatenate((np.zeros(2 * n), -np.ones(n))))
+    m, z = _unpack(y, n)
+    assert np.max(np.abs(sol.sigma_minus - m)) <= 1e-10
+    assert np.max(np.abs(sol.sigma_z - z)) <= 1e-10
+
+
 @pytest.mark.parametrize("model,n,s0,eta", _BRAGG_FOLD + _LONG_CHAINS)
 def test_continuation_matches_integration(model, n, s0, eta):
     # the Bragg cells sit just past the collective fold s₊ ≈ 37.6, where a
@@ -80,12 +90,18 @@ def test_continuation_matches_integration(model, n, s0, eta):
     p = ModelParams.from_beta(beta=0.005, s0=s0, n_emitters=n, eta=eta,
                               seed=3)
     chain = build_chain(p) if model == "BWM" else None
-    sol = solve_steady_state(model, p, chain)
-    y = _integrated_settle(_rhs(model, p, chain),
-                           np.concatenate((np.zeros(2 * n), -np.ones(n))))
-    m, z = _unpack(y, n)
-    assert np.max(np.abs(sol.sigma_minus - m)) <= 1e-10
-    assert np.max(np.abs(sol.sigma_z - z)) <= 1e-10
+    _assert_continuation_matches_integration(model, p, chain)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "continuation lands on another branch than the dynamics: mean σᶻ "
+    "−0.2329 at residual 4.4e-15, against −0.5194 integrated from the "
+    "ground state (max |Δσᶻ| = 0.357)"))
+def test_continuation_follows_the_dynamics_on_a_nearly_ordered_chain():
+    p = ModelParams.from_beta(beta=0.005, s0=100.0, n_emitters=2000,
+                              eta=0.001, seed=505767740)
+    _assert_continuation_matches_integration("BWM", p,
+                                             build_chain(p, stream=3))
 
 
 def _krylov_pseudo_transient(fun, y0):
