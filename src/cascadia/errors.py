@@ -8,7 +8,8 @@ class CascadiaError(Exception):
 class NumericalInstability(CascadiaError):
     """A solve met numbers it cannot continue from: a non-finite
     steady-state iterate, a non-finite Doppler profile inversion, or an
-    exact-oracle generator that does not preserve Hermiticity."""
+    exact-oracle generator that does not preserve Hermiticity, is not
+    finite, or gives a zero pivot in its shifted factor."""
 
 
 class NonConvergence(CascadiaError):

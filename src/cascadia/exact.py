@@ -2,23 +2,24 @@
 
 Builds each model's Lindblad generator explicitly and finds the steady
 state by shifted inverse iteration on the 4ᴺ×4ᴺ Liouvillian superoperator
-L: a sparse LU factorization of I − τL, then ρ ← (I − τL)⁻¹ρ from |g…g⟩
+L: one dense LU factorization of I − τL, then ρ ← (I − τL)⁻¹ρ from |g…g⟩
 (QuTiP's "power" steady-state method; Johansson, Nation & Nori, Comput.
-Phys. Commun. 184, 1234 (2013)), with a larger shift only where slow
-modes need one.  The iteration converges to the state |g…g⟩ relaxes to,
-so unique and degenerate kernels (β = ½ leaves no loss, and dark states
-give several steady states) take the same path.  L is assembled in one
-pass and iterated in the real coordinates of Hermitian ρ, where it is a
-real matrix.  Where the generator commutes with T(ρ) = PρᵀP, P = ⊗σᶻ
-(a resonant drive and real kernels: the UWM, DM and EAM; Buča & Prosen,
-New J. Phys. 14, 073007 (2012)), only the (4ᴺ + 2ᴺ)/2 coordinates of
-T's +1 sector, which holds |g…g⟩, are iterated, with bit-identical
-states.  A solve then takes ~0.015 s at N = 5 (~0.01 s of it the LU)
-and ~0.5 s and ~105 MB at N = 6; the BWM and detuned cells iterate all
-4ᴺ coordinates, ~0.07 s for the BWM at N = 5 (2-core x86,
-OPENBLAS_NUM_THREADS=1).  Used as ground truth by the test suite;
-nothing here scales past a handful of emitters and nothing here is
-approximate.
+Phys. Commun. 184, 1234 (2013)), taken in correction form, with a larger
+shift only where slow modes need one.  The iteration converges to the
+state |g…g⟩ relaxes to, so unique and degenerate kernels (β = ½ leaves no
+loss, and dark states give several steady states) take the same path.
+L is assembled in one pass and iterated in the real coordinates of
+Hermitian ρ, where it is a real matrix.  Where the generator commutes
+with T(ρ) = PρᵀP, P = ⊗σᶻ (a resonant drive and real kernels: the UWM,
+DM and EAM; Buča & Prosen, New J. Phys. 14, 073007 (2012)), only the
+(4ᴺ + 2ᴺ)/2 coordinates of T's +1 sector, which holds |g…g⟩, are
+iterated, with bit-identical states.  Either way only the coordinates
+that |g…g⟩ is connected to through L are factored.  A solve then takes
+~0.007 s at N = 5 and ~0.15 s and ~110 MB at N = 6; the BWM and detuned
+cells iterate all 4ᴺ coordinates, ~0.03 s for the BWM at N = 5 and
+~0.7–0.9 s and ~215 MB at N = 6 (2-core x86, OPENBLAS_NUM_THREADS=1).
+Used as ground truth by the test suite; nothing here scales past a
+handful of emitters and nothing here is approximate.
 
 All four models share the driven-qubit part and differ only in the
 left-going guided channel, the triple (c, v, w) of `params.left_channel`.
@@ -47,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import DimensionCap, NonConvergence, NumericalInstability
 from .params import (EmitterChain, ModelParams, left_channel,
@@ -62,9 +63,9 @@ _MAX_N = 6
 # damps every mode of L with |λ| ≥ ‖L‖_∞/t by ≥ 2, and adds rounding of
 # ~eps·t to the kernel part of ρ, which no back-solve damps.  The first
 # shift keeps that rounding small in a degenerate kernel (at t = 1e6 the
-# β = ½ cells drift by 2e-11); the larger ones reach the slow modes of
-# nearly degenerate kernels (DM at β = 0.49, BWM at β = ½ and η = 0.1),
-# whose 1-D kernel the trace fixes.
+# β = ½, η = 0 cells at N = 2…4 drift by up to 2e-11); the larger ones
+# reach the slow modes of nearly degenerate kernels (DM at β = 0.49, BWM
+# at β = ½ and η = 0.1), whose 1-D kernel the trace fixes.
 _TAU_NORMS = (1e3, 1e6, 1e9)
 # back-solves, over all shifts, before the inverse iteration gives up
 _INVERSE_STEPS = 50
@@ -85,8 +86,9 @@ class DensityState:
     model_tag: str
     # how `exact_steady_state` got it: back-solves of the inverse
     # iteration, the last shift τ‖L‖_∞, the gated ‖dρ/dt‖_F, and the
-    # number of real coordinates iterated (4ᴺ, or (4ᴺ + 2ᴺ)/2 on the
-    # transpose-parity sector)
+    # number of real coordinates solved in (4ᴺ, or (4ᴺ + 2ᴺ)/2 on the
+    # transpose-parity sector), of which those |g…g⟩ is connected to are
+    # factored
     solves: int = 0
     tau_norm: float = float("nan")
     residual: float = float("nan")
@@ -270,6 +272,25 @@ def _hermitian_coordinates(dim: int, sector: bool):
     return U, Uh
 
 
+def _ground_component(Lr: sparse.csr_matrix, ground: int) -> np.ndarray:
+    """The sorted coordinates that `ground` is connected to through the
+    nonzero entries of Lr, either way round: grown from `ground` by
+    mat-vecs with |Lr| and |Lr|ᵀ, whose nonnegative sums cancel nowhere,
+    so an entry that rounds to an exact zero is no connection."""
+    mag = abs(Lr)
+    mag_t = mag.T
+    reach = np.zeros(Lr.shape[0], dtype=bool)
+    reach[ground] = True
+    size = 1
+    while True:
+        x = reach.astype(float)
+        reach |= (mag @ x > 0.0) | (mag_t @ x > 0.0)
+        grown = np.count_nonzero(reach)
+        if grown == size:
+            return np.flatnonzero(reach)
+        size = grown
+
+
 def _inverse_iteration(gen: _Generator, cell: str):
     """x ← (I − τL_r)⁻¹x from |g…g⟩ with tr ρ = 1 after every back-solve.
 
@@ -283,25 +304,34 @@ def _inverse_iteration(gen: _Generator, cell: str):
     Where T(ρ) = PρᵀP commutes with L (`_parity_symmetric`), L_r is block
     diagonal over T's ±1 sectors, and |g…g⟩ lies in the +1 sector, so the
     iterate never leaves it: x runs over that sector's (4ᴺ + 2ᴺ)/2
-    coordinates alone, with the same shifts, back-solves and gates.  The
-    LU of the full I − τL_r is block diagonal too, and the states are
+    coordinates alone, with the same shifts, back-solves and gates.  Nor
+    does it leave the coordinates |g…g⟩ is connected to through L_r
+    (`_ground_component`), and only those are factored and iterated: the
+    same set in the sector and in the full space, so the states are
     bit-identical to the full-space iteration's.
 
     I − τL is nonsingular for every τ > 0, as Re λ(L) ≤ 0, and each
     back-solve multiplies a mode of L by 1/(1 − τλ): the kernel part of ρ
     is kept, so the iterate tends to the state |g…g⟩ relaxes to, unique
-    kernel or not.  Each shift in `_TAU_NORMS` is factored once (real
-    sparse LU) and iterated until a back-solve fails to halve ‖Lρ‖_F: at
-    round-off, or where the slowest mode decays too slowly for this
-    shift, and then the next shift continues from the best iterate.
-    At N = 5 the real LU of the sector has ~0.16M nonzeros and takes
-    ~0.01 s, against ~0.32M and ~0.02 s on all 4ᴺ coordinates (2-core
-    x86, OPENBLAS_NUM_THREADS=1).  Returns (best ρ, back-solves, last t,
-    the number of real unknowns iterated).
+    kernel or not.  A zero pivot therefore means a broken generator
+    (NumericalInstability).  Each shift in `_TAU_NORMS` is factored once
+    (a dense LAPACK LU, in place) and iterated in correction form,
+    x ← x + (I − τL_r)⁻¹(τL_r x), which reuses the L_r x of the residual
+    test and solves for the small update alone, until a back-solve fails
+    to halve ‖Lρ‖_F: at round-off, or where the slowest mode decays too
+    slowly for this shift, and then the next shift continues from the best
+    iterate.  At N = 5 a sparse LU of the sector's 528 coordinates is
+    59 % dense, so it saves nothing: the dense one takes ~2.5 ms, against
+    ~8 ms for SuperLU, and ~0.7 s on the BWM's 4096 at N = 6 (2-core x86,
+    OPENBLAS_NUM_THREADS=1).  Returns (best ρ, back-solves, last t, the
+    number of real unknowns iterated).
     """
     dim = gen.H.shape[0]
     L = gen.superoperator()
     norm = float(abs(L).sum(axis=1).max())
+    if not 0.0 < norm < np.inf:  # else τ = t/‖L‖_∞ or τL is not finite
+        raise NumericalInstability(
+            f"{cell}: I − τL is not finite (‖L‖_∞ = {norm:.2e})")
     skew = max(float(np.abs(M - M.conj().T).max()) for M in (gen.H, gen.K))
     if skew > _HERMITIAN_DUST * norm:
         raise NumericalInstability(
@@ -310,28 +340,49 @@ def _inverse_iteration(gen: _Generator, cell: str):
             f"‖L‖_∞ = {norm:.2e})")
     U, Uh = _hermitian_coordinates(dim, _parity_symmetric(gen))
     Lr = (U @ L @ Uh).real
+    del L  # the complex L is done with before the dense factor is made
     unknowns = Lr.shape[0]
-    eye = sparse.identity(unknowns, format="csr")
-    best = np.zeros(unknowns)
-    best[dim - 1] = 1.0  # |g…g⟩: ground is the last basis state
+    comp = _ground_component(Lr, dim - 1)  # ground is the last basis state
+    if comp.size < unknowns:  # else the restriction would only copy Lr
+        Lr = Lr[comp][:, comp]
+    traced = np.searchsorted(comp, dim)  # the ρ_aa come first
+    diag = np.arange(comp.size)
+    best = (comp == dim - 1).astype(float)
+    best_w = Lr @ best
     best_r, solves = np.inf, 0
+    a = np.empty((comp.size,) * 2, order="F")
     for tau_norm in _TAU_NORMS:
-        lu = splu((eye - (tau_norm / norm) * Lr).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A")
-        v, prev = best, np.inf
+        tau = tau_norm / norm
+        Lr.toarray(out=a)
+        a *= -tau
+        a[diag, diag] += 1.0
+        lu, piv, info = dgetrf(a, overwrite_a=1)
+        if info > 0:
+            raise NumericalInstability(
+                f"{cell}: I − τL has a zero pivot U({info}, {info}) at "
+                f"τ‖L‖_∞ = {tau_norm:g}, which no Lindbladian gives")
+        if info < 0:
+            raise ValueError(f"dgetrf: illegal value in argument {-info}")
+        v, w, prev = best, best_w, np.inf
         while solves < _INVERSE_STEPS:
-            v = lu.solve(v)
-            v /= v[:dim].sum()
+            dv, info = dgetrs(lu, piv, tau * w, overwrite_b=1)
+            if info < 0:
+                raise ValueError(f"dgetrs: illegal value in argument {-info}")
+            v = v + dv
+            v /= v[:traced].sum()
             solves += 1
-            r = float(np.linalg.norm(Lr @ v))
+            w = Lr @ v
+            r = float(np.linalg.norm(w))
             if r < best_r:
-                best, best_r = v, r
+                best, best_w, best_r = v, w, r
             if not r < 0.5 * prev:
                 break
             prev = r
         if best_r <= _RESIDUAL_MAX:
             break
-    return (Uh @ best).reshape(dim, dim), solves, tau_norm, unknowns
+    x = np.zeros(unknowns)
+    x[comp] = best
+    return (Uh @ x).reshape(dim, dim), solves, tau_norm, unknowns
 
 
 def exact_steady_state(model_tag: str, params: ModelParams,

@@ -9,7 +9,7 @@ import pytest
 from cascadia import (ModelParams, build_chain, build_generator,
                       exact_observables, exact_steady_state, field_observables,
                       flux_report, solve_steady_state)
-from cascadia.errors import DimensionCap
+from cascadia.errors import DimensionCap, NumericalInstability
 
 from _time_integration import IntegrationOptions, integrate_to_steady
 
@@ -266,9 +266,48 @@ def test_fallback_nonconvergence_names_the_cell(monkeypatch):
 def test_only_a_singular_factor_is_caught(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("not enough memory")
-    monkeypatch.setattr("cascadia.exact.splu", broken)
+    monkeypatch.setattr("cascadia.exact.dgetrf", broken)
     with pytest.raises(RuntimeError, match="not enough memory"):
         exact_steady_state("UWM", _params(0.2, 1.0, 2))
+
+
+@pytest.mark.parametrize("info,error,match", [
+    (3, NumericalInstability,
+     r"DM .*N = 2, β = 0\.2, s₀ = 2.*U\(3, 3\).*τ‖L‖_∞ = 1000"),
+    (-2, ValueError, "dgetrf: illegal value in argument 2")])
+def test_a_failed_factor_raises(monkeypatch, info, error, match):
+    # a zero pivot (info > 0) cannot come from a Lindbladian, for which
+    # I − τL is nonsingular at every τ > 0, so it names the cell and the
+    # shift; an illegal argument (info < 0) is a programming error
+    from cascadia.exact import dgetrf
+
+    def failed(a, **kwargs):
+        lu, piv, _ = dgetrf(a, **kwargs)
+        return lu, piv, info
+    monkeypatch.setattr("cascadia.exact.dgetrf", failed)
+    with pytest.raises(error, match=match):
+        exact_steady_state("DM", _params(0.2, 2.0, 2))
+
+
+@pytest.mark.parametrize("broken", ["nan", "zero"])
+def test_a_non_finite_shift_is_refused(monkeypatch, broken):
+    # a NaN in H leaves ‖L‖_∞ NaN, and a generator that does nothing leaves
+    # it 0: either way τ = t/‖L‖_∞, and with it I − τL, is not finite, and
+    # the solve refuses it before anything is factored
+    from cascadia.exact import _Generator, _site_ops
+    p = _params(0.2, 2.0, 2)
+    sm = _site_ops(2)
+    H = build_generator("DM", p, None).H.copy()
+    kernels = [p.gamma_1d * np.ones((2, 2)), p.gamma_loss * np.eye(2)]
+    if broken == "nan":
+        H[0, 0] = np.nan
+    else:
+        H, kernels = np.zeros_like(H), [np.zeros((2, 2))]
+    monkeypatch.setattr("cascadia.exact.build_generator",
+                        lambda *args: _Generator(H, kernels, sm))
+    with pytest.raises(NumericalInstability,
+                       match=r"DM .*N = 2, β = 0\.2, s₀ = 2.*not finite"):
+        exact_steady_state("DM", p)
 
 
 def test_observables_equal_operator_traces():
@@ -624,14 +663,34 @@ def test_state_reports_how_it_was_solved():
     assert slow.tau_norm > _TAU_NORMS[0]
 
 
-def test_the_advertised_cap_is_solved():
-    p = _params(0.1, 1.0, 6)
-    state = exact_steady_state("UWM", p)
+@pytest.mark.parametrize("tag", ["UWM", "BWM"])
+def test_the_advertised_cap_is_solved(tag):
+    # the resonant UWM on its transpose-parity sector (2080 unknowns), and
+    # the BWM on all 4⁶ = 4096, the largest factor the oracle makes
+    p = _params(0.1, 1.0, 6, eta=0.1, seed=7)
+    chain = build_chain(p) if tag == "BWM" else None
+    state = exact_steady_state(tag, p, chain)
+    assert state.unknowns == {"UWM": 2080, "BWM": 4096}[tag]
     rho = state.rho
     assert state.residual <= 1e-10
-    assert _residual("UWM", p, None, rho) <= 1e-10
+    assert _residual(tag, p, chain, rho) <= 1e-10
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
     assert np.linalg.eigvalsh(rho).min() > 0.0
-    rep = flux_report(state, p)
+    rep = flux_report(state, p, chain)
     assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
+
+
+# the benchmark's pinned N = 5 cells, as (tag, β, s₀), at η = 0.1, seed 7
+_PINNED_N5 = [("UWM", 0.05, 1.5), ("UWM", 0.10, 1.2), ("DM", 0.05, 1.2),
+              ("DM", 0.15, 0.8), ("EAM", 0.05, 1.2), ("EAM", 0.10, 1.5)]
+
+
+@pytest.mark.parametrize("tag,beta,s0", _PINNED_N5)
+def test_pinned_n5_cells_reach_the_rounding_floor(tag, beta, s0):
+    # the correction form x ← x + (I − τL_r)⁻¹(τL_r x) ends at ‖Lρ‖_F of
+    # 2.3–3.8e-16 on these cells (4.0–6.1e-16 when x ← (I − τL_r)⁻¹x was
+    # iterated on a sparse LU); the gate keeps a margin for other BLAS
+    # builds and still pins the floor within a few ulps of ‖ρ‖
+    state = exact_steady_state(tag, _params(beta, s0, 5, eta=0.1, seed=7))
+    assert state.residual <= 1e-15
