@@ -663,14 +663,9 @@ def test_state_reports_how_it_was_solved():
     assert slow.tau_norm > _TAU_NORMS[0]
 
 
-@pytest.mark.parametrize("tag", ["UWM", "BWM"])
-def test_the_advertised_cap_is_solved(tag):
-    # the resonant UWM on its transpose-parity sector (2080 unknowns), and
-    # the BWM on all 4⁶ = 4096, the largest factor the oracle makes
-    p = _params(0.1, 1.0, 6, eta=0.1, seed=7)
-    chain = build_chain(p) if tag == "BWM" else None
+def _assert_solved_at_the_cap(tag, p, chain, unknowns):
     state = exact_steady_state(tag, p, chain)
-    assert state.unknowns == {"UWM": 2080, "BWM": 4096}[tag]
+    assert state.unknowns == unknowns
     rho = state.rho
     assert state.residual <= 1e-10
     assert _residual(tag, p, chain, rho) <= 1e-10
@@ -679,6 +674,18 @@ def test_the_advertised_cap_is_solved(tag):
     assert np.linalg.eigvalsh(rho).min() > 0.0
     rep = flux_report(state, p, chain)
     assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
+
+
+def test_the_advertised_cap_is_solved():
+    # the resonant UWM on its transpose-parity sector (2080 unknowns)
+    _assert_solved_at_the_cap("UWM", _params(0.1, 1.0, 6), None, 2080)
+
+
+def test_the_bwm_at_the_cap_is_solved_on_the_full_space():
+    # the BWM breaks transpose parity, so it is solved on all 4⁶ = 4096
+    # unknowns, the largest factor the oracle makes
+    p = _params(0.1, 1.0, 6, eta=0.1, seed=7)
+    _assert_solved_at_the_cap("BWM", p, build_chain(p), 4096)
 
 
 # the benchmark's pinned N = 5 cells, as (tag, β, s₀), at η = 0.1, seed 7
