@@ -8,16 +8,19 @@ Phys. Commun. 184, 1234 (2013)), taken in correction form, with a larger
 shift only where slow modes need one.  The iteration converges to the
 state |g…g⟩ relaxes to, so unique and degenerate kernels (β = ½ leaves no
 loss, and dark states give several steady states) take the same path.
-L is assembled in one pass and iterated in the real coordinates of
-Hermitian ρ, where it is a real matrix.  Where the generator commutes
+L is iterated in the real coordinates of Hermitian ρ, where it is a real
+matrix; both L's entries and that real matrix are read off plans cached
+per size, built on first use.  Where the generator commutes
 with T(ρ) = PρᵀP, P = ⊗σᶻ (a resonant drive and real kernels: the UWM,
 DM and EAM; Buča & Prosen, New J. Phys. 14, 073007 (2012)), only the
 (4ᴺ + 2ᴺ)/2 coordinates of T's +1 sector, which holds |g…g⟩, are
 iterated, with bit-identical states.  Either way only the coordinates
 that |g…g⟩ is connected to through L are factored.  A solve then takes
-~0.007 s at N = 5 and ~0.15 s and ~110 MB at N = 6; the BWM and detuned
+~0.006 s at N = 5 and ~0.15 s and ~120 MB at N = 6; the BWM and detuned
 cells iterate all 4ᴺ coordinates, ~0.03 s for the BWM at N = 5 and
-~0.7–0.9 s and ~215 MB at N = 6 (2-core x86, OPENBLAS_NUM_THREADS=1).
+~0.9–1.2 s and ~240 MB at N = 6.  The first solve at a size also builds
+its plans, ~0.01 s at N = 5 and ~0.04 s (sector) or ~0.12 s (all 4ᴺ) at
+N = 6 (2-core x86, OPENBLAS_NUM_THREADS=1).
 Used as ground truth by the test suite; nothing here scales past a
 handful of emitters and nothing here is approximate.
 
@@ -113,6 +116,16 @@ def _site_ops(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_MAX_N)
+def _pair_ops(n: int) -> np.ndarray:
+    """σ⁺_jσ⁻_l for j, l = 1…n in the 2ⁿ-dimensional product space, stacked
+    as a read-only real (n, n, 2ⁿ, 2ⁿ) array."""
+    sm = _site_ops(n).real
+    ops = sm.transpose(0, 2, 1)[:, None] @ sm[None]
+    ops.flags.writeable = False
+    return ops
+
+
+@lru_cache(maxsize=_MAX_N)
 def _parity(dim: int) -> np.ndarray:
     """The diagonal p of P = ⊗σᶻ on the dim basis states (σᶻ|e⟩ = |e⟩):
     p_a = ±1 by the parity of a's ground factors; read-only."""
@@ -125,17 +138,16 @@ def _parity(dim: int) -> np.ndarray:
 
 class _Generator:
     """dρ/dt = −i[H, ρ] + Σ_jl K_jl (σ⁻_l ρ σ⁺_j − ½{σ⁺_jσ⁻_l, ρ}), with K
-    the sum of `kernels` (one per channel)."""
+    the sum of `kernels` (one per channel) and sm = `_site_ops(n)`."""
 
-    def __init__(self, H: np.ndarray, kernels, sm):
+    def __init__(self, H: np.ndarray, kernels, sm: np.ndarray):
         self.H = H
         self.sm = sm
-        self.sp = [s.conj().T for s in sm]
-        n = len(sm)
+        self.sp = sm.conj().transpose(0, 2, 1)
         self.K = K = sum(kernels)
-        # S_j = Σ_l K_jl σ⁻_l and G = Σ_j σ⁺_j S_j
-        self.S = [sum(K[j, l] * sm[l] for l in range(n)) for j in range(n)]
-        self.G = sum(self.sp[j] @ self.S[j] for j in range(n))
+        # S_j = Σ_l K_jl σ⁻_l and G = Σ_j σ⁺_j S_j = Σ_jl K_jl σ⁺_jσ⁻_l
+        self.S = np.tensordot(K, sm, 1)
+        self.G = np.tensordot(K, _pair_ops(len(sm)), 2)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.H @ rho - rho @ self.H)
@@ -150,25 +162,14 @@ class _Generator:
 
             L = A ⊗ I + I ⊗ Bᵀ + Σ_j S_j ⊗ (σ⁺_j)ᵀ,
 
-        assembled in one pass from the (row, column, value) triplets of
-        every Kronecker product.  Bᵀ = Ā where H and the kernels are
-        Hermitian; it is not taken as Ā, so that L is `apply` for any H."""
-        dim = self.H.shape[0]
-        eye = np.eye(dim)
-        terms = [(-1j * self.H - 0.5 * self.G, eye),
-                 (eye, (1j * self.H - 0.5 * self.G).T)]
-        terms += [(Sj, spj.T) for Sj, spj in zip(self.S, self.sp)]
-        rows, cols, vals = [], [], []
-        for X, Y in terms:
-            rx, cx = np.nonzero(X)
-            ry, cy = np.nonzero(Y)
-            rows.append(np.add.outer(rx * dim, ry).ravel())
-            cols.append(np.add.outer(cx * dim, cy).ravel())
-            vals.append(np.multiply.outer(X[rx, cx], Y[ry, cy]).ravel())
+        read off the cached pattern of its size (`_liouvillian_plan`).
+        Bᵀ = Ā where H and the kernels are Hermitian; it is not taken as Ā,
+        so that L is `apply` for any H on that pattern."""
+        plan = _liouvillian_plan(len(self.sm))
+        size = plan.indptr.size - 1
         return sparse.csr_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim * dim, dim * dim))
+            (plan.entries(self), plan.indices.copy(), plan.indptr.copy()),
+            shape=(size, size))
 
 
 def _left_kernel(model_tag: str, params: ModelParams,
@@ -202,21 +203,18 @@ def build_generator(model_tag: str, params: ModelParams,
     if left is None:  # the backward emission leaves as local loss
         left = g * np.eye(n)
     sm = _site_ops(n)
-    sp = [s.conj().T for s in sm]
+    pairs = _pair_ops(n)
 
-    H = sum((params.rabi / 2.0) * (sm[i] + sp[i]) for i in range(n))
+    H = (params.rabi / 2.0) * (sm + sm.conj().transpose(0, 2, 1)).sum(0)
     det = site_detunings(params, chain)
     if det is not None:
-        H = H - sum(det[i] * (sp[i] @ sm[i]) for i in range(n))
+        H = H - np.tensordot(det, pairs[np.arange(n), np.arange(n)], 1)
 
     # −(i/2)(A − Aᴴ) per cascaded channel, A = Σ_{l≺j} K_jl σ⁺_jσ⁻_l: the
-    # right channel runs in site order, the left in reverse (a diagonal
-    # kernel, the UWM's backward loss, adds nothing)
-    for K, order in ((right, range(n)), (left, range(n - 1, -1, -1))):
-        A = np.zeros_like(H)
-        for k, j in enumerate(order):
-            for l in order[:k]:
-                A += K[j, l] * (sp[j] @ sm[l])
+    # right channel runs in site order (l < j), the left in reverse (l > j;
+    # a diagonal kernel, the UWM's backward loss, adds nothing)
+    for upstream in (np.tril(right, -1), np.triu(left, 1)):
+        A = np.tensordot(upstream, pairs, 2)
         H = H - 0.5j * (A - A.conj().T)
 
     return _Generator(H, [right, params.gamma_loss * np.eye(n), left], sm)
@@ -272,6 +270,163 @@ def _hermitian_coordinates(dim: int, sector: bool):
     return U, Uh
 
 
+@dataclass(frozen=True)
+class _LiouvillianPlan:
+    """Where L = A ⊗ I + I ⊗ Bᵀ + Σ_j S_j ⊗ (σ⁺_j)ᵀ reads its entries, for
+    every generator of one size: L's CSR pattern (`indptr`, `indices`) and,
+    per entry, the flat position `src` in z = (A, B, S_1, …, S_n) of its
+    term, plus `extra` at the entries `twice` that sum two (the diagonal,
+    A_aa + B_bb).  `support` is every position of z that L reads."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray
+    twice: np.ndarray
+    extra: np.ndarray
+    support: np.ndarray
+
+    def entries(self, gen: _Generator) -> np.ndarray:
+        """L's entries, in CSR order, for gen; a nonzero of A, B or an S_j
+        that L does not read raises, so that nothing is dropped."""
+        ih, half = 1j * gen.H, 0.5 * gen.G
+        z = np.concatenate(((-ih - half).ravel(), (ih - half).ravel(),
+                            gen.S.ravel()))
+        if np.count_nonzero(z[self.support]) < np.count_nonzero(z):
+            raise ValueError(
+                "the generator has entries outside the pattern of 1, σ±_i "
+                "and σ⁺_jσ⁻_l that the exact oracle assembles L on")
+        out = z[self.src]
+        out[self.twice] += z[self.extra]
+        return out
+
+    def norm(self, entries: np.ndarray) -> float:
+        """‖L‖_∞, the largest absolute row sum of L's `entries`."""
+        return float(np.add.reduceat(np.abs(entries), self.indptr[:-1]).max())
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _sorted_pattern(key: np.ndarray, size: int):
+    """For sorted keys row·size + column: the entry each key falls in and
+    the CSR indptr and indices of the distinct entries, all int32."""
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    entry = np.cumsum(new, dtype=np.int32) - 1
+    key = key[new]
+    indptr = np.searchsorted(key // size, np.arange(size + 1, dtype=np.int32))
+    return entry, indptr.astype(np.int32), key % size
+
+
+@lru_cache(maxsize=_MAX_N)
+def _liouvillian_plan(n: int) -> _LiouvillianPlan:
+    """The read-only `_LiouvillianPlan` of n sites.  A and B combine 1, the
+    σ±_i (drive) and the σ⁺_jσ⁻_l (cascades, detunings, ½G), S_j the σ⁻_l,
+    so L's pattern is their Kronecker products with I and the (σ⁺_j)ᵀ."""
+    sm = _site_ops(n).real
+    sp = sm.transpose(0, 2, 1)
+    dim = sm.shape[1]
+    size = dim * dim  # keys row·size + column < 4¹² fit in int32
+    ab = np.flatnonzero(np.eye(dim) + (sm + sp).sum(0)
+                        + _pair_ops(n).sum((0, 1))).astype(np.int32)
+    s = np.flatnonzero(sm.sum(0)).astype(np.int32)
+    x = np.arange(dim, dtype=np.int32)
+    # vec(AρB) = (A ⊗ Bᵀ)vec(ρ): row (a, b) and column (c, e) of L read
+    # A_ac δ_be, δ_ac B_eb and Σ_j (S_j)_ac (σ⁺_j)_eb
+    a, c = np.divmod(ab, dim)
+    keys = [np.add.outer(a * dim, x) * size + np.add.outer(c * dim, x),
+            np.add.outer(x * dim, c) * size + np.add.outer(x * dim, a)]
+    src = [np.repeat(ab, dim), np.tile(ab + size, dim)]
+    a, c = np.divmod(s, dim)
+    for j, spj in enumerate(sp):
+        e, f = (i.astype(np.int32) for i in np.nonzero(spj))
+        keys.append(np.add.outer(a * dim, f) * size + np.add.outer(c * dim, e))
+        src.append(np.repeat(s + (j + 2) * size, e.size))
+    key = np.concatenate([k.ravel() for k in keys])
+    src = np.concatenate(src)
+    del keys
+    order = np.argsort(key, kind="stable")  # A before B on the diagonal
+    entry, indptr, indices = _sorted_pattern(key[order], size)
+    del key
+    src = src[order]
+    twice = np.zeros(src.size, dtype=bool)
+    twice[1:] = entry[1:] == entry[:-1]
+    plan = _LiouvillianPlan(indptr=indptr, indices=indices, src=src[~twice],
+                            twice=entry[twice], extra=src[twice],
+                            support=np.unique(src))
+    _read_only(*vars(plan).values())
+    return plan
+
+
+@dataclass(frozen=True)
+class _RealPlan:
+    """L_r = Re(U L Uᴴ) (`_hermitian_coordinates`) as a map of L's entries
+    l: its CSR pattern (`indptr`, `indices`) and the real sparse `weights`
+    with L_r's data = weights @ (Re l_0, Im l_0, Re l_1, …)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: sparse.csr_matrix
+
+    def matrix(self, entries: np.ndarray) -> sparse.csr_matrix:
+        """L_r for L's `entries` (`_LiouvillianPlan.entries`)."""
+        size = self.indptr.size - 1
+        return sparse.csr_matrix(
+            (self.weights @ entries.view(np.float64), self.indices,
+             self.indptr), shape=(size, size))
+
+
+@lru_cache(maxsize=2 * _MAX_N)
+def _real_plan(n: int, sector: bool) -> _RealPlan:
+    """The read-only `_RealPlan` of n sites, on T's +1 sector or not.
+
+    L_r[r, c] = Re Σ U_rp L_pq Ū_cq over the entries p, q of U's rows r
+    and c: ρ_ab and ρ_ba for a real coordinate of a ≠ b.  L's pattern holds
+    at most two of the four products, so each entry of L_r sums at most two
+    terms, and where T commutes with L, the entries between T's sectors
+    cancel to an exact zero, which `_ground_component` sees as no
+    connection.  Each U_rp Ū_cq is real or imaginary, so each term is one
+    real weight times Re or Im of one entry of L."""
+    lplan = _liouvillian_plan(n)
+    dim = 2 ** n
+    U = _hermitian_coordinates(dim, sector)[0].tocsc()
+    size = U.shape[0]
+    per = np.diff(U.indptr)  # the coordinates (1 or 2) that read each ρ_ab
+    p = np.repeat(np.arange(dim * dim, dtype=np.int32), np.diff(lplan.indptr))
+    q = lplan.indices
+    # one term per coordinate r of p and c of q, for each entry k = (p, q)
+    count = per[p] * per[q]
+    k = np.repeat(np.arange(q.size, dtype=np.int32), count)
+    rank = np.arange(k.size, dtype=np.int32)
+    rank -= np.repeat(np.cumsum(count, dtype=np.int32) - count, count)
+    per_q = per[q[k]]
+    at_p = U.indptr[p[k]] + rank // per_q
+    at_q = U.indptr[q[k]] + rank % per_q
+    del p, count, rank, per_q
+    key = U.indices[at_p] * size + U.indices[at_q]  # < 4¹² fits in int32
+    order = np.argsort(key)
+    entry, indptr, indices = _sorted_pattern(key[order], size)
+    k, at_p, at_q = k[order], at_p[order], at_q[order]
+    del key, order
+    # U_rp = x or ix, so U_rp Ū_cq is x_p x_q, i x_p x_q or −i x_p x_q, and
+    # Re(U_rp Ū_cq l) is x_p x_q times Re l, −Im l or Im l
+    x, imag = U.data.real + U.data.imag, U.data.imag != 0.0
+    weight = x[at_p] * x[at_q]
+    np.negative(weight, out=weight, where=imag[at_p] & ~imag[at_q])
+    k = 2 * k + (imag[at_p] != imag[at_q])
+    del at_p, at_q
+    weights = sparse.csr_matrix(
+        (weight, k,
+         np.searchsorted(entry, np.arange(indices.size + 1, dtype=np.int32))),
+        shape=(indices.size, 2 * q.size))
+    plan = _RealPlan(indptr=indptr, indices=indices, weights=weights)
+    _read_only(plan.indptr, plan.indices, weights.data, weights.indices,
+               weights.indptr)
+    return plan
+
+
 def _ground_component(Lr: sparse.csr_matrix, ground: int) -> np.ndarray:
     """The sorted coordinates that `ground` is connected to through the
     nonzero entries of Lr, either way round: grown from `ground` by
@@ -299,7 +454,10 @@ def _inverse_iteration(gen: _Generator, cell: str):
     dρ/dt, so L_r is real where H and the summed kernel K are Hermitian,
     and a skew part of either above rounding means the generator `cell`
     names does not preserve Hermiticity (NumericalInstability).  U is
-    unitary, so ‖L_r x‖₂ = ‖Lρ‖_F.
+    unitary, so ‖L_r x‖₂ = ‖Lρ‖_F.  Neither L nor U L Uᴴ is formed: L's
+    entries, and ‖L‖_∞ from them, are gathered by the plan cached for its
+    size (`_liouvillian_plan`), and L_r's by one sparse mat-vec of those
+    entries (`_real_plan`).
 
     Where T(ρ) = PρᵀP commutes with L (`_parity_symmetric`), L_r is block
     diagonal over T's ±1 sectors, and |g…g⟩ lies in the +1 sector, so the
@@ -321,14 +479,16 @@ def _inverse_iteration(gen: _Generator, cell: str):
     to halve ‖Lρ‖_F: at round-off, or where the slowest mode decays too
     slowly for this shift, and then the next shift continues from the best
     iterate.  At N = 5 a sparse LU of the sector's 528 coordinates is
-    59 % dense, so it saves nothing: the dense one takes ~2.5 ms, against
-    ~8 ms for SuperLU, and ~0.7 s on the BWM's 4096 at N = 6 (2-core x86,
-    OPENBLAS_NUM_THREADS=1).  Returns (best ρ, back-solves, last t, the
-    number of real unknowns iterated).
+    59 % dense, so it saves nothing: the dense one takes ~4 ms, against
+    ~15 ms for SuperLU, and ~0.8 s on the BWM's 4096 at N = 6, against
+    ~3.5 s (2-core x86, OPENBLAS_NUM_THREADS=1).  Returns (best ρ,
+    back-solves, last t, the number of real unknowns iterated).
     """
     dim = gen.H.shape[0]
-    L = gen.superoperator()
-    norm = float(abs(L).sum(axis=1).max())
+    n = len(gen.sm)
+    lplan = _liouvillian_plan(n)
+    entries = lplan.entries(gen)
+    norm = lplan.norm(entries)
     if not 0.0 < norm < np.inf:  # else τ = t/‖L‖_∞ or τL is not finite
         raise NumericalInstability(
             f"{cell}: I − τL is not finite (‖L‖_∞ = {norm:.2e})")
@@ -338,9 +498,10 @@ def _inverse_iteration(gen: _Generator, cell: str):
             f"{cell}: the generator does not preserve Hermiticity "
             f"(|H − Hᴴ| or |K − Kᴴ| up to {skew:.2e}, "
             f"‖L‖_∞ = {norm:.2e})")
-    U, Uh = _hermitian_coordinates(dim, _parity_symmetric(gen))
-    Lr = (U @ L @ Uh).real
-    del L  # the complex L is done with before the dense factor is made
+    sector = _parity_symmetric(gen)
+    Lr = _real_plan(n, sector).matrix(entries)
+    del entries  # L is done with before the dense factor is made
+    Uh = _hermitian_coordinates(dim, sector)[1]
     unknowns = Lr.shape[0]
     comp = _ground_component(Lr, dim - 1)  # ground is the last basis state
     if comp.size < unknowns:  # else the restriction would only copy Lr
@@ -438,7 +599,9 @@ def exact_observables(state: DensityState, params: ModelParams,
     ops = _pauli_stack(n)
     X = ops @ state.rho                           # X_a = O_a ρ
     singles = np.einsum("akk->a", X)              # tr(O_a ρ)
-    P = np.einsum("akl,blk->ab", ops, X).reshape(3, n, 3, n)  # tr(O_a O_b ρ)
+    # tr(O_a O_b ρ) = Σ_kl (O_a)_kl (X_b)_lk, one GEMM over the 3n operators
+    flat = ops.reshape(3 * n, -1)
+    P = (flat @ X.transpose(0, 2, 1).reshape(3 * n, -1).T).reshape(3, n, 3, n)
     pairs = {(a, b): P[ia, :, ib, :]
              for ia, a in enumerate("-+z") for ib, b in enumerate("-+z")}
     sigma_minus = singles[:n]
