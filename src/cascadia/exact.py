@@ -156,21 +156,6 @@ class _Generator:
         out -= 0.5 * (self.G @ rho + rho @ self.G)
         return out
 
-    def superoperator(self) -> sparse.csr_matrix:
-        """L as a sparse matrix on row-major vec(ρ), where vec(AρB) =
-        (A ⊗ Bᵀ)·vec(ρ): with A = −iH − ½G and B = iH − ½G,
-
-            L = A ⊗ I + I ⊗ Bᵀ + Σ_j S_j ⊗ (σ⁺_j)ᵀ,
-
-        read off the cached pattern of its size (`_liouvillian_plan`).
-        Bᵀ = Ā where H and the kernels are Hermitian; it is not taken as Ā,
-        so that L is `apply` for any H on that pattern."""
-        plan = _liouvillian_plan(len(self.sm))
-        size = plan.indptr.size - 1
-        return sparse.csr_matrix(
-            (plan.entries(self), plan.indices.copy(), plan.indptr.copy()),
-            shape=(size, size))
-
 
 def _left_kernel(model_tag: str, params: ModelParams,
                  chain: Optional[EmitterChain]) -> Optional[np.ndarray]:
@@ -272,10 +257,11 @@ def _hermitian_coordinates(dim: int, sector: bool):
 
 @dataclass(frozen=True)
 class _LiouvillianPlan:
-    """Where L = A ⊗ I + I ⊗ Bᵀ + Σ_j S_j ⊗ (σ⁺_j)ᵀ reads its entries, for
-    every generator of one size: L's CSR pattern (`indptr`, `indices`) and,
-    per entry, the flat position `src` in z = (A, B, S_1, …, S_n) of its
-    term, plus `extra` at the entries `twice` that sum two (the diagonal,
+    """Where L = A ⊗ I + I ⊗ Bᵀ + Σ_j S_j ⊗ (σ⁺_j)ᵀ, `apply` on row-major
+    vec(ρ) with A = −iH − ½G and B = iH − ½G, reads its entries, for every
+    generator of one size: L's CSR pattern (`indptr`, `indices`) and, per
+    entry, the flat position `src` in z = (A, B, S_1, …, S_n) of its term,
+    plus `extra` at the entries `twice` that sum two (the diagonal,
     A_aa + B_bb).  `support` is every position of z that L reads."""
 
     indptr: np.ndarray

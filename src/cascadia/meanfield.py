@@ -68,13 +68,14 @@ class FieldObservables:
 
 
 class _DrivePlan:
-    """Per-solve precomputation for O(N) drive evaluation.
+    """Per-solve precomputation for O(N) drive evaluation of a chain.
 
     A chain model's drive is α_i = Ω/2 − i g (F_i + w_i B_i), g = Γ₁D/2,
     with the forward prefix sum F_{i+1} = F_i + m_i, F_0 = 0, and the
     backward suffix sum B_{i−1} = c (B_i + v_i m_i), B_{N−1} = 0, where
     (c, v, w) is the model's left channel (`params.left_channel`).  The
-    UWM, which has none, takes c = 0: no backward sum.
+    UWM, which has none, takes c = 0: no backward sum.  A DM whose sites
+    are all alike is solved as one site instead (`_collective_system`).
     """
 
     def __init__(self, model_tag: str, params: ModelParams,
@@ -88,20 +89,8 @@ class _DrivePlan:
         # row is not read: ztbsv runs with diag=1)
         self.band = np.full((2, self.n), -self.c, dtype=complex)
 
-    @classmethod
-    def collective(cls, b: float) -> "_DrivePlan":
-        """The one-site collective system α = Ω/2 − i(b/2)⟨σ⁻⟩: DM with
-        every site equal at b = 2β(N−1).  Its `alpha` takes one site's
-        Python complex as well as an array, and g is a Python float, so
-        the scalar arithmetic of `_collective_system` stays in Python."""
-        plan = cls.__new__(cls)
-        plan.tag, plan.n, plan.g = "collective", 1, float(b) / 2.0
-        return plan
-
     def alpha(self, m: np.ndarray, omega: float) -> np.ndarray:
         base = 0.5 * omega
-        if self.tag == "collective":
-            return base - 1j * self.g * m
         if self.tag == "DM":
             return base - 1j * self.g * (np.sum(m) - m)
         fwd = np.cumsum(m)
@@ -353,18 +342,18 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     if model_tag == "DM" and (det is None or np.ptp(det) == 0.0):
         # every site alike: one collective site with b = 2β(N−1),
         # broadcast to N sites
-        y0 = None
+        b = 2.0 * params.beta * (n - 1)
+        y0 = np.array([0.0, 0.0, -1.0])
         if initial is not None:
             y0 = _pack(np.asarray(initial.sigma_minus[:1], dtype=complex),
                        np.asarray(initial.sigma_z[:1], dtype=float))
-        plan = _DrivePlan.collective(2.0 * params.beta * (n - 1))
-        y, residual = _settle_collective(
-            plan, 0.0 if det is None else det[0], y0, omega_end, opts.ramp,
-            cell)
+        y, residual = _settle(
+            *_collective_system(b, None if det is None else det[0]), y0,
+            float(omega_end), opts.ramp, cell)
         m, z = _unpack(y, 1)
         return MeanFieldSolution(
             sigma_minus=np.repeat(m, n), sigma_z=np.repeat(z, n),
-            alpha=np.repeat(plan.alpha(m, omega_end), n),
+            alpha=np.repeat(0.5 * omega_end - 1j * (b / 2.0) * m, n),
             residual=residual, model_tag="DM")
 
     rhs = _make_rhs(plan, det)
@@ -391,17 +380,24 @@ def solve_steady_state(model_tag: str, params: ModelParams,
 # --- collective (permutation-symmetric) reduction ---------------------------
 
 
-def _collective_system(plan: _DrivePlan, detuning: Optional[float]):
+def _collective_system(b: float, detuning: Optional[float]):
     """The RHS and the exact solve of (I/δ − J(y)) x = r of the one-site
-    collective system (`_DrivePlan.collective`), on Python scalars.
+    collective system α = Ω/2 − i g⟨σ⁻⟩, g = b/2: DM with every site
+    equal at b = 2β(N−1), on Python scalars.
 
-    Each unpacks the state (Re m, Im m, z) into one complex and one float
-    and states its equations through `_bloch` and `_site_maps`, as the
-    chains do on arrays; the solve closes the site block by its own
-    feedback dα = −i g dm.  A zero determinant of that 2×2 real solve
-    raises LinAlgError, as a singular chain band does: a Python scalar
-    would raise ZeroDivisionError where an array returns inf."""
-    g = plan.g
+    b, the detuning and the drive Ω are taken as Python floats, and a
+    detuning of 0 (or None) is none.  Each unpacks the state (Re m, Im m,
+    z) into one complex and one float and states its equations through
+    `_bloch` and `_site_maps`, as the chains do on arrays; the solve
+    closes the site block by its own feedback dα = −i g dm.  A zero
+    determinant of that 2×2 real solve raises LinAlgError, as a singular
+    chain band does: a Python scalar would raise ZeroDivisionError where
+    an array returns inf."""
+    g = float(b) / 2.0
+    detuning = float(detuning) if detuning else None
+
+    def alpha(m, omega):
+        return 0.5 * omega - 1j * g * m
 
     def unpack(v):
         re, im, z = v.tolist()
@@ -409,13 +405,13 @@ def _collective_system(plan: _DrivePlan, detuning: Optional[float]):
 
     def rhs(y, omega):
         m, z = unpack(y)
-        dm, dz = _bloch(m, z, plan.alpha(m, omega), detuning)
+        dm, dz = _bloch(m, z, alpha(m, omega), detuning)
         return np.array((dm.real, dm.imag, dz))
 
     def solve(y, omega, delta, r):
         m, z = unpack(y)
-        tp, tq, q, dz = _site_maps(m, z, plan.alpha(m, omega), detuning,
-                                   delta, *unpack(r))
+        tp, tq, q, dz = _site_maps(m, z, alpha(m, omega), detuning, delta,
+                                   *unpack(r))
         # (1 − T∘(−ig)) dm = q, inverted as a map x ↦ p x + q x̄
         lp, lq = 1.0 + 1j * g * tp, -1j * g * tq
         det = (lp.real * lp.real + lp.imag * lp.imag
@@ -426,20 +422,6 @@ def _collective_system(plan: _DrivePlan, detuning: Optional[float]):
         return np.array((dm.real, dm.imag, dz(-1j * g * dm, dm)))
 
     return rhs, solve
-
-
-def _settle_collective(plan: _DrivePlan, detuning: float,
-                       y0: Optional[np.ndarray], omega: float,
-                       ramp: Optional[RampSpec], cell: tuple):
-    """`_settle` on the one-site collective system of `plan`
-    (`_DrivePlan.collective`), from y0 (the ground state if None), with
-    its equations on Python scalars (`_collective_system`): the drive and
-    the detuning are taken as Python floats."""
-    if y0 is None:
-        y0 = np.array([0.0, 0.0, -1.0])
-    rhs, solve = _collective_system(
-        plan, None if detuning == 0.0 else float(detuning))
-    return _settle(rhs, solve, y0, float(omega), ramp, cell)
 
 
 def solve_collective(feedback: float, s0: float,
@@ -458,8 +440,9 @@ def solve_collective(feedback: float, s0: float,
     """
     ramp = None if s0_start is None else RampSpec(s0_start, s0, 400.0)
     start = "none" if s0_start is None else f"{s0_start:g}"
-    y, _ = _settle_collective(
-        _DrivePlan.collective(feedback), 0.0, None, math.sqrt(s0 / 2.0), ramp,
+    y, _ = _settle(
+        *_collective_system(feedback, None), np.array([0.0, 0.0, -1.0]),
+        math.sqrt(s0 / 2.0), ramp,
         ("collective", f"b = {feedback:g}, s₀ = {s0:g}, s0_start = {start}"))
     return y[0] + 1j * y[1], y[2]
 

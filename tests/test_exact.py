@@ -11,6 +11,7 @@ from cascadia import (ModelParams, build_chain, build_generator,
                       flux_report, solve_steady_state)
 from cascadia.errors import DimensionCap, NonConvergence, NumericalInstability
 
+from _complex_oracle import kron_superoperator
 from _time_integration import IntegrationOptions, integrate_to_steady
 
 
@@ -97,6 +98,40 @@ def test_fully_scrambled_generator_equals_cascade():
         assert _apply_to_random(gen_e, gen_u, 8, rng) < 1e-12
 
 
+# --- cascade causality ---------------------------------------------------------
+
+
+def _head_marginal(tag, n):
+    """(Tr_N ρ_N, ρ_{N−1}) at β = 0.2, s₀ = 1.3: the N-site state with
+    its last site traced out, and the (N − 1)-site state."""
+    states = []
+    for k in (n, n - 1):
+        p = _params(0.2, 1.3, k, eta=0.1, seed=7)
+        chain = build_chain(p) if tag == "BWM" else None
+        states.append(exact_steady_state(tag, p, chain).rho)
+    dim = 2 ** (n - 1)
+    return (states[0].reshape(dim, 2, dim, 2).trace(axis1=1, axis2=3),
+            states[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_uwm_head_does_not_hear_its_tail(n):
+    # no UWM site acts on the sites upstream of it, so the first N − 1
+    # sites of the N-site steady state are the (N − 1)-site steady state:
+    # a backward term in the UWM generator breaks it (≤ 1.1e-16 measured)
+    marginal, head = _head_marginal("UWM", n)
+    assert np.max(np.abs(marginal - head)) <= 1e-14
+
+
+@pytest.mark.parametrize("tag", ["EAM", "BWM", "DM"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_left_channel_lets_the_head_hear_its_tail(tag, n):
+    # the backward channel carries the last site's emission upstream:
+    # 3.5e-2 to 9.1e-2 measured
+    marginal, head = _head_marginal(tag, n)
+    assert np.max(np.abs(marginal - head)) > 1e-2
+
+
 # --- factorized drift reproduces mean-field -----------------------------------
 
 
@@ -179,7 +214,7 @@ def _integrated(tag, p, chain):
         drho = gen.apply(rho)
         return np.concatenate((drho.real.ravel(), drho.imag.ravel()))
 
-    L = gen.superoperator().toarray()
+    L = kron_superoperator(gen).toarray()
     J = np.block([[L.real, -L.imag], [L.imag, L.real]])
     opts = IntegrationOptions(steady_state_residual=1e-12, rel_tol=1e-10,
                               abs_tol=1e-12)
@@ -235,8 +270,8 @@ def test_slow_modes_of_nearly_degenerate_kernels_are_reached(n, s0):
     # the dense L from its SVD
     p = _params(0.49, s0, n)
     rho = exact_steady_state("DM", p).rho
-    _, _, vh = np.linalg.svd(build_generator("DM", p, None)
-                             .superoperator().toarray())
+    _, _, vh = np.linalg.svd(
+        kron_superoperator(build_generator("DM", p, None)).toarray())
     ref = vh[-1].conj().reshape(2 ** n, 2 ** n)
     ref /= np.trace(ref)
     assert np.max(np.abs(rho - ref)) <= 1e-12
@@ -415,18 +450,29 @@ def _cell(tag, n, beta, s0, eta, detuning, xi_delta):
     return p, chain
 
 
+def _plan_superoperator(gen):
+    """L as the solve reads it off the cached plan of its size
+    (`_liouvillian_plan`), as a sparse matrix on row-major vec(ρ)."""
+    from scipy import sparse
+    from cascadia.exact import _liouvillian_plan
+    plan = _liouvillian_plan(len(gen.sm))
+    size = plan.indptr.size - 1
+    return sparse.csr_matrix(
+        (plan.entries(gen), plan.indices.copy(), plan.indptr.copy()),
+        shape=(size, size))
+
+
 @pytest.mark.parametrize("tag", ["UWM", "DM", "EAM", "BWM"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cell", _CELLS)
 def test_one_pass_superoperator_equals_the_kron_sum(tag, n, cell):
-    from _complex_oracle import (kron_superoperator, left_output_weights,
-                                 reference_generator,
+    from _complex_oracle import (left_output_weights, reference_generator,
                                  reference_guided_channels)
     from cascadia.exact import _left_kernel
     from cascadia.params import output_saturations
     p, chain = _cell(tag, n, *cell)
     gen = build_generator(tag, p, chain)
-    L = gen.superoperator()
+    L = _plan_superoperator(gen)
     ref = kron_superoperator(gen)
     norm = float(abs(ref).sum(axis=1).max())
     assert abs(L - ref).max() <= 1e-15 * norm
@@ -487,7 +533,6 @@ def test_cached_real_liouvillian_equals_the_reference(tag, n, cell, sector):
     # the plan's L_r against Re(U L Uᴴ) of the kron-sum L, and its ‖L‖_∞
     # against that L's; the sector's rows and columns of U L Uᴴ are defined
     # whether or not T commutes with L, so both are taken for every cell
-    from _complex_oracle import kron_superoperator
     from cascadia.exact import (_hermitian_coordinates, _liouvillian_plan,
                                 _real_plan)
     p, chain = _cell(tag, n, *cell)
@@ -509,7 +554,7 @@ def test_cached_real_liouvillian_equals_the_reference(tag, n, cell, sector):
 def test_an_entry_outside_the_plan_raises(monkeypatch, part):
     # |ee⟩⟨gg| + h.c. in H moves two excitations, and a diagonal S_j entry
     # is no σ⁻_l: L's cached pattern holds neither, so both raise instead of
-    # being dropped, from superoperator() and from the solve alike
+    # being dropped, from the plan and from the solve alike
     from cascadia.exact import _Generator
     p = _params(0.2, 2.0, 2)
     real = build_generator("DM", p, None)
@@ -520,7 +565,7 @@ def test_an_entry_outside_the_plan_raises(monkeypatch, part):
     if part == "S":
         gen.S[0, 0, 0] = 0.1
     with pytest.raises(ValueError, match="outside the pattern"):
-        gen.superoperator()
+        _plan_superoperator(gen)
     monkeypatch.setattr("cascadia.exact.build_generator", lambda *args: gen)
     with pytest.raises(ValueError, match="outside the pattern"):
         exact_steady_state("DM", p)
@@ -565,7 +610,7 @@ def _transpose_parity(n):
 
 
 def _commutator(gen):
-    L = gen.superoperator()
+    L = kron_superoperator(gen)
     T = _transpose_parity(len(gen.sm))
     return float(abs(T @ L - L @ T).max())
 
@@ -668,13 +713,49 @@ def test_near_degenerate_unique_kernel_meets_the_gate_on_both_paths():
 
 @pytest.mark.xfail(strict=True, raises=NonConvergence, reason=(
     "a lossless BWM on a nearly ordered chain ends at ‖dρ/dt‖_F = 3.74e-10, "
-    "above the 1e-10 gate, after 9 back-solves with τ‖L‖_∞ up to 1e9; the "
-    "cause is not yet measured"))
+    "above the 1e-10 gate, after 9 back-solves with τ‖L‖_∞ up to 1e9: L has "
+    "a slow mode of rate 2.0e-9 at ‖L‖_∞ ≈ 5, so τ·gap ≈ 0.4 at the last "
+    "shift and each back-solve shrinks that mode only by ~0.71, and a shift "
+    "ends once a back-solve fails to halve ‖Lρ‖_F"))
 def test_lossless_bwm_on_a_nearly_ordered_chain_is_solved():
     p = _params(0.5, 0.5, 2, eta=0.01, seed=7)
     chain = build_chain(p)
     state = exact_steady_state("BWM", p, chain)
     assert _residual("BWM", p, chain, state.rho) <= 1e-10
+
+
+def _null_state(gen, digits=40):
+    """The steady state of gen's L (the kron sum) from a `digits`-digit
+    LU solve of L with the trace row in place of row 0."""
+    mpmath = pytest.importorskip("mpmath")
+    L = kron_superoperator(gen).toarray()
+    dim = gen.H.shape[0]
+    with mpmath.workdps(digits):
+        A = mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row]
+                           for row in L])
+        for j in range(dim * dim):
+            A[0, j] = 1 if j % (dim + 1) == 0 else 0
+        b = mpmath.matrix([1] + [0] * (dim * dim - 1))
+        x = mpmath.lu_solve(A, b)
+        return np.array([complex(v) for v in x]).reshape(dim, dim)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a silent wrong answer: on a lossless BWM at η = 0.003 and 0.001 the "
+    "oracle returns after 6 back-solves at τ‖L‖_∞ = 1e3 with ‖dρ/dt‖_F = "
+    "6.6e-11 and 7.4e-12, under the 1e-10 gate, yet 0.228 (max |Δρ|) from "
+    "the 40-digit null vector of the same L: the gap of L is 1.8e-10 and "
+    "2.0e-11, and the residual gate bounds only the numerator of the "
+    "error bound ‖Lρ‖/gap"))
+def test_lossless_bwm_near_order_returns_the_steady_state():
+    # at N = 2 the kron sum is the solve's L bit for bit; 1e-3 is far above
+    # the conditioning floor eps·‖L‖_∞/gap (≤ 6e-5) and far below 0.228
+    for eta in (0.003, 0.001):
+        p = _params(0.5, 0.5, 2, eta=eta, seed=7)
+        chain = build_chain(p)
+        state = exact_steady_state("BWM", p, chain)
+        ref = _null_state(build_generator("BWM", p, chain))
+        assert np.max(np.abs(state.rho - ref)) <= 1e-3, eta
 
 
 def test_non_hermitian_generator_is_refused(monkeypatch):

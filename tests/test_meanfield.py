@@ -14,8 +14,8 @@ from cascadia import (ModelParams, RampSpec, SolverOptions,
                       uwm_cascade_fixed_point, uwm_saturation,
                       uwm_saturation_recursion)
 from cascadia.errors import NonConvergence
-from cascadia.meanfield import (_DrivePlan, _make_rhs, _make_solve, _settle,
-                                _settle_collective)
+from cascadia.meanfield import (_collective_system, _DrivePlan, _make_rhs,
+                                _make_solve, _settle)
 from cascadia.params import spiral_phases
 from cascadia.steady import pseudo_transient
 
@@ -200,9 +200,9 @@ def test_uniform_dm_is_one_collective_site(detuning, with_chain):
     # the bits of the one-site collective settle, broadcast to N sites
     p = _params(0.005, 2.0, 200, detuning=detuning)
     chain = build_chain(p) if with_chain else None
-    y, residual = _settle_collective(
-        _DrivePlan.collective(2.0 * p.beta * 199), detuning, None, p.rabi,
-        None, ("DM", "N = 200"))
+    y, residual = _settle(
+        *_collective_system(2.0 * p.beta * 199, detuning),
+        np.array([0.0, 0.0, -1.0]), p.rabi, None, ("DM", "N = 200"))
     sol = solve_steady_state("DM", p, chain)
     assert sol.residual == residual
     assert np.all(sol.sigma_minus == y[0] + 1j * y[1])

@@ -285,7 +285,7 @@ def test_collective_solve_matches_dense_jacobian(detuning):
         dz = -4.0 * (np.conj(a) * m).imag - (1.0 + z)
         return np.array([dm.real, dm.imag, dz])
 
-    _, solve = _collective_system(_DrivePlan.collective(b), detuning)
+    _, solve = _collective_system(b, detuning)
     _assert_solves(fun, lambda v, d, r: solve(v, omega, d, r),
                    np.array([0.1, -0.2, -0.4]))
 
@@ -331,7 +331,7 @@ def test_diverging_one_site_start_is_a_missed_step(detuning):
     # |⟨σ⁻⟩| ~ 1e160 squares past the float range: on Python scalars a
     # power would raise OverflowError where an array gives inf, so every
     # square is a product and the step ends as a miss, not a traceback
-    rhs, solve = _collective_system(_DrivePlan.collective(10.0), detuning)
+    rhs, solve = _collective_system(10.0, detuning)
     y = np.array([1e160, -1e160, -1.0])
     fun = lambda v: rhs(v, 2.0)
     assert _implicit_step(fun, lambda v, d, r: solve(v, 2.0, d, r), y,
@@ -343,7 +343,7 @@ def test_singular_one_site_block_is_a_missed_step():
     # determinant |lp|² − |lq|² is exactly 0: a LinAlgError, as a singular
     # chain band gives, which the continuation takes as a missed step
     # (Python scalars would raise ZeroDivisionError)
-    rhs, solve = _collective_system(_DrivePlan.collective(4.0), None)
+    rhs, solve = _collective_system(4.0, None)
     y = np.array([0.0, 0.0, 0.5])
     with pytest.raises(np.linalg.LinAlgError):
         solve(y, 0.0, 2.0, np.ones(3))
@@ -365,8 +365,7 @@ def test_continuation_survives_an_exact_zero_residual():
 def test_collective_continuation_matches_integration():
     # DM at N = 200, a cell where the collective residual can land on 0.0
     p = ModelParams.from_beta(beta=0.005, s0=56.0, n_emitters=200)
-    rhs, _ = _collective_system(
-        _DrivePlan.collective(2.0 * p.beta * (p.n_emitters - 1)), None)
+    rhs, _ = _collective_system(2.0 * p.beta * (p.n_emitters - 1), None)
     sol = solve_steady_state("DM", p)
     y = _integrated_settle(lambda y: rhs(y, p.rabi), np.array([0.0, 0.0, -1.0]))
     assert abs(sol.sigma_minus[0] - (y[0] + 1j * y[1])) <= 1e-10
@@ -550,8 +549,7 @@ def _integrated_collective_ramp(b, s0, s0_start, t_ramp=400.0):
     """The collective ramp the quasi-static continuation replaced: settle at
     s0_start, integrate the ramp s0_start → s0 over t_ramp, settle at s0
     and take the Newton finish under the branch guard."""
-    plan = _DrivePlan.collective(b)
-    rhs, solve = _collective_system(plan, None)
+    rhs, solve = _collective_system(b, None)
 
     def settle(y, s):
         w = np.sqrt(s / 2.0)
