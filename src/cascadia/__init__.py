@@ -24,8 +24,7 @@ from .exact import (DensityState, build_generator, exact_observables,
                     exact_steady_state, flux_report)
 from .meanfield import (FieldObservables, MeanFieldSolution, effective_drive,
                         field_observables, solve_collective,
-                        solve_steady_state, uwm_cascade_fixed_point,
-                        uwm_saturation_recursion)
+                        solve_steady_state, uwm_cascade_fixed_point)
 from .params import (DerivedQuantities, EmitterChain, ModelParams,
                      averaged_phase_factor, build_chain, derive)
 from .steady import RampSpec, SolverOptions
@@ -42,7 +41,7 @@ __all__ = [
     # mean-field
     "MeanFieldSolution", "FieldObservables", "solve_steady_state",
     "effective_drive", "field_observables", "solve_collective",
-    "uwm_saturation_recursion", "uwm_cascade_fixed_point",
+    "uwm_cascade_fixed_point",
     # analytics
     "lambert_w0", "uwm_saturation", "uwm_inversion", "mean_polarization",
     "thermodynamic_saturation", "dicke_cubic", "dicke_steady_states",

@@ -12,7 +12,8 @@ so the parent only joins strings in task order; a JSON sweep's cells
 return the rows, and fig4's heat-map cells none.
 A Doppler medium without a `d_max` is 200(1 + 4ξ²) deep.
 Figure flags that are not given take the figure's defaults; the ones given
-are checked as a sweep cell's fields are.
+are checked as a sweep cell's fields are, and a flag the figure does not
+read is refused.
 
 Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
 3 a grid cell hit a numerical instability.  Every solver raises
@@ -41,7 +42,7 @@ from .analytic import mean_polarization
 from .cumulant import CE2_MAX_SITES, inelastic_saturation, solve_ce2
 from .doppler import DopplerParams, doppler_profile
 from .ensemble import env_jobs, process_map, run_ensemble
-from .errors import NonConvergence, NoPhysicalRoot, NumericalInstability
+from .errors import NonConvergence, NumericalInstability
 from .io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
                  ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
                  ce2_profile_rows, csv_lines, doppler_profile_rows,
@@ -296,7 +297,7 @@ def _eval_cell(task: dict) -> dict:
             table = [prefix + row for row in rows()]
             out["profile"] = (csv_lines(table) if task["profile"] == "csv"
                               else table)
-    except (NonConvergence, NoPhysicalRoot):
+    except NonConvergence:
         out["status"] = "unresolved"
     except NumericalInstability:
         out["status"] = "instability"
@@ -542,8 +543,16 @@ def _fig8(args, manifest: dict) -> List[str]:
     return [str(path)]
 
 
-_FIG_REGISTRY = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
-                 "fig5": _fig5, "fig7": _fig7, "fig8": _fig8}
+# figure flags besides --out and --jobs, (type, help); `_FIG_REGISTRY`
+# maps each figure to its generator and the flags it reads
+_FIG_FLAGS = {"N": (int, None), "M": (int, "realization count"),
+              "beta": (float, None), "s0": (float, None),
+              "sites": (int, "cumulant site count"), "seed": (int, None)}
+_FIG_REGISTRY = {"fig2": (_fig2, ("N", "beta")),
+                 "fig3": (_fig3, ("N", "beta", "s0", "M", "seed")),
+                 "fig4": (_fig4, ("N", "beta", "M", "seed")),
+                 "fig5": (_fig5, ()), "fig7": (_fig7, ("N", "s0", "sites")),
+                 "fig8": (_fig8, ())}
 
 
 def cmd_fig(args) -> int:
@@ -551,10 +560,14 @@ def cmd_fig(args) -> int:
         print(f"unknown figure {args.name!r}: choose from "
               f"{', '.join(_FIG_REGISTRY)}", file=sys.stderr)
         return 2
+    generate, reads = _FIG_REGISTRY[args.name]
+    for flag in _FIG_FLAGS:
+        if flag not in reads and getattr(args, flag) is not None:
+            raise SpecError(f"flag --{flag}: {args.name} does not read it")
     t0 = time.time()
     manifest = {"figure": args.name, "version": _version(),
                 "seed": 0 if args.seed is None else args.seed}
-    outputs = _FIG_REGISTRY[args.name](args, manifest)
+    outputs = generate(args, manifest)
     manifest["wall_time_s"] = time.time() - t0
     manifest["outputs"] = outputs
     out_dir = Path(outputs[0]).parent if outputs else _fig_dir(args, args.name)
@@ -593,12 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fg = sub.add_parser("fig", help="run a pre-registered figure dataset")
     fg.add_argument("name", help="|".join(_FIG_REGISTRY))
-    fg.add_argument("--N", type=int)
-    fg.add_argument("--M", type=int, help="realization count")
-    fg.add_argument("--beta", type=float)
-    fg.add_argument("--s0", type=float)
-    fg.add_argument("--sites", type=int, help="cumulant site count")
-    fg.add_argument("--seed", type=int)
+    for name, (type_, help_) in _FIG_FLAGS.items():
+        fg.add_argument("--" + name, type=type_, help=help_)
     fg.add_argument("--jobs", type=int)
     fg.add_argument("--out", help="output directory (default fig_<name>)")
     fg.set_defaults(func=cmd_fig)

@@ -182,9 +182,11 @@ def doppler_recursion(s0: float, beta: float, n: int, xi_delta: float,
         s_{i+1} = s_i − 4β s_i / (1 + s_i + 4Δ_i²).
 
     Returns s_0 … s_n (length n+1).  Averages to doppler_profile over
-    realizations in the continuum limit."""
-    if beta < 0 or n < 0 or xi_delta < 0:
-        raise ValueError("beta, n and xi_delta must be non-negative")
+    realizations in the continuum limit.  ξ_Δ = 0 is the cold recursion,
+    first order in β (the exact cascade is `uwm_cascade_fixed_point`)."""
+    if s0 < 0.0 or not 0.0 < beta <= 0.5 or n < 0 or xi_delta < 0:
+        raise ValueError("need s0 >= 0, 0 < beta <= 1/2, n >= 0 and "
+                         "xi_delta >= 0")
     det = _rng(seed, stream).normal(0.0, xi_delta, size=n)
     s = np.empty(n + 1)
     s[0] = s0

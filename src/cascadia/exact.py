@@ -625,11 +625,11 @@ def flux_report(state: DensityState, params: ModelParams,
     that remainder is the inelastic flux; for the full-rank EAM kernel it
     also carries the ensemble-diffuse flux.
     """
-    obs = exact_observables(state, params, chain)
     g1d = params.gamma_1d
-    g = g1d / 2.0
     if g1d == 0.0:
         raise ValueError("flux accounting needs gamma_1d > 0")
+    obs = exact_observables(state, params, chain)
+    g = g1d / 2.0
 
     n_i = 0.5 * (1.0 + obs["sigma_z"])  # ⟨σ⁺σ⁻⟩ same-site
     flux_in = params.rabi ** 2 / (2.0 * g1d)

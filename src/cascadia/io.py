@@ -5,11 +5,12 @@ round-trips IEEE doubles exactly, so identical inputs produce identical
 bytes regardless of platform or worker scheduling.  Line endings are
 fixed to '\\n'.
 
-`fmt17` states the format of one value.  `csv_lines` applies it a row at a
-time: one '%' format string per tuple of value types, cached, with `fmt17`
-itself only for values that no '%' spec formats exactly (booleans, unknown
-types).  Sweep workers call `csv_lines` on their own cells, and
-`write_csv` takes either rows or that text.
+`_spec` states the format of each value type, and `fmt17` formats one
+value by it.  `csv_lines` applies it a row at a time: one '%' format string
+per tuple of value types, cached, with `fmt17` itself only for values that
+no '%' spec formats exactly (booleans, unknown types).  Sweep workers call
+`csv_lines` on their own cells, and `write_csv` takes either rows or that
+text.
 """
 
 from __future__ import annotations
@@ -35,18 +36,16 @@ __all__ = ["fmt17", "csv_lines", "write_csv", "write_json", "MEANFIELD_PROFILE_C
 
 
 def fmt17(x) -> str:
-    """Format one value: floats at 17 significant digits, the rest via str."""
+    """Format one value: booleans as true/false, the rest by `_spec` or str."""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % x
-    return str(x)
+    spec = _spec(type(x))
+    return str(x) if spec is None else spec % x
 
 
 def _spec(kind: type) -> Optional[str]:
-    """The '%' spec that formats a `kind` value as `fmt17` does, if any."""
+    """The '%' spec of a `kind` value, if one formats it exactly: integers
+    in full, floats at 17 significant digits, strings as they are."""
     if issubclass(kind, (bool, np.bool_)):
         return None
     if issubclass(kind, (int, np.integer)):
@@ -119,8 +118,10 @@ def meanfield_profile_rows(params: ModelParams,
     beta = params.beta
     m, a = solution.sigma_minus, solution.alpha
     # plain floats, not numpy scalars: sweep workers pickle these rows, and
-    # numpy scalars pickle several times slower.  s_i keeps the scalar
-    # formula, whose last bit a vectorised np.abs does not always match.
+    # numpy scalars pickle several times slower.  This scalar form is the
+    # package's only statement of s_i = 8|α_i|², and it stays scalar: a
+    # vectorised np.abs differs from it in the last bit on some sites, which
+    # would change the CSV bytes.
     s = [float(8.0 * abs(x) ** 2) for x in a]
     cols = zip(m.real.tolist(), m.imag.tolist(), solution.sigma_z.tolist(),
                a.real.tolist(), a.imag.tolist(), s)

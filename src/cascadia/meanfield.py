@@ -39,7 +39,7 @@ from .steady import RampSpec, SolverOptions, newton_step, pseudo_transient
 __all__ = [
     "MeanFieldSolution", "FieldObservables",
     "effective_drive", "solve_steady_state", "field_observables",
-    "uwm_saturation_recursion", "uwm_cascade_fixed_point", "solve_collective",
+    "uwm_cascade_fixed_point", "solve_collective",
 ]
 
 
@@ -58,8 +58,6 @@ class MeanFieldSolution:
 
 @dataclass(frozen=True)
 class FieldObservables:
-    alpha_profile: np.ndarray
-    s_profile: np.ndarray     # s_i = 8|α_i|²/Γ_tot²
     s_out_right: float
     s_out_left: float
 
@@ -459,35 +457,10 @@ def field_observables(solution: MeanFieldSolution, params: ModelParams,
     # ramp, pass params rebuilt with rabi = √(s0_end/2).
     s_right, s_left = output_saturations(solution.model_tag, params, chain,
                                          solution.sigma_minus)
-    return FieldObservables(
-        alpha_profile=solution.alpha,
-        s_profile=8.0 * np.abs(solution.alpha) ** 2,
-        s_out_right=s_right,
-        s_out_left=s_left,
-    )
+    return FieldObservables(s_out_right=s_right, s_out_left=s_left)
 
 
-# --- discrete saturation recursion and exact cascade ------------------------
-
-
-def uwm_saturation_recursion(s0: float, beta: float, n: int) -> np.ndarray:
-    """Saturation profile by the discrete update s_{i+1} = s_i − 4β s_i/(1+s_i).
-
-    Returns s_0 … s_n (length n+1); s_i is the drive saturation after i
-    emitters, i.e. on the optical-depth grid D_i = 4βi.  This is the
-    first-order-in-β update; it converges to the Lambert-W continuum
-    profile as β → 0 with D fixed (error ∝ β).  The exact fixed point of
-    the mean-field cascade at finite β is `uwm_cascade_fixed_point`.
-    """
-    if s0 < 0.0:
-        raise ValueError("s0 must be >= 0")
-    if not 0.0 < beta <= 0.5:
-        raise ValueError("beta must lie in (0, 1/2]")
-    s = np.empty(n + 1)
-    s[0] = s0
-    for i in range(n):
-        s[i + 1] = s[i] - 4.0 * beta * s[i] / (1.0 + s[i])
-    return s
+# --- exact cascade ----------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,18 @@ from cascadia.analytic import (
     uwm_saturation,
 )
 from cascadia.cumulant import inelastic_saturation, sigma_xx_cumulant, solve_ce2
-from cascadia.doppler import DopplerParams, doppler_profile, doppler_width
+from cascadia.doppler import (
+    DopplerParams,
+    doppler_profile,
+    doppler_recursion,
+    doppler_width,
+)
 from cascadia.ensemble import run_ensemble
 from cascadia.exact import exact_observables, exact_steady_state, flux_report
 from cascadia.meanfield import (
     field_observables,
     solve_collective,
     solve_steady_state,
-    uwm_saturation_recursion,
 )
 from cascadia.params import ModelParams, build_chain
 
@@ -146,7 +150,7 @@ def test_a04_saturation_profile_consistency():
     errs = []
     for beta in (0.02, 0.01, 0.005):
         n = int(round(40.0 / (4.0 * beta)))
-        s = uwm_saturation_recursion(s0, beta, n)
+        s = doppler_recursion(s0, beta, n, 0.0)
         ref = uwm_saturation(s0, 4.0 * beta * np.arange(n + 1))
         keep = ref >= 1e-3 * s0
         errs.append(np.max(np.abs(s[keep] - ref[keep]) / ref[keep]))

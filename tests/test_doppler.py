@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from _time_integration import doppler_profile as dop853_profile
 from cascadia import (DopplerParams, averaged_cross_section, doppler_profile,
                       doppler_recursion, doppler_width,
-                      gauss_hermite_cross_section, uwm_saturation,
-                      uwm_saturation_recursion)
+                      gauss_hermite_cross_section, uwm_saturation)
 
 
 def test_params_validation():
@@ -198,8 +197,12 @@ def test_profile_underflows_to_exact_zero():
 
 
 def test_recursion_cold_limit_is_exact():
+    # no detuning term at all: s_{i+1} = s_i − 4βs_i/(1 + s_i), bit for bit
     a = doppler_recursion(12.0, 0.01, 300, xi_delta=0.0)
-    b = uwm_saturation_recursion(12.0, 0.01, 300)
+    b = np.empty(301)
+    b[0] = 12.0
+    for i in range(300):
+        b[i + 1] = b[i] - 4.0 * 0.01 * b[i] / (1.0 + b[i])
     assert np.array_equal(a, b)
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cascadia import EnsembleReport, ModelParams, run_ensemble
+from cascadia import (EnsembleReport, ModelParams, run_ensemble,
+                      solve_steady_state)
+from cascadia.errors import NonConvergence
 
 
 def _params(beta, s0, n, eta, seed=0):
@@ -70,6 +72,20 @@ def test_validation():
                        mean_diff=np.zeros(2), variance=np.array([-1.0, 0.0]),
                        per_realization_outputs=np.zeros((1, 2)), excluded=0,
                        sigma_z_avg=np.zeros(2))
+
+
+def test_an_ensemble_with_no_converged_realization_raises(monkeypatch):
+    # the disorder-averaged reference converges, every BWM realization
+    # misses: nothing is left to average, and the miss is not a NaN report
+    def missing(tag, *args, **kw):
+        if tag == "BWM":
+            raise NonConvergence("BWM steady state not reached")
+        return solve_steady_state(tag, *args, **kw)
+
+    monkeypatch.setattr("cascadia.ensemble.solve_steady_state", missing)
+    with pytest.raises(NonConvergence,
+                       match=r"^all 3 realizations failed to converge$"):
+        run_ensemble(_params(0.02, 3.0, 10, eta=0.05), M=3, jobs=1)
 
 
 def test_worker_count_from_environment_must_be_an_integer(monkeypatch):

@@ -290,6 +290,20 @@ def test_stiff_cascade_at_n5_is_solved():
     assert abs(rep["defect"]) < 1e-9 * rep["flux_in"]
 
 
+def test_flux_report_needs_guided_decay_first(monkeypatch):
+    # β = 0 has no guided channel to account in: refused before any
+    # observable is computed
+    p = _params(0.0, 1.0, 2)
+    state = exact_steady_state("UWM", p)
+
+    def unreachable(*args):
+        raise AssertionError("observables computed before the check")
+
+    monkeypatch.setattr("cascadia.exact.exact_observables", unreachable)
+    with pytest.raises(ValueError, match=r"needs gamma_1d > 0"):
+        flux_report(state, p)
+
+
 def test_fallback_nonconvergence_names_the_cell(monkeypatch):
     from cascadia.errors import NonConvergence
     monkeypatch.setattr("cascadia.exact._INVERSE_STEPS", 1)

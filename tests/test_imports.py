@@ -1,13 +1,16 @@
-"""Every name imported under src/ and tests/ is used in its file, nothing
-under src/ integrates in time, and importing the package does not load the
-slow-to-import scipy subpackages."""
+"""Every name imported under src/ and tests/ is used in its file, every
+name the package exports resolves, nothing under src/ integrates in time,
+and importing the package does not load the slow-to-import scipy
+subpackages."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -41,6 +44,25 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unresolved_exports(module: ModuleType):
+    """Names in the module's __all__ that it does not define."""
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_the_scan_sees_an_unresolved_export():
+    module = ModuleType("m")
+    module.__all__ = ["here", "gone"]
+    module.here = 1
+    assert _unresolved_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("name", ["cascadia"] + [
+    f"cascadia.{p.stem}" for p in SRC if p.name != "__init__.py"])
+def test_every_export_resolves(name):
+    assert _unresolved_exports(importlib.import_module(name)) == []
 
 
 def _dotted_names(source: str):

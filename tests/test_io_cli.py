@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cascadia import (DopplerParams, ModelParams, RampSpec, SolverOptions,
                       build_chain, doppler_profile, run_ensemble, solve_ce2,
-                      solve_steady_state)
+                      solve_steady_state, uwm_saturation)
 from cascadia.cli import _DEFAULTS, _eval_cell, _grid_tasks, main
 from cascadia.errors import NonConvergence
 from cascadia.io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
@@ -443,6 +443,58 @@ def test_figure_registry_smoke(tmp_path):
     header, rows = _read_csv(tmp_path / "f8" / "transmission.csv")
     assert header == ["xi_delta", "s_tilde", "transmission"]
     assert len(rows) == 4 * 41
+
+
+# the flags each figure does not read; --out and --jobs every figure takes
+_UNREAD = {"fig2": ("M", "s0", "sites", "seed"), "fig3": ("sites",),
+           "fig4": ("s0", "sites"),
+           "fig5": ("N", "M", "beta", "s0", "sites", "seed"),
+           "fig7": ("M", "beta", "seed"),
+           "fig8": ("N", "M", "beta", "s0", "sites", "seed")}
+
+
+@pytest.mark.parametrize("fig,flag", [(fig, flag) for fig, flags
+                                      in _UNREAD.items() for flag in flags])
+def test_figure_refuses_a_flag_it_does_not_read(fig, flag, tmp_path, capsys):
+    # an unread flag would leave the data at its default while the
+    # manifest recorded the flag: refused by name before anything runs
+    value = "0.3" if flag == "beta" else "9"
+    rc = main(["fig", fig, "--" + flag, value, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"flag --{flag}: {fig} does not read it" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_fig4_scatters_every_realization(tmp_path):
+    rc = main(["fig", "fig4", "--N", "10", "--M", "2", "--jobs", "1",
+               "--out", str(tmp_path / "f4")])
+    assert rc == 0
+    man = json.loads((tmp_path / "f4" / "manifest.json").read_text())
+    assert man["scatter_unresolved"] == []
+    header, rows = _read_csv(tmp_path / "f4" / "realization_scatter.csv")
+    assert header == ["eta", "s_tilde", "realization", "s_out_right",
+                      "s_out_left"]
+    # 3 disorder strengths × 8 drives × M realizations, in realization order
+    assert len(rows) == 3 * 8 * 2
+    assert [r[2] for r in rows] == ["0", "1"] * 24
+    assert len({(r[0], r[1]) for r in rows}) == 24
+    outputs = np.array([[float(x) for x in r[3:]] for r in rows])
+    assert np.all(np.isfinite(outputs)) and np.all(outputs >= 0.0)
+
+
+def test_fig5_is_the_log_saturation_ratio(tmp_path):
+    # j_z = ln(s(D)/s₀)/D along the Lambert-W profile
+    rc = main(["fig", "fig5", "--out", str(tmp_path / "f5")])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "f5" / "jz_curves.csv")
+    assert header == ["D", "s_tilde", "j_z"]
+    assert len(rows) == 480
+    d, st_, jz = np.array(rows, dtype=float).T
+    assert sorted(set(d)) == [10.0, 40.0, 160.0]
+    s0 = st_ * d
+    ref = np.log(np.array([uwm_saturation(a, b) for a, b in zip(s0, d)])
+                 / s0) / d
+    assert np.max(np.abs(jz - ref)) <= 1e-13
 
 
 def test_figures_list_unconverged_solves(tmp_path, monkeypatch):

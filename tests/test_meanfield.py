@@ -1,6 +1,7 @@
 """Mean-field steady states across the four propagation models."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from scipy.signal import lfilter
 from cascadia import (ModelParams, RampSpec, SolverOptions,
                       averaged_phase_factor, build_chain,
                       dicke_bistability_window, dicke_cubic,
-                      dicke_steady_states, effective_drive, field_observables,
-                      solve_collective, solve_steady_state,
-                      uwm_cascade_fixed_point, uwm_saturation,
-                      uwm_saturation_recursion)
-from cascadia.errors import NonConvergence
+                      dicke_steady_states, doppler_recursion, effective_drive,
+                      field_observables, solve_collective, solve_steady_state,
+                      uwm_cascade_fixed_point, uwm_saturation)
+from cascadia.errors import NonConvergence, NumericalInstability
 from cascadia.meanfield import (_collective_system, _DrivePlan, _make_rhs,
                                 _make_solve, _settle)
 from cascadia.params import spiral_phases
@@ -265,6 +265,30 @@ def test_warm_start_must_match_the_chain_length(tag):
         solve_steady_state(tag, _params(0.05, 2.0, 4), initial=warm)
 
 
+@pytest.mark.parametrize("tag", ["BWM", "EAM"])
+def test_chain_restarted_from_its_steady_state_returns_it(tag):
+    # the chain path's warm start: a converged state is already at the
+    # floor, so the settle returns it unchanged, bit for bit
+    p = _params(0.005, 20.0, 400, eta=0.1, seed=3)
+    chain = build_chain(p) if tag == "BWM" else None
+    sol = solve_steady_state(tag, p, chain)
+    again = solve_steady_state(tag, p, chain, initial=sol)
+    assert np.array_equal(again.sigma_minus, sol.sigma_minus)
+    assert np.array_equal(again.sigma_z, sol.sigma_z)
+    assert np.array_equal(again.alpha, sol.alpha)
+
+
+@pytest.mark.parametrize("tag", ["BWM", "EAM"])
+def test_non_finite_warm_start_is_refused(tag):
+    p = _params(0.005, 20.0, 400, eta=0.1, seed=3)
+    chain = build_chain(p) if tag == "BWM" else None
+    sol = solve_steady_state(tag, p, chain)
+    z = sol.sigma_z.copy()
+    z[7] = np.nan
+    with pytest.raises(NumericalInstability, match="non-finite state"):
+        solve_steady_state(tag, p, chain, initial=replace(sol, sigma_z=z))
+
+
 def _miss(fun, y, what):
     """The NonConvergence `pseudo_transient` raises when it misses at y."""
     return NonConvergence(f"{what}: residual {np.max(np.abs(fun(y))):.2e}")
@@ -372,7 +396,7 @@ def test_outputs_vanish_without_drive():
     out = field_observables(sol, p)
     assert out.s_out_right == 0.0
     assert out.s_out_left == 0.0
-    assert np.all(out.s_profile == 0.0)
+    assert np.all(8.0 * np.abs(sol.alpha) ** 2 == 0.0)
 
 
 def test_cascade_has_no_backward_output():
@@ -380,7 +404,8 @@ def test_cascade_has_no_backward_output():
     sol = solve_steady_state("UWM", p)
     out = field_observables(sol, p)
     assert out.s_out_left == 0.0  # exactly: no backward coupling at all
-    assert np.all(np.diff(out.s_profile) <= 1e-12)  # monotone attenuation
+    # monotone attenuation
+    assert np.all(np.diff(8.0 * np.abs(sol.alpha) ** 2) <= 1e-12)
 
 
 def test_bragg_chain_reflects_weak_drive():
@@ -397,20 +422,20 @@ def test_bragg_chain_reflects_weak_drive():
 
 
 def test_recursion_trivial_and_saturated():
-    s = uwm_saturation_recursion(0.0, 0.01, 20)
+    s = doppler_recursion(0.0, 0.01, 20, 0.0)
     assert np.all(s == 0.0)
-    s = uwm_saturation_recursion(1e4, 0.01, 10)
+    s = doppler_recursion(1e4, 0.01, 10, 0.0)
     # deep saturation: every emitter removes 4β of saturation, s/(1+s) ≈ 1
     assert np.allclose(np.diff(s), -0.04, rtol=2e-4)
     with pytest.raises(ValueError):
-        uwm_saturation_recursion(1.0, 0.0, 5)
+        doppler_recursion(1.0, 0.0, 5, 0.0)
     with pytest.raises(ValueError):
-        uwm_saturation_recursion(-1.0, 0.1, 5)
+        doppler_recursion(-1.0, 0.1, 5, 0.0)
 
 
 def test_recursion_approaches_continuum_profile():
     beta, s0, n = 0.005, 20.0, 500
-    s = uwm_saturation_recursion(s0, beta, n)
+    s = doppler_recursion(s0, beta, n, 0.0)
     d = 4.0 * beta * np.arange(n + 1)
     ref = uwm_saturation(s0, d)
     rel = np.abs(s - ref) / ref

@@ -1,6 +1,7 @@
 """Parameter mapping, chain generation, and phase-average statistics."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ def test_from_beta_maps_to_gamma_split():
 def test_optical_depth_values(beta, n, d_expect):
     d = ModelParams.from_beta(beta=beta, s0=1.0, n_emitters=n).derive()
     assert d.d_total == pytest.approx(d_expect, abs=1e-14)
+
+
+def test_derived_quantities_without_guided_decay():
+    # β = 0: no optical depth, so any drive is infinitely many times D_N,
+    # and no drive is an undefined ratio
+    d = ModelParams.from_beta(beta=0.0, s0=2.0, n_emitters=5).derive()
+    assert d.d_total == 0.0
+    assert d.s_tilde == math.inf
+    d = ModelParams.from_beta(beta=0.0, s0=0.0, n_emitters=5).derive()
+    assert math.isnan(d.s_tilde)
 
 
 def test_rates_must_sum_to_gamma_tot():
