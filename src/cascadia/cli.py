@@ -5,20 +5,22 @@ a JSON spec, the manifest echoes the fully-resolved spec, and CSV payloads
 are byte-identical across reruns (fixed grid-cell order, fixed-order
 reduction, 17-significant-digit floats).
 
-Profile rows come from `io`, prefixed with the cell's grid coordinates.
-Each task names the profile its caller reads: a CSV sweep's cells format
-their rows into CSV text (`io.csv_lines`) in the worker that solved them,
-so the parent only joins strings in task order; a JSON sweep's cells
-return the rows, and fig4's heat-map cells none.
+One grid runner evaluates the cells of a sweep and of fig2, fig3 and
+fig4 across `--jobs` processes.  Profile rows come from `io`, prefixed
+with the cell's grid coordinates.  Each task names the profile its caller
+reads: a CSV sweep's cells format their rows into CSV text
+(`io.csv_lines`) in the worker that solved them, so the parent only joins
+strings in task order; a JSON sweep's, fig2's and fig3's cells return the
+rows, and fig4's none.
 A Doppler medium without a `d_max` is 200(1 + 4ξ²) deep.
 Figure flags that are not given take the figure's defaults; the ones given
 are checked as a sweep cell's fields are, and a flag the figure does not
 read is refused.
 
 Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
-3 a grid cell hit a numerical instability.  Every solver raises
-NonConvergence when a steady state is not reached; a cell or a figure's
-solve or ensemble that raises it is recorded in the manifest
+3 a grid cell of a sweep or a figure hit a numerical instability.  Every
+solver raises NonConvergence when a steady state is not reached; a cell
+that raises it, fig7's one CE2 solve included, is recorded in the manifest
 ("unresolved"; fig4's scatter under "scatter_unresolved") and left out of
 the tables, not fatal.
 """
@@ -43,7 +45,7 @@ from .cumulant import CE2_MAX_SITES, inelastic_saturation, solve_ce2
 from .doppler import DopplerParams, doppler_profile
 from .ensemble import env_jobs, process_map, run_ensemble
 from .errors import NonConvergence, NumericalInstability
-from .io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
+from .io import (CE2_PAIR_COLS, CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
                  ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
                  ce2_profile_rows, csv_lines, doppler_profile_rows,
                  ensemble_profile_rows, meanfield_profile_rows, write_csv,
@@ -257,7 +259,9 @@ def _grid_tasks(model: str, axes: List[Tuple[str, np.ndarray]],
 
 def _eval_cell(task: dict) -> dict:
     """One grid cell; returns its profile in the form the task names, a
-    scalar row, and a status."""
+    scalar row, and a status.  The figures' model "ENSEMBLE" (not in MODELS)
+    returns a `run_ensemble` report of M realizations instead of a scalar
+    row, run serially: the grid is the parallel level, pools never nest."""
     model = task["model"]
     coords = task["coords"]
     cfg = _cell_config(model, task["fixed"], coords)
@@ -286,13 +290,17 @@ def _eval_cell(task: dict) -> dict:
                                            n_emitters=cfg["N"],
                                            eta=cfg["eta"], seed=cfg["seed"],
                                            k0_spacing=cfg["k0"])
-            chain = (build_chain(params, stream=cfg["stream"])
-                     if model == "BWM" else None)
-            sol = solve_steady_state(model, params, chain)
-            obs = field_observables(sol, params, chain)
-            rows = partial(meanfield_profile_rows, params, sol)
-            out["scalar"] = prefix + [obs.s_out_right, obs.s_out_left,
-                                      float(np.mean(sol.sigma_z)), nan]
+            if model == "ENSEMBLE":
+                rep = out["report"] = run_ensemble(params, M=cfg["M"], jobs=1)
+                rows = partial(ensemble_profile_rows, params, rep)
+            else:
+                chain = (build_chain(params, stream=cfg["stream"])
+                         if model == "BWM" else None)
+                sol = solve_steady_state(model, params, chain)
+                obs = field_observables(sol, params, chain)
+                rows = partial(meanfield_profile_rows, params, sol)
+                out["scalar"] = prefix + [obs.s_out_right, obs.s_out_left,
+                                          float(np.mean(sol.sigma_z)), nan]
         if task["profile"] is not None:
             table = [prefix + row for row in rows()]
             out["profile"] = (csv_lines(table) if task["profile"] == "csv"
@@ -304,30 +312,31 @@ def _eval_cell(task: dict) -> dict:
     return out
 
 
+def _run_grid(tasks: List[dict], jobs: int):
+    """`_eval_cell` over `tasks` on `jobs` processes: the solved cells'
+    results, then the unresolved and the unstable cells' coordinates."""
+    split = {"ok": [], "unresolved": [], "instability": []}
+    for r in process_map(_eval_cell, tasks, jobs):
+        split[r["status"]].append(r if r["status"] == "ok" else r["coords"])
+    return split["ok"], split["unresolved"], split["instability"]
+
+
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     t0 = time.time()
 
     names = [a.name for a in spec.axes]
     tasks = spec.tasks()
-    results = process_map(_eval_cell, tasks, spec.jobs)
-
-    profiles, scal_rows, unresolved, instability = [], [], [], []
-    for r in results:
-        if r["status"] == "ok":
-            profiles.append(r["profile"])
-            scal_rows.append(r["scalar"])
-        elif r["status"] == "unresolved":
-            unresolved.append(r["coords"])
-        else:
-            instability.append(r["coords"])
+    solved, unresolved, instability = _run_grid(tasks, spec.jobs)
 
     prof_cols = _PROFILE_COLS.get(spec.model, MEANFIELD_PROFILE_COLS)
     # CSV cells bring their lines as text, JSON cells their rows
-    prof_rows = ("".join(profiles) if spec.format == "csv"
-                 else list(itertools.chain.from_iterable(profiles)))
+    prof_rows = ("".join(r["profile"] for r in solved)
+                 if spec.format == "csv"
+                 else [row for r in solved for row in r["profile"]])
     tables = {"profile": (names + list(prof_cols), prof_rows),
-              "scalars": (names + list(_SCALAR_COLS), scal_rows)}
+              "scalars": (names + list(_SCALAR_COLS),
+                          [r["scalar"] for r in solved])}
     base = Path(spec.out)
     if spec.format == "csv":
         outputs = [write_csv(base.parent / f"{base.name}_{key}.csv", *table)
@@ -380,28 +389,33 @@ def _fig_fields(args, model: str, **defaults) -> dict:
     return cfg
 
 
+def _fig_grid(args, tasks: List[dict]):
+    """A figure's `_run_grid` on `--jobs` processes, less the unstable
+    cells: any of those raises NumericalInstability (exit 3)."""
+    solved, unresolved, unstable = _run_grid(tasks, _resolve_jobs(args.jobs))
+    if unstable:
+        raise NumericalInstability(f"{len(unstable)} cells, the first "
+                                   f"{unstable[0]}")
+    return solved, unresolved
+
+
 def _fig2(args, manifest: dict) -> List[str]:
     """Steady-state inversion profiles across drive strengths (two
     directional limits), N=2000, β=0.005, s0 log-spaced 2.4..80."""
     cfg = _fig_fields(args, "UWM", N=2000, beta=0.005)
-    n, beta = cfg["N"], cfg["beta"]
     s0s = np.geomspace(2.4, 80.0, 7)
-    rows, unresolved = [], []
-    for model in ("UWM", "DM"):
-        for s0 in s0s:
-            params = ModelParams.from_beta(beta=beta, s0=float(s0),
-                                           n_emitters=n)
-            try:
-                sol = solve_steady_state(model, params)
-            except NonConvergence:
-                unresolved.append([("model", model), ("s0", float(s0))])
-                continue
-            rows.extend((model, s0, site, D, z) for site, D, _, _, z, *_
-                        in meanfield_profile_rows(params, sol))
+    # a leading model coordinate heads each row and each unresolved cell
+    tasks = [dict(task, coords=[("model", model)] + task["coords"])
+             for model in ("UWM", "DM")
+             for task in _grid_tasks(model, [("s0", s0s)],
+                                     dict(_DEFAULTS, **cfg), "rows")]
+    solved, unresolved = _fig_grid(args, tasks)
+    rows = [(model, s0, site, D, z) for r in solved
+            for model, s0, site, D, _, _, z, *_ in r["profile"]]
     out = _fig_dir(args, "fig2")
     path = write_csv(out / "inversion_profiles.csv",
                      ["model", "s0", "site", "D_i", "sigma_z"], rows)
-    manifest["params"] = {"N": n, "beta": beta, "s0_grid": list(map(float, s0s))}
+    manifest["params"] = dict(cfg, s0_grid=list(map(float, s0s)))
     manifest["unresolved"] = unresolved
     return [str(path)]
 
@@ -409,27 +423,18 @@ def _fig2(args, manifest: dict) -> List[str]:
 def _fig3(args, manifest: dict) -> List[str]:
     """Realization-vs-equation averaging maps over disorder strength."""
     cfg = _fig_fields(args, "EAM", N=2000, beta=0.005, s0=20.0, M=20, seed=0)
-    n, beta, s0, M = cfg["N"], cfg["beta"], cfg["s0"], cfg["M"]
     etas = np.geomspace(1e-3, 0.3, 7)
-    jobs = _resolve_jobs(args.jobs)
-    rows, unresolved = [], []
-    excluded = {}
-    for eta in etas:
-        params = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n,
-                                       eta=float(eta), seed=cfg["seed"])
-        try:
-            rep = run_ensemble(params, M=M, jobs=jobs)
-        except NonConvergence:
-            unresolved.append([("eta", float(eta))])
-            continue
-        excluded[f"{eta:.6g}"] = rep.excluded
-        rows.extend([eta] + row for row in ensemble_profile_rows(params, rep))
+    solved, unresolved = _fig_grid(args, _grid_tasks(
+        "ENSEMBLE", [("eta", etas)], dict(_DEFAULTS, **cfg), "rows"))
     out = _fig_dir(args, "fig3")
     path = write_csv(out / "ensemble_maps.csv",
-                     ("eta",) + ENSEMBLE_PROFILE_COLS, rows)
-    manifest["params"] = {"N": n, "beta": beta, "s0": s0, "M": M,
-                          "eta_grid": list(map(float, etas)),
-                          "excluded": excluded}
+                     ("eta",) + ENSEMBLE_PROFILE_COLS,
+                     [row for r in solved for row in r["profile"]])
+    manifest["params"] = {
+        "N": cfg["N"], "beta": cfg["beta"], "s0": cfg["s0"], "M": cfg["M"],
+        "eta_grid": list(map(float, etas)),
+        "excluded": {f"{r['coords'][0][1]:.6g}": r["report"].excluded
+                     for r in solved}}
     manifest["unresolved"] = unresolved
     return [str(path)]
 
@@ -444,33 +449,19 @@ def _fig4(args, manifest: dict) -> List[str]:
     n, beta = cfg["N"], cfg["beta"]
     etas = np.geomspace(1e-3, 1.0, 20)
     stils = np.linspace(0.05, 4.0, 30)
-    jobs = _resolve_jobs(args.jobs)
-
-    tasks = _grid_tasks("EAM", [("eta", etas), ("s_tilde", stils)],
-                        dict(_DEFAULTS, N=n, beta=beta), None)
-    results = process_map(_eval_cell, tasks, jobs)
+    fixed = dict(_DEFAULTS, **cfg)
+    heat, unresolved = _fig_grid(args, _grid_tasks(
+        "EAM", [("eta", etas), ("s_tilde", stils)], fixed, None))
     heat_cols = ("eta", "s_tilde", "s_out_right", "s_out_left")
-    cols = ("eta", "s_tilde") + _SCALAR_COLS    # the scalar row's layout
-    heat_rows = [[r["scalar"][cols.index(c)] for c in heat_cols]
-                 for r in results if r["status"] == "ok"]
-    unresolved = [r["coords"] for r in results if r["status"] != "ok"]
+    heat_rows = [r["scalar"][:4] for r in heat]    # the scalar row's head
 
     n_sc = min(500, n)
-    M_sc = cfg["M"]
-    scat_rows, scat_unresolved = [], []
-    for eta in (0.001, 0.02, 0.1):
-        for st in np.linspace(0.25, 3.0, 8):
-            params = ModelParams.from_beta(beta=beta, s0=float(st * 4 * beta * n_sc),
-                                           n_emitters=n_sc, eta=eta,
-                                           seed=cfg["seed"])
-            try:
-                rep = run_ensemble(params, M=M_sc, jobs=jobs)
-            except NonConvergence:
-                scat_unresolved.append([("eta", eta), ("s_tilde", float(st))])
-                continue
-            for mu in range(M_sc):
-                r_out, l_out = rep.per_realization_outputs[mu]
-                scat_rows.append((eta, float(st), mu, r_out, l_out))
+    scatter, scat_unresolved = _fig_grid(args, _grid_tasks(
+        "ENSEMBLE", [("eta", (0.001, 0.02, 0.1)),
+                     ("s_tilde", np.linspace(0.25, 3.0, 8))],
+        dict(fixed, N=n_sc), None))
+    scat_rows = [[v for _, v in r["coords"]] + [mu, *o] for r in scatter
+                 for mu, o in enumerate(r["report"].per_realization_outputs)]
 
     out = _fig_dir(args, "fig4")
     paths = [
@@ -481,7 +472,7 @@ def _fig4(args, manifest: dict) -> List[str]:
     ]
     manifest["params"] = {"N": n, "beta": beta,
                           "heatmap_grid": [len(etas), len(stils)],
-                          "scatter": {"N": n_sc, "M": M_sc}}
+                          "scatter": {"N": n_sc, "M": cfg["M"]}}
     manifest["reductions"] = ("heatmap 20x30 and scatter N=500/M=6 keep the "
                               "default run desk-sized; pass --N/--M to scale")
     manifest["unresolved"] = unresolved
@@ -506,20 +497,26 @@ def _fig5(args, manifest: dict) -> List[str]:
 
 def _fig7(args, manifest: dict) -> List[str]:
     """Pair-correlation map and inelastic output profile (second-order
-    cumulant run with D_i spanning [0, 2 s0])."""
+    cumulant run with D_i spanning [0, 2 s0]).  A solve that does not
+    converge is listed as unresolved and leaves both tables header-only."""
     s0 = args.s0 if args.s0 is not None else 80.0
-    n = args.sites if args.sites is not None else args.N
-    n = 200 if n is None else n
+    n = args.sites if args.sites is not None else 200
     # D_N = 4βn = 2 s0; n < 1 is refused just below
     beta = s0 / (2.0 * n) if n > 0 else 0.0
     _check_fields("CE2-UWM", dict(_DEFAULTS, N=n, beta=beta, s0=s0))
     params = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n)
-    sol = solve_ce2(params)
     out = _fig_dir(args, "fig7")
-    paths = [write_cumulant_pair_csv(out / "xx_cumulant_map.csv", sol),
-             write_csv(out / "inelastic_profile.csv", CE2_PROFILE_COLS,
-                       ce2_profile_rows(sol, sol.s0))]
+    pair, profile = out / "xx_cumulant_map.csv", out / "inelastic_profile.csv"
     manifest["params"] = {"s0": s0, "sites": n, "beta": beta}
+    try:
+        sol = solve_ce2(params)
+    except NonConvergence:
+        manifest["unresolved"] = [[("sites", n), ("s0", s0)]]
+        return [str(write_csv(pair, CE2_PAIR_COLS, [])),
+                str(write_csv(profile, CE2_PROFILE_COLS, []))]
+    paths = [write_cumulant_pair_csv(pair, sol),
+             write_csv(profile, CE2_PROFILE_COLS,
+                       ce2_profile_rows(sol, sol.s0))]
     return [str(p) for p in paths]
 
 
@@ -551,7 +548,7 @@ _FIG_FLAGS = {"N": (int, None), "M": (int, "realization count"),
 _FIG_REGISTRY = {"fig2": (_fig2, ("N", "beta")),
                  "fig3": (_fig3, ("N", "beta", "s0", "M", "seed")),
                  "fig4": (_fig4, ("N", "beta", "M", "seed")),
-                 "fig5": (_fig5, ()), "fig7": (_fig7, ("N", "s0", "sites")),
+                 "fig5": (_fig5, ()), "fig7": (_fig7, ("s0", "sites")),
                  "fig8": (_fig8, ())}
 
 
@@ -565,8 +562,9 @@ def cmd_fig(args) -> int:
         if flag not in reads and getattr(args, flag) is not None:
             raise SpecError(f"flag --{flag}: {args.name} does not read it")
     t0 = time.time()
-    manifest = {"figure": args.name, "version": _version(),
-                "seed": 0 if args.seed is None else args.seed}
+    manifest = {"figure": args.name, "version": _version()}
+    if "seed" in reads:
+        manifest["seed"] = 0 if args.seed is None else args.seed
     outputs = generate(args, manifest)
     manifest["wall_time_s"] = time.time() - t0
     manifest["outputs"] = outputs

@@ -30,7 +30,7 @@ from .params import ModelParams
 
 __all__ = ["fmt17", "csv_lines", "write_csv", "write_json", "MEANFIELD_PROFILE_COLS",
            "meanfield_profile_rows", "CE2_PROFILE_COLS", "ce2_profile_rows",
-           "write_cumulant_pair_csv", "ENSEMBLE_PROFILE_COLS",
+           "CE2_PAIR_COLS", "write_cumulant_pair_csv", "ENSEMBLE_PROFILE_COLS",
            "ensemble_profile_rows", "DOPPLER_PROFILE_COLS",
            "doppler_profile_rows"]
 
@@ -128,14 +128,17 @@ def meanfield_profile_rows(params: ModelParams,
     return [[i + 1, 4.0 * beta * (i + 1), *c] for i, c in enumerate(cols)]
 
 
+CE2_PAIR_COLS = ("i", "j", "D_i", "D_j", "sigxx_cumulant")
+
+
 def write_cumulant_pair_csv(path, sol: CumulantSolution) -> Path:
-    """Pair-cumulant map, upper triangle: i,j,D_i,D_j,sigxx_cumulant."""
+    """Pair-cumulant map, upper triangle, in the `CE2_PAIR_COLS` layout."""
     rows = []
     for i in range(1, sol.n + 1):       # 1-based site labels in the CSV
         for j in range(i + 1, sol.n + 1):
             rows.append((i, j, 4.0 * sol.beta * i, 4.0 * sol.beta * j,
                          sigma_xx_cumulant(sol, i - 1, j - 1)))
-    return write_csv(path, ["i", "j", "D_i", "D_j", "sigxx_cumulant"], rows)
+    return write_csv(path, CE2_PAIR_COLS, rows)
 
 
 CE2_PROFILE_COLS = ("site", "D_i", "sigma_z", "s_ie_over_s0",

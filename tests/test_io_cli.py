@@ -15,9 +15,10 @@ from cascadia import (DopplerParams, ModelParams, RampSpec, SolverOptions,
                       build_chain, doppler_profile, run_ensemble, solve_ce2,
                       solve_steady_state, uwm_saturation)
 from cascadia.cli import _DEFAULTS, _eval_cell, _grid_tasks, main
-from cascadia.errors import NonConvergence
-from cascadia.io import (CE2_PROFILE_COLS, DOPPLER_PROFILE_COLS,
-                         ENSEMBLE_PROFILE_COLS, MEANFIELD_PROFILE_COLS,
+from cascadia.errors import NonConvergence, NumericalInstability
+from cascadia.io import (CE2_PAIR_COLS, CE2_PROFILE_COLS,
+                         DOPPLER_PROFILE_COLS, ENSEMBLE_PROFILE_COLS,
+                         MEANFIELD_PROFILE_COLS,
                          ce2_profile_rows, csv_lines, doppler_profile_rows,
                          ensemble_profile_rows, fmt17, meanfield_profile_rows,
                          write_csv, write_cumulant_pair_csv)
@@ -260,10 +261,16 @@ def test_profile_csv_is_jobs_invariant(argv, tmp_path):
                (tmp_path / f"j2_{table}.csv").read_bytes()
 
 
-def test_figure_csv_is_jobs_invariant(tmp_path):
-    # fig3's ensembles map their realizations over the process pool
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--N", "50"],
+    ["fig3", "--N", "20", "--M", "2"],
+    ["fig4", "--N", "10", "--M", "2"],
+], ids=["fig2", "fig3", "fig4"])
+def test_figure_csv_is_jobs_invariant(argv, tmp_path):
+    # the figure's grid cells (fig3's and fig4's scatter cells whole
+    # ensembles) map over the process pool
     for jobs in ("1", "2"):
-        assert main(["fig", "fig3", "--N", "20", "--M", "2", "--jobs", jobs,
+        assert main(["fig", *argv, "--jobs", jobs,
                      "--out", str(tmp_path / f"j{jobs}")]) == 0
     one, two = tmp_path / "j1", tmp_path / "j2"
     csvs = sorted(p.name for p in one.glob("*.csv"))
@@ -449,7 +456,7 @@ def test_figure_registry_smoke(tmp_path):
 _UNREAD = {"fig2": ("M", "s0", "sites", "seed"), "fig3": ("sites",),
            "fig4": ("s0", "sites"),
            "fig5": ("N", "M", "beta", "s0", "sites", "seed"),
-           "fig7": ("M", "beta", "seed"),
+           "fig7": ("N", "M", "beta", "seed"),
            "fig8": ("N", "M", "beta", "s0", "sites", "seed")}
 
 
@@ -501,7 +508,8 @@ def test_figures_list_unconverged_solves(tmp_path, monkeypatch):
     # two ΨTC steps converge no DM or EAM solve here: fig2 keeps only the
     # closed-form UWM profiles, fig3 and fig4 no ensemble at all
     monkeypatch.setattr("cascadia.steady._PTC_STEPS", 2)
-    rc = main(["fig", "fig2", "--N", "50", "--out", str(tmp_path / "f2")])
+    rc = main(["fig", "fig2", "--N", "50", "--jobs", "1",
+               "--out", str(tmp_path / "f2")])
     assert rc == 0
     man = json.loads((tmp_path / "f2" / "manifest.json").read_text())
     assert len(man["unresolved"]) == 7
@@ -524,6 +532,47 @@ def test_figures_list_unconverged_solves(tmp_path, monkeypatch):
     assert len(man["scatter_unresolved"]) == 24
     _, rows = _read_csv(tmp_path / "f4" / "realization_scatter.csv")
     assert rows == []
+
+
+def test_fig7_lists_an_unconverged_solve(tmp_path, monkeypatch):
+    # no CE2 solve reaches a zero residual: the cell is listed, both
+    # tables keep their headers only, and the run exits 0
+    monkeypatch.setattr("cascadia.steady.STEADY_RESIDUAL", 0.0)
+    rc = main(["fig", "fig7", "--sites", "6", "--s0", "2",
+               "--out", str(tmp_path / "f7")])
+    assert rc == 0
+    man = json.loads((tmp_path / "f7" / "manifest.json").read_text())
+    assert man["unresolved"] == [[["sites", 6], ["s0", 2.0]]]
+    for name, cols in (("xx_cumulant_map.csv", CE2_PAIR_COLS),
+                       ("inelastic_profile.csv", CE2_PROFILE_COLS)):
+        assert _read_csv(tmp_path / "f7" / name) == (list(cols), [])
+
+
+@pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
+def test_figure_instability_exits_3(fig, tmp_path, monkeypatch, capsys):
+    # a figure's cell that hits a numerical instability stops the figure
+    # with exit 3, as a sweep's does, instead of listing it as unresolved;
+    # only N = 501 solves fail, so fig4's N = 500 scatter would succeed
+    def unstable(fun, solve, y0, what):
+        if "N = 501," in what:
+            raise NumericalInstability("non-finite state")
+        return pseudo_transient(fun, solve, y0, what)
+
+    monkeypatch.setattr("cascadia.meanfield.pseudo_transient", unstable)
+    argv = ["--N", "501"] + ([] if fig == "fig2" else ["--M", "1"])
+    rc = main(["fig", fig, *argv, "--jobs", "1", "--out", str(tmp_path / "f")])
+    assert rc == 3
+    assert "numerical instability" in capsys.readouterr().err
+
+
+def test_only_figures_that_draw_record_a_seed(tmp_path):
+    for argv in (["fig2", "--N", "10"], ["fig5"],
+                 ["fig7", "--sites", "6", "--s0", "2"], ["fig8"],
+                 ["fig4", "--N", "10", "--M", "1", "--seed", "7"]):
+        out = tmp_path / argv[0]
+        assert main(["fig", *argv, "--jobs", "1", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man.get("seed") == (7 if argv[0] == "fig4" else None)
 
 
 def test_unreached_steady_states_raise_in_every_layer(tmp_path, monkeypatch):
