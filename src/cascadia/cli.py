@@ -22,7 +22,8 @@ Exit codes: 0 ok; 2 spec validation failure, raised before any cell runs;
 solver raises NonConvergence when a steady state is not reached; a cell
 that raises it, fig7's one CE2 solve included, is recorded in the manifest
 ("unresolved"; fig4's scatter under "scatter_unresolved") and left out of
-the tables, not fatal.
+the tables, not fatal.  Every figure's manifest carries "unresolved", an
+empty list when nothing missed.
 """
 
 from __future__ import annotations
@@ -566,6 +567,7 @@ def cmd_fig(args) -> int:
     if "seed" in reads:
         manifest["seed"] = 0 if args.seed is None else args.seed
     outputs = generate(args, manifest)
+    manifest.setdefault("unresolved", [])
     manifest["wall_time_s"] = time.time() - t0
     manifest["outputs"] = outputs
     out_dir = Path(outputs[0]).parent if outputs else _fig_dir(args, args.name)

@@ -20,6 +20,17 @@ upper-bidiagonal system by the BLAS banded triangular solve (`ztbsv`).
 The same recurrences, with the prefix and suffix sums as unknowns, make the
 exact Jacobian solve of every Newton step one O(N) banded LU, written in
 `dgbsv`'s band storage one band row per run of blocks (`_make_solve`).
+
+A resonant chain (no site detunings) with a real left channel (c, v, w)
+has a real sector.  The map T: ⟨σ⁻⟩ → −⟨σ⁻⟩* commutes with its flow, as
+T(ρ) = PρᵀP commutes with the master equation under the same condition
+(`exact._parity_symmetric`; Buča & Prosen, NJP 14, 073007 (2012)), and
+the ground state is T-invariant.  So the continuation from it never leaves
+⟨σ⁻_i⟩ = i v_i with v_i real, where every drive α_i is real.  On that
+sector, 2N reals (v, z), the Jacobian solve is one tridiagonal LU
+(`dgtsv`) on 2N unknowns (`_sector_system`).  In practice this is the
+resonant EAM: uniform DM and resonant UWM have their own one-site and
+closed-form paths, and the BWM's phases are complex.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.blas import ztbsv
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .params import (EmitterChain, ModelParams, left_channel,
                      output_saturations, site_detunings)
@@ -50,6 +61,7 @@ class MeanFieldSolution:
     alpha: np.ndarray        # effective drives α_i at the final state
     residual: float          # max-norm of the RHS at the final state
     model_tag: str
+    path: str                # "collective", "cascade", "sector" or "band"
 
     def bloch_norm(self) -> np.ndarray:
         """4|⟨σ⁻⟩|² + ⟨σᶻ⟩² per site (≤ 1 for physical states)."""
@@ -251,6 +263,79 @@ def _make_solve(plan: _DrivePlan, detunings: Optional[np.ndarray]):
     return solve
 
 
+def _sector_system(plan: _DrivePlan):
+    """The RHS and the exact solve of (I/δ − J(y)) x = r of a resonant
+    chain with a real left channel on its real sector ⟨σ⁻⟩ = i v: the
+    state y = (v, z) is 2N reals, and so are r and x.
+
+    Both state their equations through `plan.alpha`, `_bloch` and
+    `_site_maps` on m = i v, as the band path does.  There every drive is
+    real, so a real dα_i gives dv_i = Im(tp + tq)_i dα_i + Im q_i, and
+    dα_i = g (df_i + w_i db_i) in the real increments dF_i = i df_i and
+    dB_i = i db_i of the prefix and suffix sums.  Their recurrences,
+    interleaved f₀, b₀, f₁, b₁, …, are tridiagonal when the row of
+    f_i sits at 2i − 1 (columns of f_{i−1}, b_{i−1}, f_i) and the row of
+    b_i at 2i + 2 (columns of b_i, f_{i+1}, b_{i+1}), with f₀ = 0 and
+    b_{N−1} = 0 in rows 0 and 2N − 1: one LU with partial pivoting
+    (`dgtsv`) on 2N unknowns.
+    """
+    n, g = plan.n, plan.g
+    c, w = plan.c, plan.w
+    cv = np.broadcast_to(c * plan.v, (n,))[1:]
+
+    def rhs(y, omega):
+        m = 1j * y[:n]
+        dm, dz = _bloch(m, y[n:], plan.alpha(m, omega), None)
+        return np.concatenate((dm.imag, dz))
+
+    def solve(y, omega, delta, r):
+        m = 1j * y[:n]
+        a = plan.alpha(m, omega)
+        tp, tq, q, dz = _site_maps(m, y[n:], a, None, delta, 1j * r[:n],
+                                   r[n:])
+        # dm_i = t_i dα_i + q_i for a real dα_i, so dv_i = A_i df_i +
+        # W_i db_i + Im q_i with A_i = g Im t_i and W_i = A_i w_i
+        t, qv = tp + tq, q.imag
+        ap = g * t.imag
+        wp = ap * w
+        dl, d, du = np.zeros(2 * n - 1), np.ones(2 * n), np.zeros(2 * n - 1)
+        b = np.zeros(2 * n)
+        # row 2i − 1: df_i − (1 + A_{i−1}) df_{i−1} − W_{i−1} db_{i−1} = q_{i−1}
+        dl[0:-1:2] = -1.0 - ap[:-1]
+        d[1:-1:2] = -wp[:-1]
+        du[1::2] = 1.0
+        b[1:-1:2] = qv[:-1]
+        # row 2i + 2: db_i − c db_{i+1} − cv_{i+1} (A df + W db)_{i+1}
+        # = cv_{i+1} q_{i+1}
+        dl[1::2] = 1.0
+        d[2::2] = -cv * ap[1:]
+        du[2::2] = -c - cv * wp[1:]
+        b[2::2] = cv * qv[1:]
+        # a non-finite system gives a non-finite x, refused by the caller
+        _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
+                                 overwrite_du=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular tridiagonal: U({info}, "
+                                        f"{info}) = 0")
+        if info < 0:
+            raise ValueError(f"dgtsv: illegal value in argument {-info}")
+        da = g * (x[0::2] + w * x[1::2])
+        dm = t * da + q
+        return np.concatenate((dm.imag, dz(da, dm)))
+
+    return rhs, solve
+
+
+def _on_sector(plan: _DrivePlan, detunings: Optional[np.ndarray],
+               initial: Optional[MeanFieldSolution]) -> bool:
+    """Whether a chain solve stays on the real sector (`_sector_system`):
+    resonant, with a real left channel, from the ground state or a warm
+    start whose ⟨σ⁻⟩ is imaginary."""
+    return (detunings is None and not np.iscomplexobj(plan.v)
+            and not np.iscomplexobj(plan.w)
+            and (initial is None or not np.any(initial.sigma_minus.real)))
+
+
 # Γ_tot⁻¹ of drive ramp per quasi-static continuation step.  On 378
 # collective cells across the bistable window (D = 16.5…80, up to 0.1% from
 # each fold, ramps up and down over 400 Γ_tot⁻¹) steps of 12.5-50 matched
@@ -316,7 +401,15 @@ def solve_steady_state(model_tag: str, params: ModelParams,
     (as in `solve_collective`), broadcast to the N sites: a solve strategy,
     not another model.  A DM with per-site detunings takes the chain path
     with its (1, 1, 1) left channel.  Resonant UWM has a unique steady
-    state and returns the cascade fixed point in closed form.
+    state and returns the cascade fixed point in closed form.  Any other
+    resonant chain with a real left channel (c, v, w), in practice the
+    EAM, is continued on its real sector ⟨σ⁻⟩ = i v (`_sector_system`),
+    which the flow from the ground state never leaves: the mean-field
+    form of the transpose-parity symmetry `exact._parity_symmetric`
+    tests.  A warm start off that sector (Re⟨σ⁻⟩ ≠ 0 at some site), a
+    detuned chain and the BWM take the band path (`_make_solve`).
+    `path` on the result names which of the four ran: "collective",
+    "cascade", "sector" or "band".
     A continuation that runs out of steps, on the ramp or at the final
     drive, is never continued past: it raises NonConvergence naming the
     model, N, β, the final s₀, the stage and the residual reached.  A
@@ -352,27 +445,40 @@ def solve_steady_state(model_tag: str, params: ModelParams,
         return MeanFieldSolution(
             sigma_minus=np.repeat(m, n), sigma_z=np.repeat(z, n),
             alpha=np.repeat(0.5 * omega_end - 1j * (b / 2.0) * m, n),
-            residual=residual, model_tag="DM")
-
-    rhs = _make_rhs(plan, det)
+            residual=residual, model_tag="DM", path="collective")
 
     if model_tag == "UWM" and det is None:
+        path = "cascade"
         fp = uwm_cascade_fixed_point(2.0 * omega_end ** 2, params.beta, n)
         y = _pack(fp.sigma_minus, fp.sigma_z)
-        residual = float(np.max(np.abs(rhs(y, omega_end))))
+        residual = float(np.max(np.abs(_make_rhs(plan, None)(y, omega_end))))
+        m, z = _unpack(y, n)
+    elif _on_sector(plan, det, initial):
+        path = "sector"
+        if initial is not None:
+            y0 = np.concatenate((np.asarray(initial.sigma_minus).imag,
+                                 np.asarray(initial.sigma_z, dtype=float)))
+        else:
+            y0 = np.concatenate((np.zeros(n), -np.ones(n)))
+        y, residual = _settle(*_sector_system(plan), y0, omega_end,
+                              opts.ramp, cell)
+        m, z = np.zeros(n, dtype=complex), y[n:]
+        m.imag = y[:n]  # Re⟨σ⁻⟩ = +0.0, as the band path leaves it
     else:
+        path = "band"
         if initial is not None:
             y0 = _pack(np.asarray(initial.sigma_minus, dtype=complex),
                        np.asarray(initial.sigma_z, dtype=float))
         else:
             y0 = _pack(np.zeros(n, dtype=complex), -np.ones(n))
-        y, residual = _settle(rhs, _make_solve(plan, det), y0, omega_end,
-                              opts.ramp, cell)
+        y, residual = _settle(_make_rhs(plan, det), _make_solve(plan, det),
+                              y0, omega_end, opts.ramp, cell)
+        m, z = _unpack(y, n)
 
-    m, z = _unpack(y, n)
     alpha = plan.alpha(m, omega_end)
     return MeanFieldSolution(sigma_minus=m, sigma_z=z.copy(), alpha=alpha,
-                             residual=residual, model_tag=model_tag)
+                             residual=residual, model_tag=model_tag,
+                             path=path)
 
 
 # --- collective (permutation-symmetric) reduction ---------------------------

@@ -106,25 +106,23 @@ def _implicit_step(fun: Callable, solve: Callable, yk: np.ndarray,
     """Newton on the backward-Euler step (v − yk)/δ = fun(v) from v = yk,
     where fun(yk) = fk.  Returns (v, fun(v)) once the step residual is at
     most `f_tol`, or None after `_PTC_NEWTON` iterations, on a singular
-    Jacobian solve, or on a non-finite state or step residual.  A missed
-    step is an expected outcome, so the overflow it may pass through on
-    the way is not warned about."""
+    Jacobian solve, or on a non-finite step residual, which a non-finite
+    state always gives.  A missed step is an expected outcome, so its
+    caller, `pseudo_transient`, does not warn about the overflow it may
+    pass through on the way."""
     v, g = yk, -fk
-    with np.errstate(all="ignore"):
-        for _ in range(_PTC_NEWTON):
-            try:
-                v = v - solve(v, delta, g)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.isfinite(v).all():
-                return None
-            fv = fun(v)
-            g = (v - yk) / delta - fv
-            step_residual = _max_abs(g)
-            if step_residual <= f_tol:
-                return v, fv
-            if not np.isfinite(step_residual):
-                return None
+    for _ in range(_PTC_NEWTON):
+        try:
+            v = v - solve(v, delta, g)
+        except np.linalg.LinAlgError:
+            return None
+        fv = fun(v)
+        g = (v - yk) / delta - fv
+        step_residual = _max_abs(g)
+        if step_residual <= f_tol:
+            return v, fv
+        if not np.isfinite(step_residual):
+            return None
     return None
 
 
@@ -158,23 +156,24 @@ def pseudo_transient(fun: Callable, solve: Callable, y0: np.ndarray,
     fy = fun(y)
     residual = _max_abs(fy)
     delta = 1.0
-    for _ in range(_PTC_STEPS):
-        f_tol = max(1e-4 * residual, _PTC_FLOOR)
-        if residual <= f_tol:  # at the floor: nothing left to solve
-            break
-        step = _implicit_step(fun, solve, y, fy, delta, f_tol)
-        if step is None:
-            delta /= 4.0
-            continue
-        rk = residual
-        y, fy = step
-        residual = _max_abs(fy)
-        if residual < STEADY_RESIDUAL and residual > 0.5 * rk:
-            break
-        if residual >= rk:
-            delta *= 2.0
-        elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
-            delta *= min(max(rk / residual, 2.0), 16.0)
+    with np.errstate(all="ignore"):  # see `_implicit_step`
+        for _ in range(_PTC_STEPS):
+            f_tol = max(1e-4 * residual, _PTC_FLOOR)
+            if residual <= f_tol:  # at the floor: nothing left to solve
+                break
+            step = _implicit_step(fun, solve, y, fy, delta, f_tol)
+            if step is None:
+                delta /= 4.0
+                continue
+            rk = residual
+            y, fy = step
+            residual = _max_abs(fy)
+            if residual < STEADY_RESIDUAL and residual > 0.5 * rk:
+                break
+            if residual >= rk:
+                delta *= 2.0
+            elif residual > 0.0:  # an exact 0.0 stops at the top of the loop
+                delta *= min(max(rk / residual, 2.0), 16.0)
     if not residual < STEADY_RESIDUAL:
         raise NonConvergence(f"{what}: residual {residual:.2e}")
     return y

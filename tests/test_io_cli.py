@@ -575,6 +575,20 @@ def test_only_figures_that_draw_record_a_seed(tmp_path):
         assert man.get("seed") == (7 if argv[0] == "fig4" else None)
 
 
+def test_every_figure_manifest_lists_its_misses(tmp_path):
+    # one schema for misses: `unresolved` is in every figure's manifest, an
+    # empty list when nothing missed, and fig4 lists its scatter's apart
+    for argv in (["fig2", "--N", "50"], ["fig3", "--N", "20", "--M", "2"],
+                 ["fig4", "--N", "10", "--M", "2"], ["fig5"],
+                 ["fig7", "--sites", "6", "--s0", "2"], ["fig8"]):
+        out = tmp_path / argv[0]
+        assert main(["fig", *argv, "--jobs", "1", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["unresolved"] == []
+        assert man.get("scatter_unresolved") == \
+            ([] if argv[0] == "fig4" else None)
+
+
 def test_unreached_steady_states_raise_in_every_layer(tmp_path, monkeypatch):
     # one convention: a mean-field solve that misses raises NonConvergence
     # naming the model, the cell, the stage and the residual, and each

@@ -278,6 +278,32 @@ def test_chain_restarted_from_its_steady_state_returns_it(tag):
     assert np.array_equal(again.alpha, sol.alpha)
 
 
+@pytest.mark.parametrize("tag,kw,xi,path", [
+    ("EAM", dict(eta=0.1), 0.0, "sector"),
+    ("EAM", dict(eta=20.0), 0.0, "sector"),    # r underflows: c = 0
+    ("EAM", dict(eta=0.1, detuning=0.3), 0.0, "band"),
+    ("BWM", dict(eta=0.1), 0.0, "band"),
+    ("DM", dict(), 0.5, "band"),               # per-site detunings
+    ("DM", dict(), 0.0, "collective"),
+    ("UWM", dict(), 0.0, "cascade")])
+def test_each_solution_names_its_path(tag, kw, xi, path):
+    # the input decides the path: the real sector wherever the chain is
+    # resonant with a real left channel and no other path is shorter
+    p = _params(0.05, 5.0, 20, seed=3, **kw)
+    chain = build_chain(p, xi_delta=xi) if tag in ("BWM", "DM") else None
+    assert solve_steady_state(tag, p, chain).path == path
+
+
+def test_warm_start_off_the_sector_takes_the_band_path():
+    p = _params(0.05, 5.0, 20, eta=0.1)
+    sol = solve_steady_state("EAM", p)
+    off = replace(sol, sigma_minus=sol.sigma_minus + 1e-3)
+    again = solve_steady_state("EAM", p, initial=off)
+    assert again.path == "band"
+    assert np.max(np.abs(again.sigma_minus - sol.sigma_minus)) <= 1e-13
+    assert solve_steady_state("EAM", p, initial=sol).path == "sector"
+
+
 @pytest.mark.parametrize("tag", ["BWM", "EAM"])
 def test_non_finite_warm_start_is_refused(tag):
     p = _params(0.005, 20.0, 400, eta=0.1, seed=3)

@@ -16,7 +16,8 @@ from cascadia import (ModelParams, RampSpec, SolverOptions, build_chain,
                       uwm_cascade_fixed_point)
 from cascadia.errors import NonConvergence
 from cascadia.meanfield import (_bloch, _collective_system, _DrivePlan,
-                                _make_solve, _site_maps, solve_collective)
+                                _make_rhs, _make_solve, _sector_system,
+                                _settle, _site_maps, solve_collective)
 from cascadia.steady import (STEADY_RESIDUAL, _implicit_step, newton_step,
                              pseudo_transient)
 
@@ -245,33 +246,121 @@ def test_chain_solve_matches_the_fancy_index_assembly(model, eta, xi,
     assert np.array_equal(x, reference_solve(plan, det)(y, p.rabi, delta, r))
 
 
-@pytest.mark.parametrize("info,exc", [(5, np.linalg.LinAlgError),
-                                      (-4, ValueError)])
-def test_banded_solve_status(monkeypatch, info, exc):
-    # dgbsv's status: info > 0 (a zero pivot in U) is a singular solve,
+def _assert_solve_status(model, p, chain, fun, solve, y, info, exc):
+    # a LAPACK status: info > 0 (a zero pivot in U) is a singular solve,
     # which the continuation counts as a missed step and the finish
     # refuses; info < 0 (an illegal argument) is a defect and propagates
-    def status(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
-        return ab, np.zeros(b.size, dtype=np.int32), b, info
-
-    monkeypatch.setattr("cascadia.meanfield.dgbsv", status)
-    p, chain, plan, _, y = _chain_case("BWM", 7, 0.1, 0.0, 0.0)
-    solve = _make_solve(plan, None)
     with pytest.raises(exc):
-        solve(y, p.rabi, 0.7, np.ones(21))
-    fun = _rhs("BWM", p, chain)
+        solve(y, p.rabi, 0.7, np.ones(y.size))
     at = lambda v, d, r: solve(v, p.rabi, d, r)
     if info > 0:
         assert np.array_equal(newton_step(fun, at, y)[0], y)
         with pytest.raises(NonConvergence, match=r"^singular: residual"):
             pseudo_transient(fun, at, y, "singular")
-        with pytest.raises(NonConvergence, match=r"^BWM steady state not "):
-            solve_steady_state("BWM", p, chain)
+        with pytest.raises(NonConvergence,
+                           match=rf"^{model} steady state not "):
+            solve_steady_state(model, p, chain)
     else:
         with pytest.raises(ValueError, match="illegal"):
             newton_step(fun, at, y)
         with pytest.raises(ValueError, match="illegal"):
-            solve_steady_state("BWM", p, chain)
+            solve_steady_state(model, p, chain)
+
+
+@pytest.mark.parametrize("info,exc", [(5, np.linalg.LinAlgError),
+                                      (-4, ValueError)])
+def test_banded_solve_status(monkeypatch, info, exc):
+    # dgbsv's status
+    def status(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
+        return ab, np.zeros(b.size, dtype=np.int32), b, info
+
+    monkeypatch.setattr("cascadia.meanfield.dgbsv", status)
+    p, chain, plan, _, y = _chain_case("BWM", 7, 0.1, 0.0, 0.0)
+    _assert_solve_status("BWM", p, chain, _rhs("BWM", p, chain),
+                         _make_solve(plan, None), y, info, exc)
+
+
+@pytest.mark.parametrize("info,exc", [(5, np.linalg.LinAlgError),
+                                      (-4, ValueError)])
+def test_tridiagonal_solve_status(monkeypatch, info, exc):
+    # dgtsv's status on the resonant EAM's real sector, mapped as dgbsv's
+    def status(dl, d, du, b, **overwrite):
+        return dl, d, du, b, info
+
+    monkeypatch.setattr("cascadia.meanfield.dgtsv", status)
+    p, _, plan, _, y = _chain_case("EAM", 7, 0.1, 0.0, 0.0)
+    rhs, solve = _sector_system(plan)
+    _assert_solve_status("EAM", p, None, lambda v: rhs(v, p.rabi),
+                         solve, y[7:], info, exc)
+
+
+# --- the real sector of resonant chains with a real left channel -------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("eta", [0.1, 20.0])
+def test_sector_solve_matches_dense_jacobian(eta, n):
+    # the sector's 2N-real tridiagonal solve against the dense Jacobian of
+    # the public-drive RHS restricted to ⟨σ⁻⟩ = i v, which it never leaves
+    p, _, plan, _, y = _chain_case("EAM", n, eta, 0.0, 0.0)
+    full = _rhs("EAM", p, None)
+
+    def fun(v):
+        f = full(np.concatenate((np.zeros(n), v)))
+        assert not np.any(f[:n])  # d Re⟨σ⁻⟩/dt = 0 on the sector
+        return f[n:]
+
+    _, solve = _sector_system(plan)
+    _assert_solves(fun, lambda v, d, r: solve(v, p.rabi, d, r), y[n:])
+
+
+def _band_settle(p, ramp=None):
+    # the resonant EAM's band path from |g…g⟩: its packed state and drives
+    n = p.n_emitters
+    plan = _DrivePlan("EAM", p, None)
+    y, _ = _settle(_make_rhs(plan, None), _make_solve(plan, None),
+                   np.concatenate((np.zeros(2 * n), -np.ones(n))), p.rabi,
+                   ramp, ("EAM", f"N = {n}"))
+    return y, plan.alpha(y[:n] + 1j * y[n:2 * n], p.rabi)
+
+
+def _assert_sector_matches_band(sol, y, alpha):
+    n = sol.sigma_z.size
+    assert sol.path == "sector" and sol.residual <= STEADY_RESIDUAL
+    assert not np.any(sol.sigma_minus.real)
+    assert not np.any(np.signbit(sol.sigma_minus.real))
+    assert np.max(np.abs(sol.sigma_minus.imag - y[n:2 * n])) <= 1e-13
+    assert np.max(np.abs(sol.sigma_z - y[2 * n:])) <= 1e-13
+    assert np.max(np.abs(sol.alpha - alpha)) <= 1e-13
+
+
+@pytest.mark.parametrize("eta", [0.001, 0.003, 0.01, 0.1, 20.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 2000])
+def test_sector_matches_the_band_path(n, eta):
+    # the premise: from |g…g⟩ the band path itself keeps Re⟨σ⁻⟩ at +0.0
+    # and the drive real on every site of a resonant EAM
+    beta = 0.1 if n < 200 else 0.005
+    for s0 in (0.5, 5.0, 50.0):
+        p = ModelParams.from_beta(beta=beta, s0=s0, n_emitters=n, eta=eta)
+        y, alpha = _band_settle(p)
+        assert not np.any(y[:n]) and not np.any(np.signbit(y[:n]))
+        assert not np.any(alpha.imag)
+        _assert_sector_matches_band(solve_steady_state("EAM", p), y, alpha)
+
+
+def test_sector_ramps_keep_their_branches():
+    # N = 1000 at η = 0.001 is bistable at s₀ = 36 (the Bragg window is
+    # s₀ ≈ 35.3…37.6): ramps up from 0 and down from 90 land on the two
+    # branches, each the band path's
+    p = ModelParams.from_beta(beta=0.005, s0=36.0, n_emitters=1000,
+                              eta=0.001)
+    z = []
+    for start in (0.0, 90.0):
+        ramp = RampSpec(start, 36.0, 400.0)
+        sol = solve_steady_state("EAM", p, opts=SolverOptions(ramp=ramp))
+        _assert_sector_matches_band(sol, *_band_settle(p, ramp))
+        z.append(np.mean(sol.sigma_z))
+    assert z[1] - z[0] > 0.3
 
 
 @pytest.mark.parametrize("detuning", [0.0, 0.8])
